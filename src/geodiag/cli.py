@@ -15,7 +15,9 @@ is frozen in ``schema/classified.json`` (tag v1).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -265,18 +267,18 @@ def _cmd_approximate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     M = parse_product(args.product)
     rng = np.random.default_rng(args.seed)
-    any_fail = False
     any_unsupported = False
-    n_pass = 0
+    counts = {"pass": 0, "fail": 0, "unsupported": 0}
     for e in classify(M):
         report = verify_classification_entry(
             e, M, lie_tol=args.tol, curvature_tol=10 * args.tol, rng=rng
         )
-        any_fail = any_fail or report.failed
         any_unsupported = any_unsupported or not report.fully_supported
-        n_pass += report.status == "pass"
+        counts[report.status] += 1
         if args.json:
             print(_dump(report.to_dict()), file=out)
         else:
@@ -285,15 +287,20 @@ def _cmd_verify(args, out) -> int:
                 if r.status == "unsupported":
                     print(f"             row {r.row_index}: unsupported ({r.reason})", file=out)
                 else:
+                    failure = f"  fail: {r.reason}" if r.status == "fail" else ""
                     print(
                         f"             row {r.row_index}: residual {r.lie_residual:.2e}"
                         f"  curvature {r.curvature_measured:.12g}"
-                        f" (expected {r.curvature_expected:.12g})",
+                        f" (expected {r.curvature_expected:.12g}){failure}",
                         file=out,
                     )
     if not args.json:
-        print(f"# verified: {n_pass} pass", file=out)
-    if any_fail:
+        print(
+            f"# verified: {counts['pass']} pass, {counts['fail']} fail,"
+            f" {counts['unsupported']} unsupported",
+            file=out,
+        )
+    if counts["fail"]:
         return 1
     if args.strict and any_unsupported:
         return 1
@@ -304,7 +311,9 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="geodiag",
         description="Totally geodesic submanifolds of products of rank-one symmetric spaces",

@@ -25,6 +25,17 @@ Conventions, fixed here once:
   constructive checks 1e-9; residuals are relative to the norm of the
   quantity tested.
 
+Representation: subspaces and measurements work in real coordinates, in
+which block ``b`` of a direct sum with metric weight ``w_b`` contributes
+``sqrt(w_b)`` times the real and imaginary parts of its flattened matrix.
+The weighted inner product is then the plain dot product, the Gram matrix
+of rows ``C`` is ``C @ C.T``, and a :class:`SubspaceBasis` is one
+``(dim, D)`` array of orthonormal rows.  Triple brackets are batched
+matmuls on each block's ``(dim, N, N)`` stack, and every residual comes
+from one projection ``T - (T C^T) C``.  Elements (one matrix per block)
+remain the public view of single vectors: ``V.vectors``, ``embed``,
+``bracket``, ``J``, ``inner`` and the arguments of the measurements.
+
 Quaternionic and octonionic factors have no matrix model here and are
 reported as unsupported rather than approximated.
 """
@@ -32,9 +43,10 @@ reported as unsupported rather than approximated.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -115,10 +127,8 @@ class CartanDecomp:
     def __post_init__(self) -> None:
         for m in (*self.k_basis, *self.p_basis):
             check_element(m)
-        gram = np.array(
-            [[_raw_inner(a, b) for b in self.p_basis] for a in self.p_basis]
-        )
-        if np.max(np.abs(gram - np.eye(len(self.p_basis)))) > TOL_ARITHMETIC:
+        P = _flat(self.p_basis)
+        if np.max(np.abs(P @ P.T - np.eye(len(P)))) > TOL_ARITHMETIC:
             raise ValueError("p basis is not orthonormal")
         if self.J_generator is not None:
             for v in self.p_basis:
@@ -143,22 +153,54 @@ class CartanDecomp:
         )
 
 
-def _raw_inner(x: Matrix, y: Matrix) -> float:
-    return float(np.real(np.vdot(x, y)))
+def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
+    """Unweighted real coordinates of a family of N x N complex matrices."""
+    stack = np.ascontiguousarray(matrices, dtype=complex)
+    return stack.view(np.float64).reshape(-1, 2 * stack.shape[-1] ** 2)
 
 
-def _orthonormalize_raw(vectors: Iterable[Matrix]) -> list[Matrix]:
-    basis: list[Matrix] = []
-    for v in vectors:
-        w = v.astype(complex)
-        for _ in range(2):
-            for b in basis:
-                w = w - _raw_inner(b, w) * b
-        nrm = math.sqrt(_raw_inner(w, w))
-        if nrm <= 1e-10 * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError("rank-deficient family in orthonormalization")
-        basis.append(w / nrm)
-    return basis
+def _gram_schmidt(raw: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``raw``, in order.
+
+    Modified Gram-Schmidt: each finished row is removed from all later rows
+    at once, and each row is projected once more against the finished rows
+    before it is normalized.  Rank-deficient families are rejected
+    (relative threshold 1e-10).
+    """
+    Q = np.array(raw, dtype=float)
+    floor = 1e-10 * np.maximum(1.0, _row_norms(Q))
+    for i, w in enumerate(Q):
+        w -= (Q[:i] @ w) @ Q[:i]
+        nrm = math.sqrt(w @ w)
+        if nrm <= floor[i]:
+            raise ValueError("rank-deficient basis rejected")
+        w /= nrm
+        Q[i + 1 :] -= np.outer(Q[i + 1 :] @ w, w)
+    return Q
+
+
+def _residuals(T: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Relative distance of each row of ``T`` from the span of orthonormal rows ``Q``; 0 if zero."""
+    T = np.atleast_2d(T)
+    norms = _row_norms(T)
+    rem = _row_norms(T - (T @ Q.T) @ Q)
+    return np.divide(rem, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def _worst_residual(T: np.ndarray, Q: np.ndarray) -> float:
+    """Largest residual of the rows of ``T`` off span(Q), skipping structural zeros."""
+    norms = _row_norms(T)
+    live = norms > TOL_ARITHMETIC * max(float(norms.max(initial=0.0)), 1.0)
+    return float(_residuals(T[live], Q).max()) if live.any() else 0.0
+
+
+def _row_norms(T: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", T, T))
+
+
+def _pairs(dim: int) -> np.ndarray:
+    """Index rows (i, j) of all pairs i < j, in row-major order."""
+    return np.array(list(itertools.combinations(range(dim), 2)), dtype=np.intp).reshape(-1, 2).T
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,7 +223,7 @@ def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
                 k_raw.append(_e(N, a, b, 1j) + _e(N, b, a, 1j))
     for a in range(N - 1):
         k_raw.append(_e(N, a, a, 1j) + _e(N, a + 1, a + 1, -1j))
-    k_basis = _orthonormalize_raw(k_raw)
+    k_basis = _gram_schmidt(_flat(k_raw)).view(complex).reshape(-1, N, N)
 
     p_basis: list[Matrix] = []
     for a in range(k):
@@ -194,9 +236,7 @@ def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
     scale = np.linalg.norm(bracket(z_raw, p_basis[0])) / np.linalg.norm(p_basis[0])
     j_generator = z_raw / scale
 
-    decomp = CartanDecomp(
-        N, "grassmannian", (k, n), tuple(k_basis), tuple(p_basis), j_generator
-    )
+    decomp = CartanDecomp(N, "grassmannian", (k, n), tuple(k_basis), tuple(p_basis), j_generator)
     _freeze(decomp)
     return decomp
 
@@ -228,28 +268,13 @@ def _freeze(decomp: CartanDecomp) -> None:
 def bracket_relation_residuals(decomp: CartanDecomp) -> dict[str, float]:
     """Relative residuals of [k,k] in k, [k,p] in p and [p,p] in k."""
 
-    def span_residual(target: Sequence[Matrix], pairs) -> float:
-        if not pairs:
-            return 0.0
-        brackets = np.array([bracket(a, b).ravel() for a, b in pairs])
-        basis = np.array([v.ravel() for v in target])
-        coeffs = brackets @ basis.conj().T  # orthonormal basis: real projections
-        remainder = brackets - coeffs.real @ basis
-        norms = np.linalg.norm(brackets, axis=1)
-        rem_norms = np.linalg.norm(remainder, axis=1)
-        ref = max(float(norms.max()), 1.0)
-        mask = norms > TOL_ARITHMETIC * ref
-        if not mask.any():
-            return 0.0
-        return float((rem_norms[mask] / norms[mask]).max())
-
-    kk = [(a, b) for i, a in enumerate(decomp.k_basis) for b in decomp.k_basis[i + 1 :]]
-    kp = [(a, b) for a in decomp.k_basis for b in decomp.p_basis]
-    pp = [(a, b) for i, a in enumerate(decomp.p_basis) for b in decomp.p_basis[i + 1 :]]
+    K, P = np.array(decomp.k_basis), np.array(decomp.p_basis)
+    (ki, kj), (pi, pj) = _pairs(len(K)), _pairs(len(P))
+    kp = K[:, None] @ P - P @ K[:, None]
     return {
-        "kk_in_k": span_residual(decomp.k_basis, kk),
-        "kp_in_p": span_residual(decomp.p_basis, kp),
-        "pp_in_k": span_residual(decomp.k_basis, pp),
+        "kk_in_k": _worst_residual(_flat(bracket(K[ki], K[kj])), _flat(K)),
+        "kp_in_p": _worst_residual(_flat(kp), _flat(P)),
+        "pp_in_k": _worst_residual(_flat(bracket(P[pi], P[pj])), _flat(K)),
     }
 
 
@@ -260,11 +285,9 @@ def calibration_constant() -> float:
     All reported curvatures are rescaled by ``4 / calibration_constant()``,
     anchoring the projective line at 4.
     """
-    d = grassmannian_decomp(1, 1)
-    model = ProductModel((d,), (1.0,))
-    x = model.embed(0, d.p_basis[0])
-    y = model.embed(0, d.p_basis[1])
-    return _sectional_raw(model, x, y)
+    model = ProductModel.single(grassmannian_decomp(1, 1))
+    P = model.p_coords
+    return float(_sectional_raw(model, P[:1], P[1:])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +302,8 @@ class ProductModel:
     Elements are tuples holding one matrix per block; the inner product is
     the weighted sum of the blockwise trace forms.  A weight ``w`` scales
     the block metric by ``w`` and therefore its curvatures by ``1/w``.
+    Coordinates scale block ``b`` by ``sqrt(w_b)``, so the inner product is
+    the dot product of coordinates (see the module docstring).
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -296,9 +321,52 @@ class ProductModel:
     def single(cls, decomp: CartanDecomp) -> "ProductModel":
         return cls((decomp,), (1.0,))
 
-    @property
-    def hermitian(self) -> bool:
-        return all(b.J_generator is not None for b in self.blocks)
+    @functools.cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Start of each block's coordinates, then the coordinate dimension D."""
+        return tuple(itertools.accumulate((2 * b.N * b.N for b in self.blocks), initial=0))
+
+    def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates ``(..., D)`` of blockwise matrix stacks ``(..., N_b, N_b)``."""
+        lead = np.shape(parts[0])[:-2]
+        out = np.empty((*lead, self._offsets[-1]))
+        for w, p, lo, hi in zip(self.weights, parts, self._offsets, self._offsets[1:]):
+            flat = np.ascontiguousarray(p, dtype=complex).view(np.float64).reshape(*lead, hi - lo)
+            np.multiply(flat, math.sqrt(w), out=out[..., lo:hi])
+        return out
+
+    def _split(self, C: np.ndarray) -> list[np.ndarray]:
+        """Blockwise matrix stacks ``(..., N_b, N_b)`` of coordinates ``(..., D)``."""
+        lead = C.shape[:-1]
+        return [
+            np.ascontiguousarray(C[..., lo:hi] / math.sqrt(w)).view(complex).reshape(*lead, b.N, b.N)
+            for b, w, lo, hi in zip(self.blocks, self.weights, self._offsets, self._offsets[1:])
+        ]
+
+    def coords(self, u: Element | np.ndarray) -> np.ndarray:
+        """Coordinates of an Element; coordinate arrays pass through unchanged."""
+        return u if isinstance(u, np.ndarray) else self._join(u)
+
+    def element(self, c: np.ndarray) -> Element:
+        """The Element with coordinates ``c``."""
+        return tuple(self._split(c))
+
+    def _rows(self, vectors: Sequence[Element] | np.ndarray) -> np.ndarray:
+        """Coordinate rows of a family of Elements; arrays pass through unchanged."""
+        if isinstance(vectors, np.ndarray):
+            return vectors
+        return np.array([self._join(v) for v in vectors]).reshape(len(vectors), self._offsets[-1])
+
+    @functools.cached_property
+    def p_coords(self) -> np.ndarray:
+        """Orthonormal coordinate rows spanning ``p``, block by block; built on first use."""
+        rows = np.zeros((sum(b.p_dim for b in self.blocks), self._offsets[-1]))
+        r = 0
+        for block, lo, hi in zip(self.blocks, self._offsets, self._offsets[1:]):
+            rows[r : r + block.p_dim, lo:hi] = _flat(block.p_basis)
+            r += block.p_dim
+        rows.setflags(write=False)
+        return rows
 
     def zero(self) -> Element:
         return tuple(np.zeros((b.N, b.N), dtype=complex) for b in self.blocks)
@@ -315,9 +383,7 @@ class ProductModel:
         return tuple(alpha * a for a in u)
 
     def inner(self, u: Element, v: Element) -> float:
-        return float(
-            sum(w * _raw_inner(a, b) for w, a, b in zip(self.weights, u, v))
-        )
+        return float(self.coords(u) @ self.coords(v))
 
     def norm(self, u: Element) -> float:
         return math.sqrt(max(self.inner(u, u), 0.0))
@@ -330,101 +396,86 @@ class ProductModel:
 
         Components on blocks without a complex structure must vanish.
         """
+        return self.element(self._j(self.coords(u)))
+
+    def _j(self, C: np.ndarray) -> np.ndarray:
+        """:meth:`J` on coordinates ``(..., D)``."""
         parts = []
-        for b, a in zip(self.blocks, u):
-            if b.J_generator is None:
+        for block, a in zip(self.blocks, self._split(C)):
+            g = block.J_generator
+            if g is None:
                 if np.linalg.norm(a) > TOL_ARITHMETIC:
                     raise ValueError("element has mass on a block with no complex structure")
                 parts.append(np.zeros_like(a))
             else:
-                parts.append(bracket(b.J_generator, a))
-        return tuple(parts)
+                parts.append(g @ a - a @ g)
+        return self._join(parts)
 
     def p_basis_elements(self) -> list[Element]:
         """Orthonormal basis of the full tangent space ``p`` of the sum."""
-        out = []
-        for i, (block, w) in enumerate(zip(self.blocks, self.weights)):
-            out.extend(self.embed(i, m / math.sqrt(w)) for m in block.p_basis)
-        return out
-
-    def p_residual(self, u: Element) -> float:
-        """Relative distance from ``u`` to the tangent space ``p``."""
-        nrm = self.norm(u)
-        if nrm == 0:
-            return 0.0
-        rem = u
-        for b in self.p_basis_elements():
-            rem = self.add(rem, self.scale(-self.inner(b, rem), b))
-        return self.norm(rem) / nrm
+        return [self.element(row) for row in self.p_coords]
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An orthonormal family spanning a candidate Lie triple system."""
+    """An orthonormal family spanning a candidate Lie triple system.
+
+    ``coords`` holds one coordinate row per basis vector; a sequence of
+    Elements may be passed in its place and is converted.
+    """
 
     ambient: ProductModel
-    vectors: tuple[Element, ...]
+    coords: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.vectors:
+        C = np.array(self.ambient._rows(self.coords), dtype=float)
+        C.setflags(write=False)
+        object.__setattr__(self, "coords", C)
+        if not len(C):
             raise ValueError("empty subspace basis")
-        dim = len(self.vectors)
-        gram = np.array(
-            [[self.ambient.inner(a, b) for b in self.vectors] for a in self.vectors]
-        )
-        if np.max(np.abs(gram - np.eye(dim))) > TOL_ARITHMETIC:
+        if np.max(np.abs(C @ C.T - np.eye(len(C)))) > TOL_ARITHMETIC:
             raise ValueError("subspace basis is not orthonormal")
-        for v in self.vectors:
-            if self.ambient.p_residual(v) > TOL_ARITHMETIC:
-                raise ValueError("subspace basis does not lie in p")
+        if np.max(_residuals(C, self.ambient.p_coords)) > TOL_ARITHMETIC:
+            raise ValueError("subspace basis does not lie in p")
 
     @classmethod
     def orthonormalized(
-        cls, ambient: ProductModel, raw_vectors: Sequence[Element]
+        cls, ambient: ProductModel, raw_vectors: Sequence[Element] | np.ndarray
     ) -> "SubspaceBasis":
         """Modified Gram-Schmidt with one reorthogonalization pass.
 
-        Rejects rank-deficient families (relative threshold 1e-10).
+        Takes Elements or coordinate rows.  Rejects rank-deficient families
+        (relative threshold 1e-10).
         """
-        basis: list[Element] = []
-        for v in raw_vectors:
-            w = v
-            for _ in range(2):
-                for b in basis:
-                    w = ambient.add(w, ambient.scale(-ambient.inner(b, w), b))
-            nrm = ambient.norm(w)
-            if nrm <= 1e-10 * max(1.0, ambient.norm(v)):
-                raise ValueError("rank-deficient basis rejected")
-            basis.append(ambient.scale(1.0 / nrm, w))
-        return cls(ambient, tuple(basis))
+        return cls(ambient, _gram_schmidt(ambient._rows(raw_vectors)))
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.coords)
+
+    @functools.cached_property
+    def vectors(self) -> tuple[Element, ...]:
+        """The basis as Elements."""
+        return tuple(self.ambient.element(c) for c in self.coords)
 
     def project(self, u: Element) -> Element:
-        out = self.ambient.zero()
-        for b in self.vectors:
-            out = self.ambient.add(out, self.ambient.scale(self.ambient.inner(b, u), b))
-        return out
+        return self.ambient.element((self.coords @ self.ambient.coords(u)) @ self.coords)
 
-    def span_residual(self, u: Element) -> float:
-        nrm = self.ambient.norm(u)
-        if nrm == 0:
-            return 0.0
-        rem = self.ambient.add(u, self.ambient.scale(-1.0, self.project(u)))
-        return self.ambient.norm(rem) / nrm
+    def span_residual(self, u: Element | np.ndarray) -> float:
+        """Relative distance of an Element or coordinate row from the span."""
+        return float(_residuals(self.ambient.coords(u), self.coords)[0])
 
     def combination(self, coefficients: Sequence[float]) -> Element:
-        out = self.ambient.zero()
-        for c, b in zip(coefficients, self.vectors):
-            out = self.ambient.add(out, self.ambient.scale(float(c), b))
-        return out
+        return self.ambient.element(np.asarray(coefficients, dtype=float) @ self.coords)
+
+    def _random_unit(self, rng: np.random.Generator) -> np.ndarray:
+        """Coordinates of a random unit vector of the span."""
+        coeffs = rng.standard_normal(self.dim)
+        coeffs /= math.sqrt(coeffs @ coeffs)
+        return coeffs @ self.coords
 
     def random_unit_vector(self, rng: np.random.Generator) -> Element:
-        coeffs = rng.standard_normal(self.dim)
-        coeffs /= np.linalg.norm(coeffs)
-        return self.combination(coeffs)
+        return self.ambient.element(self._random_unit(rng))
 
     def conjugated(self, gs: Sequence[Matrix]) -> "SubspaceBasis":
         """Transport basis and ambient by one unitary per block."""
@@ -432,10 +483,8 @@ class SubspaceBasis:
             tuple(b.conjugated(g) for b, g in zip(self.ambient.blocks, gs)),
             self.ambient.weights,
         )
-        vectors = tuple(
-            tuple(g @ part @ g.conj().T for g, part in zip(gs, v)) for v in self.vectors
-        )
-        return SubspaceBasis(ambient, vectors)
+        parts = [g @ a @ g.conj().T for g, a in zip(gs, self.ambient._split(self.coords))]
+        return SubspaceBasis(ambient, ambient._join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -449,79 +498,69 @@ def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tup
     The residual of a triple bracket is the norm of its component
     orthogonal to ``V`` relative to the bracket's own norm; brackets that
     vanish to arithmetic precision are structural zeros and are skipped.
+    Per block, all ``[X_i, X_j]`` (i < j) and then all ``[[X_i, X_j], X_l]``
+    are batched matmuls on the ``(dim, N, N)`` stack of the basis.
     """
     model = V.ambient
-    triples: list[Element] = []
-    for i in range(V.dim):
-        for j in range(i + 1, V.dim):
-            bij = model.bracket(V.vectors[i], V.vectors[j])
-            for l in range(V.dim):
-                triples.append(model.bracket(bij, V.vectors[l]))
-    if not triples:
-        return True, 0.0
-    ref = max(model.norm(w) for w in triples)
-    worst = 0.0
-    for w in triples:
-        nw = model.norm(w)
-        if nw <= TOL_ARITHMETIC * max(ref, 1.0):
-            continue
-        worst = max(worst, V.span_residual(w))
+    i, j = _pairs(V.dim)
+    parts = []
+    for X in model._split(V.coords):
+        B = bracket(X[i], X[j])[:, None]
+        parts.append(B @ X - X @ B)
+    worst = _worst_residual(model._join(parts).reshape(-1, V.coords.shape[1]), V.coords)
     return worst <= tol, worst
 
 
-def _sectional_raw(model: ProductModel, x: Element, y: Element) -> float:
-    num = -model.inner(model.bracket(model.bracket(x, y), y), x)
-    den = model.inner(x, x) * model.inner(y, y) - model.inner(x, y) ** 2
-    if den <= 1e-12 * max(model.inner(x, x) * model.inner(y, y), 1e-300):
+def _sectional_raw(model: ProductModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Uncalibrated curvature of the planes spanned by coordinate rows X[n], Y[n]."""
+    T = model._join([bracket(bracket(x, y), y) for x, y in zip(model._split(X), model._split(Y))])
+    xx, yy, xy = (np.einsum("ij,ij->i", a, b) for a, b in ((X, X), (Y, Y), (X, Y)))
+    den = xx * yy - xy**2
+    if np.any(den <= 1e-12 * np.maximum(xx * yy, 1e-300)):
         raise ValueError("sectional curvature of linearly dependent vectors")
-    return num / den
+    return -np.einsum("ij,ij->i", T, X) / den
 
 
-def sectional_curvature(V: SubspaceBasis, x: Element, y: Element) -> float:
+def sectional_curvature(V: SubspaceBasis, x, y):
     """Calibrated sectional curvature of the plane spanned by x, y in V.
 
+    ``x`` and ``y`` are Elements or coordinate rows; stacked rows ``(n, D)``
+    measure n planes at once and return an array of n curvatures.
     Positive on these compact models; the scale is fixed by the
     projective-line anchor (see :func:`calibration_constant`).
     """
-    for v in (x, y):
-        if V.span_residual(v) > TOL_CONSTRUCTIVE:
-            raise ValueError("plane vectors must lie in the subspace")
-    return 4.0 / calibration_constant() * _sectional_raw(V.ambient, x, y)
+    model = V.ambient
+    X, Y = model.coords(x), model.coords(y)
+    if max(np.max(_residuals(U, V.coords)) for U in (X, Y)) > TOL_CONSTRUCTIVE:
+        raise ValueError("plane vectors must lie in the subspace")
+    out = 4.0 / calibration_constant() * _sectional_raw(model, np.atleast_2d(X), np.atleast_2d(Y))
+    return out if X.ndim == 2 else float(out[0])
 
 
-def kahler_angle_of(V: SubspaceBasis, v: Element) -> float:
+def kahler_angle_of(V: SubspaceBasis, v: Element | np.ndarray) -> float:
     """Kahler angle of ``v`` with respect to ``V``, in [0, pi/2].
 
     Defined by ``|proj_V J v| = cos(angle) * |v|``; 0 for complex
     subspaces, pi/2 for totally real ones.  Computed from the projection
     and its orthogonal remainder via ``atan2``, which stays accurate at
     both endpoints where ``acos`` alone would lose half the precision.
+    ``v`` is an Element or a coordinate row.
     """
     model = V.ambient
-    nrm = model.norm(v)
-    if nrm <= 0:
+    c = model.coords(v)
+    if not np.any(c):
         raise ValueError("Kahler angle of the zero vector")
-    if V.span_residual(v) > TOL_CONSTRUCTIVE:
+    if V.span_residual(c) > TOL_CONSTRUCTIVE:
         raise ValueError("vector must lie in the subspace")
-    jv = model.J(v)
-    tangential = V.project(jv)
-    normal = model.add(jv, model.scale(-1.0, tangential))
-    return math.atan2(model.norm(normal), model.norm(tangential))
+    jv = model._j(c)
+    tangential = (V.coords @ jv) @ V.coords
+    normal = jv - tangential
+    return math.atan2(math.sqrt(normal @ normal), math.sqrt(tangential @ tangential))
 
 
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
-
-
-def _cp_tangent(decomp: CartanDecomp, i: int) -> Matrix:
-    """Canonical real direction e_i of a CP^n model (k = 1)."""
-    return decomp.p_basis[2 * i]
-
-
-def _cp_j_tangent(decomp: CartanDecomp, i: int) -> Matrix:
-    """The direction J e_i; entrywise conjugation negates it."""
-    return decomp.p_basis[2 * i + 1]
 
 
 def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
@@ -537,15 +576,10 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
         raise ValueError("s must lie in 0..k")
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
-    raw: list[Element] = []
-    for i in range(n):
-        v = model.zero()
-        w = model.zero()
-        for b in range(k):
-            sign = 1.0 if b < s else -1.0
-            v = model.add(v, model.embed(b, _cp_tangent(block, i)))
-            w = model.add(w, model.scale(sign, model.embed(b, _cp_j_tangent(block, i))))
-        raw.extend((v, w))
+    # the canonical CP^n basis runs e_0, J e_0, e_1, J e_1, ...
+    base = np.array(block.p_basis)
+    conjugated = base * np.tile([1.0, -1.0], n)[:, None, None]
+    raw = model._join([base if b < s else conjugated for b in range(k)])
     return SubspaceBasis.orthonormalized(model, raw)
 
 
@@ -568,15 +602,14 @@ def construct_grassmannian_product(
     if list(parts) != sorted(parts, reverse=True):
         raise ValueError("partition parts must be weakly decreasing")
     model = ProductModel.single(ambient)
-    vectors: list[Element] = []
+    picks: list[int] = []
     offset = 0
     for row, part in enumerate(parts):
         for col in range(offset, offset + part):
             base = 2 * (row * n + col)
-            vectors.append(model.embed(0, ambient.p_basis[base]))
-            vectors.append(model.embed(0, ambient.p_basis[base + 1]))
+            picks.extend((base, base + 1))
         offset += part
-    return SubspaceBasis.orthonormalized(model, vectors)
+    return SubspaceBasis.orthonormalized(model, model.p_coords[picks])
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +673,14 @@ class RowVerification:
     description: str
     status: str  # "ok" | "fail" | "unsupported"
     reason: str | None
-    lie_residual: float | None
-    curvature_expected: float | None
-    curvature_measured: float | None
-    curvature_error: float | None
+    lie_residual: float | None = None
+    curvature_expected: float | None = None
+    curvature_measured: float | None = None  # the plane with the largest error
+    curvature_error: float | None = None
+    planes: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "row": self.row_index,
-            "description": self.description,
-            "status": self.status,
-            "reason": self.reason,
-            "lie_residual": self.lie_residual,
-            "curvature_expected": self.curvature_expected,
-            "curvature_measured": self.curvature_measured,
-            "curvature_error": self.curvature_error,
-        }
+        return {"row": self.row_index, **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
 
 @dataclass(frozen=True)
@@ -712,19 +737,16 @@ def verify_classification_entry(
     and its sectional curvature is compared with the exact harmonic value
     (holomorphic planes for complex rows, arbitrary planes for real rows).
     With an ``rng`` a few random planes of each row are sampled on top of
-    the deterministic basis planes.  Rows or flat directions meeting
+    the deterministic basis planes; a row reports the plane with the
+    largest curvature error.  Rows or flat directions meeting
     quaternionic or octonionic factors are flagged as unsupported, never
     skipped silently.
     """
     if not entry.tableau.is_adapted_to(M):
         raise ValueError("entry does not belong to the given product space")
 
-    factor_models: dict[int, tuple[CartanDecomp, float]] = {}
+    factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
     unsupported: list[str] = []
-    for i in range(1, M.r + 1):
-        fm = _factor_model(M.factor(i))
-        if fm is not None:
-            factor_models[i] = fm
 
     flat_factors = [i for i in entry.complement_factors if i in factor_models][: entry.flat_dim]
     flat_supported = len(flat_factors) == entry.flat_dim
@@ -739,72 +761,55 @@ def verify_classification_entry(
         | set(flat_factors)
     )
     block_of = {i: pos for pos, i in enumerate(used)}
-    model = (
-        ProductModel(
-            tuple(factor_models[i][0] for i in used),
-            tuple(factor_models[i][1] for i in used),
-        )
-        if used
-        else None
-    )
+    # blocks and weights of the used factors, in factor order
+    model = ProductModel(*zip(*(factor_models[i] for i in used))) if used else None
 
     row_reports: list[RowVerification] = []
-    all_vectors: list[Element] = []
+    all_rows: list[np.ndarray] = []
     for idx, row in enumerate(entry.tableau.rows):
         description = " | ".join(str(b) for b in row)
         bad = [b for b in row if b.factor not in factor_models]
         if bad:
-            reason = "no matrix model for factors " + ", ".join(
-                str(M.factor(b.factor)) for b in bad
-            )
+            reason = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
             unsupported.append(f"row {idx}: {reason}")
-            row_reports.append(
-                RowVerification(idx, description, "unsupported", reason, None, None, None, None)
-            )
+            row_reports.append(RowVerification(idx, description, "unsupported", reason))
             continue
 
-        images = [
-            _box_images(b.inclusion.sub, M.factor(b.factor), factor_models[b.factor][0])
-            for b in row
-        ]
-        dim = len(images[0])
-        raw = []
-        for t in range(dim):
-            u = model.zero()
-            for b, imgs in zip(row, images):
-                u = model.add(u, model.embed(block_of[b.factor], imgs[t]))
-            raw.append(u)
-        V = SubspaceBasis.orthonormalized(model, raw)
+        # one (dim, N, N) stack of box images per block, zero off the row
+        dim = row[0].inclusion.sub.real_dim
+        parts = [np.zeros((dim, blk.N, blk.N), dtype=complex) for blk in model.blocks]
+        for b in row:
+            p = block_of[b.factor]
+            parts[p] = np.array(_box_images(b.inclusion.sub, M.factor(b.factor), model.blocks[p]))
+        V = SubspaceBasis.orthonormalized(model, model._join(parts))
         ok, residual = is_lie_triple_system(V, lie_tol)
 
         expected = float(diagonal_curvature([b.inclusion.sub.curvature for b in row]))
         row_class = row[0].inclusion.sub
-        planes: list[tuple[Element, Element]] = []
+        C = V.coords
         if row_class.field is Field.C:
             # the diagonal is J-invariant; holomorphic planes carry the label
-            for a in range(row_class.n):
-                x = V.vectors[2 * a]
-                planes.append((x, model.J(x)))
+            xs = list(C[0 : 2 * row_class.n : 2])
             if rng is not None:
-                for _ in range(3):
-                    v = V.random_unit_vector(rng)
-                    planes.append((v, model.J(v)))
+                xs += [V._random_unit(rng) for _ in range(3)]
+            X = np.array(xs)
+            Y = model._j(X)
         else:
-            planes.extend(
-                (V.vectors[i], V.vectors[j])
-                for i in range(V.dim)
-                for j in range(i + 1, V.dim)
-            )
+            i, j = _pairs(V.dim)
+            xs, ys = list(C[i]), list(C[j])
             if rng is not None:
                 for _ in range(3):
-                    v = V.random_unit_vector(rng)
-                    w = V.random_unit_vector(rng)
-                    w = model.add(w, model.scale(-model.inner(v, w), v))
-                    nw = model.norm(w)
+                    v, w = V._random_unit(rng), V._random_unit(rng)
+                    w = w - (v @ w) * v
+                    nw = math.sqrt(w @ w)
                     if nw > 1e-6:
-                        planes.append((v, model.scale(1.0 / nw, w)))
-        measured = [sectional_curvature(V, x, y) for x, y in planes]
-        error = max(abs(m - expected) for m in measured)
+                        xs.append(v)
+                        ys.append(w / nw)
+            X, Y = np.array(xs), np.array(ys)
+        measured = sectional_curvature(V, X, Y)
+        errors = np.abs(measured - expected)
+        worst = int(np.argmax(errors))
+        error = float(errors[worst])
         curv_ok = error <= curvature_tol
 
         status = "ok" if ok and curv_ok else "fail"
@@ -815,30 +820,23 @@ def verify_classification_entry(
             reason = f"curvature off by {error:.3e}"
         row_reports.append(
             RowVerification(
-                idx, description, status, reason, residual, expected, measured[0], error
+                idx, description, status, reason, residual, expected,
+                float(measured[worst]), error, len(X),
             )
         )
-        all_vectors.extend(V.vectors)
+        all_rows.append(C)
 
     for i in flat_factors:
-        block_index = block_of[i]
         block, weight = factor_models[i]
-        all_vectors.append(
-            model.embed(block_index, block.p_basis[0] / math.sqrt(weight))
-        )
+        all_rows.append(model.coords(model.embed(block_of[i], block.p_basis[0] / math.sqrt(weight))))
 
     total_residual = None
     total_ok = True
-    if all_vectors:
-        total = SubspaceBasis.orthonormalized(model, all_vectors)
+    if all_rows:
+        total = SubspaceBasis.orthonormalized(model, np.vstack(all_rows))
         total_ok, total_residual = is_lie_triple_system(total, lie_tol)
 
     return EntryVerification(
-        entry,
-        tuple(row_reports),
-        entry.flat_dim,
-        flat_supported,
-        total_residual,
-        total_ok,
+        entry, tuple(row_reports), entry.flat_dim, flat_supported, total_residual, total_ok,
         tuple(unsupported),
     )

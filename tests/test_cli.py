@@ -188,7 +188,31 @@ class TestCommands:
             )
 
         monkeypatch.setattr(cli_mod, "verify_classification_entry", failing)
-        assert invoke(["verify", "-m", "RH2(1)"])[0] == 1
+        code, out = invoke(["verify", "-m", "RH2(1)"])
+        assert code == 1
+        assert "fail: curvature off by 1.0e-02" in out
+        assert out.splitlines()[-1] == "# verified: 2 pass, 1 fail, 0 unsupported"
+
+    def test_verify_summary_counts_unsupported(self):
+        code, out = invoke(["verify", "-m", "RH2(1) x OH2(1)"])
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("# verified: ") and last.endswith(" unsupported")
+        assert " 0 fail, " in last and not last.endswith(" 0 unsupported")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_verify_rejects_bad_tolerance(self, tol, capsys):
+        code, out = invoke(["verify", "-m", "RH2(1)", f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be a positive finite number")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_parser_is_built_once(self):
+        from geodiag.cli import build_parser
+
+        assert build_parser() is build_parser()
 
     def test_output_is_deterministic(self):
         for argv in (

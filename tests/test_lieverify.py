@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geodiag.catalog import space
-from geodiag.tableaux import ProductSpace, classify, diagonal_curvature
+from geodiag.catalog import TotGeodInclusion, space
+from geodiag.tableaux import (
+    AdaptedTableau,
+    Box,
+    ClassifiedSubmanifold,
+    ProductSpace,
+    classify,
+    diagonal_curvature,
+)
 from geodiag.lieverify import (
     ProductModel,
     SubspaceBasis,
@@ -426,3 +434,255 @@ class TestVerifyClassification:
         entries1 = [e for e in classify(M1) if e.tableau.rows]
         with pytest.raises(ValueError):
             verify_classification_entry(entries1[0], M2)
+
+
+# ---------------------------------------------------------------------------
+# negative controls: wrong entries must fail, with the reason that broke
+# ---------------------------------------------------------------------------
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without its validating constructor."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def forged_entry(M, rows):
+    """An entry whose rows hold ``(factor, sub)`` pairs the catalog may refuse.
+
+    Neither the inclusions nor the tableau are validated, so labels can be
+    wrong and rows can mix classes that are not homothetic.
+    """
+    tableau = _unchecked(
+        AdaptedTableau,
+        rows=tuple(
+            tuple(Box(i, _unchecked(TotGeodInclusion, sub=sub, ambient=M.factor(i))) for i, sub in row)
+            for row in rows
+        ),
+    )
+    covered = {i for row in rows for i, _ in row}
+    complement = tuple(i for i in range(1, M.r + 1) if i not in covered)
+    return ClassifiedSubmanifold(tuple(row[0][1] for row in rows), 0, tableau, complement)
+
+
+def _combine(model, coeffs, basis):
+    v = model.zero()
+    for c, b in zip(coeffs, basis):
+        v = model.add(v, model.scale(float(c), b))
+    return v
+
+
+def assert_reports_worst_plane(row):
+    assert row.planes is not None and row.planes >= 1
+    assert abs(abs(row.curvature_measured - row.curvature_expected) - row.curvature_error) <= 1e-15
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize(
+        "factors, rows, ratio",
+        [
+            # label 4x too large: a unit sphere claimed to have curvature 4
+            ([space("R", 2, 1)], [[(1, space("R", 2, 4))]], 4),
+            ([space("R", 2, 1)], [[(1, space("R", 2, Fraction(1, 4)))]], Fraction(1, 4)),
+            (
+                [space("R", 3, 1), space("R", 3, 1)],
+                [[(1, space("R", 3, 4)), (2, space("R", 3, 4))]],
+                4,
+            ),
+            ([space("C", 2, 1)], [[(1, space("C", 2, 4))]], 4),
+            (
+                [space("C", 3, 2), space("C", 2, 2)],
+                [[(1, space("C", 2, Fraction(1, 2))), (2, space("C", 2, Fraction(1, 2)))]],
+                Fraction(1, 4),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_curvature_label_off_by_four_fails(self, factors, rows, ratio, seed):
+        M = ProductSpace(tuple(factors))
+        rng = None if seed is None else np.random.default_rng(seed)
+        report = verify_classification_entry(forged_entry(M, rows), M, rng=rng)
+        assert report.status == "fail"
+        row = report.rows[0]
+        assert row.status == "fail"
+        assert row.reason.startswith("curvature off by"), row.reason
+        assert row.lie_residual <= 1e-9
+        assert abs(row.curvature_measured * float(ratio) - row.curvature_expected) <= 1e-9
+        assert_reports_worst_plane(row)
+
+    @pytest.mark.parametrize(
+        "factors, rows, broken",
+        [
+            # S^4 paired with CP^2: equal dimension, not homothetic, no triple system
+            (
+                [space("R", 4, 1), space("C", 2, 1)],
+                [[(1, space("R", 4, 1)), (2, space("C", 2, 1))]],
+                "Lie triple residual",
+            ),
+            # one box rescaled by a homothety: still a triple system, wrong curvature
+            (
+                [space("R", 2, 1), space("R", 2, 1)],
+                [[(1, space("R", 2, 1)), (2, space("R", 2, Fraction(1, 2)))]],
+                "curvature off by",
+            ),
+        ],
+    )
+    def test_wrong_homothety_class_fails_with_the_broken_check(self, factors, rows, broken):
+        M = ProductSpace(tuple(factors))
+        report = verify_classification_entry(forged_entry(M, rows), M, rng=np.random.default_rng(2))
+        assert report.status == "fail"
+        row = report.rows[0]
+        assert row.status == "fail"
+        assert row.reason.startswith(broken), row.reason
+        assert (row.lie_residual > 1e-9) == (broken == "Lie triple residual")
+        assert_reports_worst_plane(row)
+
+    def test_passing_rows_report_their_worst_plane(self):
+        M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
+        for e in classify(M):
+            report = verify_classification_entry(e, M, rng=np.random.default_rng(4))
+            assert report.status == "pass"
+            for row, record in zip(report.rows, report.to_dict()["rows"]):
+                assert_reports_worst_plane(row)
+                assert record["planes"] == row.planes
+
+    def test_random_three_plane_of_cp3_is_not_a_triple_system(self):
+        d = grassmannian_decomp(1, 3)
+        model = ProductModel.single(d)
+        rng = np.random.default_rng(13)
+        basis = model.p_basis_elements()
+        raw = [_combine(model, rng.standard_normal(len(basis)), basis) for _ in range(3)]
+        V = SubspaceBasis.orthonormalized(model, raw)
+        ok, residual = is_lie_triple_system(V, 1e-9)
+        assert not ok
+        assert residual > 1e-9
+
+    def test_rank_deficient_family_still_raises(self):
+        d = grassmannian_decomp(1, 3)
+        model = ProductModel.single(d)
+        a = model.embed(0, d.p_basis[0])
+        b = model.embed(0, d.p_basis[3])
+        with pytest.raises(ValueError):
+            SubspaceBasis.orthonormalized(model, [a, b, model.add(a, model.scale(-2.0, b))])
+        with pytest.raises(ValueError):
+            SubspaceBasis.orthonormalized(model, [a, model.scale(1e-11, a)])
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a plain per-matrix reference
+# ---------------------------------------------------------------------------
+#
+# The reference below sees only Elements (``V.vectors``), the weights and the
+# complex-structure generators, and recomputes everything with loops over
+# the blocks' matrices.
+
+
+def ref_inner(weights, u, v):
+    return sum(w * float(np.real(np.vdot(a, b))) for w, a, b in zip(weights, u, v))
+
+
+def ref_comm(u, v):
+    return tuple(a @ b - b @ a for a, b in zip(u, v))
+
+
+def ref_remainder(weights, vectors, u):
+    rem = u
+    for b in vectors:
+        c = ref_inner(weights, b, u)
+        rem = tuple(r - c * m for r, m in zip(rem, b))
+    return rem
+
+
+def ref_norm(weights, u):
+    return math.sqrt(max(ref_inner(weights, u, u), 0.0))
+
+
+def ref_triple_residual(weights, vectors):
+    triples = [
+        ref_comm(ref_comm(vectors[i], vectors[j]), vectors[l])
+        for i in range(len(vectors))
+        for j in range(i + 1, len(vectors))
+        for l in range(len(vectors))
+    ]
+    norms = [ref_norm(weights, t) for t in triples]
+    floor = 1e-12 * max(max(norms, default=0.0), 1.0)
+    return max(
+        (
+            ref_norm(weights, ref_remainder(weights, vectors, t)) / n
+            for t, n in zip(triples, norms)
+            if n > floor
+        ),
+        default=0.0,
+    )
+
+
+def ref_raw_curvature(weights, x, y):
+    num = -ref_inner(weights, ref_comm(ref_comm(x, y), y), x)
+    xx, yy, xy = ref_inner(weights, x, x), ref_inner(weights, y, y), ref_inner(weights, x, y)
+    return num / (xx * yy - xy**2)
+
+
+def ref_curvature(weights, x, y):
+    line = grassmannian_decomp(1, 1).p_basis
+    anchor = ref_raw_curvature((1.0,), (line[0],), (line[1],))
+    return 4.0 / anchor * ref_raw_curvature(weights, x, y)
+
+
+def ref_kahler_angle(weights, generators, vectors, v):
+    jv = tuple(g @ a - a @ g for g, a in zip(generators, v))
+    normal = ref_remainder(weights, vectors, jv)
+    tangential = tuple(a - b for a, b in zip(jv, normal))
+    return math.atan2(ref_norm(weights, normal), ref_norm(weights, tangential))
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+MODEL_CHOICES = [("G", 1, 1), ("G", 1, 2), ("G", 2, 2), ("G", 1, 3), ("S", 2), ("S", 3)]
+
+
+@st.composite
+def random_subspaces(draw):
+    chosen = draw(st.lists(st.sampled_from(MODEL_CHOICES), min_size=1, max_size=3))
+    blocks = tuple(
+        grassmannian_decomp(c[1], c[2]) if c[0] == "G" else sphere_decomp(c[1]) for c in chosen
+    )
+    weights = tuple(draw(st.floats(0.25, 4.0)) for _ in blocks)
+    model = ProductModel(blocks, weights)
+    basis = model.p_basis_elements()
+    dim = draw(st.integers(1, min(4, len(basis))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # aligned with the canonical basis: structural zeros and exact triple systems occur
+        picks = rng.choice(len(basis), size=dim, replace=False)
+        raw = [basis[i] for i in sorted(picks)]
+    else:
+        raw = [_combine(model, rng.standard_normal(len(basis)), basis) for _ in range(dim)]
+    return SubspaceBasis.orthonormalized(model, raw), rng
+
+
+class TestAgreesWithPerMatrixReference:
+    @settings(max_examples=40, deadline=None)
+    @given(random_subspaces())
+    def test_gram_triples_curvature_and_angle(self, case):
+        V, rng = case
+        weights = V.ambient.weights
+        vectors = V.vectors
+        gram = np.array([[ref_inner(weights, a, b) for b in vectors] for a in vectors])
+        assert np.max(np.abs(gram - np.eye(V.dim))) <= 1e-12
+
+        _, residual = is_lie_triple_system(V)
+        assert close(residual, ref_triple_residual(weights, vectors))
+
+        if V.dim >= 2:
+            x, y = vectors[0], vectors[1]
+            assert close(sectional_curvature(V, x, y), ref_curvature(weights, x, y))
+
+        generators = [b.J_generator for b in V.ambient.blocks]
+        if all(g is not None for g in generators):
+            v = V.random_unit_vector(rng)
+            expected = ref_kahler_angle(weights, generators, vectors, v)
+            assert close(kahler_angle_of(V, v), expected)
