@@ -23,9 +23,10 @@ explicit range column, and this module adopts that reading.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 
 class Field(enum.Enum):
@@ -85,6 +86,10 @@ class RankOneSpace:
         return mult * self.n
 
     def sort_key(self) -> tuple:
+        return self._sort_key
+
+    @functools.cached_property
+    def _sort_key(self) -> tuple:
         return (
             self.field.order,
             self.n,
@@ -164,47 +169,46 @@ def _require_normalized(s: RankOneSpace) -> None:
         raise ValueError(f"{s} is not canonically normalized; call normalize() first")
 
 
-def _table_entries(ambient: RankOneSpace) -> Iterable[RankOneSpace]:
+def _table_entries(ambient: RankOneSpace) -> Iterator[tuple[Field, int, Fraction]]:
     """Proper, non-flat, semisimple totally geodesic submanifold classes.
 
-    The classical table is stated at c = 1; entries tagged 1 pick up the
-    ambient curvature c, entries tagged 1/4 pick up c/4 (a metric rescaled
-    by lambda divides sectional curvature by lambda, so the whole table is
-    covariant under curvature scaling).
+    Each class is yielded as ``(field, n, curvature)`` and shares the
+    ambient's ``compact_dual`` flag.  The classical table is stated at
+    c = 1; entries tagged 1 pick up the ambient curvature c, entries tagged
+    1/4 pick up c/4 (a metric rescaled by lambda divides sectional
+    curvature by lambda, so the whole table is covariant under curvature
+    scaling).
     """
-    f, n, c, dual = ambient.field, ambient.n, ambient.curvature, ambient.compact_dual
+    f, n, c = ambient.field, ambient.n, ambient.curvature
     quarter = c / 4
-
-    def mk(field: Field, k: int, curv: Fraction) -> RankOneSpace:
-        return RankOneSpace(field, k, curv, dual)
 
     if f is Field.R:
         for k in range(2, n):
-            yield mk(Field.R, k, c)
+            yield (Field.R, k, c)
     elif f is Field.C:
         for k in range(2, n):
-            yield mk(Field.C, k, c)
+            yield (Field.C, k, c)
         for k in range(2, n + 1):
-            yield mk(Field.R, k, quarter)
+            yield (Field.R, k, quarter)
         # the complex line C H^1(c), post-normalization
-        yield mk(Field.R, 2, c)
+        yield (Field.R, 2, c)
     elif f is Field.H:
         for k in range(2, n):
-            yield mk(Field.H, k, c)
+            yield (Field.H, k, c)
         for k in range(2, n + 1):
-            yield mk(Field.C, k, c)
+            yield (Field.C, k, c)
         for k in range(2, n + 1):
-            yield mk(Field.R, k, quarter)
+            yield (Field.R, k, quarter)
         # the quaternionic line H H^1(c) = R H^4(c) and its real subspaces
         for k in range(2, 5):
-            yield mk(Field.R, k, c)
+            yield (Field.R, k, c)
     else:  # Field.O, n == 2 after normalization
-        yield mk(Field.H, 2, c)
-        yield mk(Field.C, 2, c)
-        yield mk(Field.R, 2, quarter)
+        yield (Field.H, 2, c)
+        yield (Field.C, 2, c)
+        yield (Field.R, 2, quarter)
         # the octonionic line O H^1(c) = R H^8(c) and its real subspaces
         for k in range(2, 9):
-            yield mk(Field.R, k, c)
+            yield (Field.R, k, c)
 
 
 def list_totally_geodesic(ambient: RankOneSpace, include_improper: bool = False) -> list[TotGeodInclusion]:
@@ -219,7 +223,10 @@ def list_totally_geodesic(ambient: RankOneSpace, include_improper: bool = False)
     _require_normalized(ambient)
     if ambient.field is Field.O and ambient.n != 2:
         raise ValueError("octonionic ambient must have dimension 2")
-    entries = [TotGeodInclusion(sub, ambient) for sub in _table_entries(ambient)]
+    entries = [
+        TotGeodInclusion(RankOneSpace(field, k, curv, ambient.compact_dual), ambient)
+        for field, k, curv in _table_entries(ambient)
+    ]
     if include_improper:
         entries.append(TotGeodInclusion(ambient, ambient))
     return entries
@@ -238,4 +245,4 @@ def is_totally_geodesic(sub: RankOneSpace, ambient: RankOneSpace) -> bool:
         return False
     if sub == ambient:
         return True
-    return any(sub == entry for entry in _table_entries(ambient))
+    return (sub.field, sub.n, sub.curvature) in _table_entries(ambient)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Field, RankOneSpace, TotGeodInclusion
-from .kahler import angles_in_product, approximate_angle, realize_angle
+from .kahler import AngleApproximationError, angles_in_product, approximate_angle, realize_angle
 from .lieverify import verify_classification_entry
 from .tableaux import (
     AdaptedTableau,
@@ -375,10 +375,7 @@ def run(argv: Sequence[str], out=None) -> int:
         args.seed = _default_seed()
     try:
         return args.func(args, out)
-    except ProductSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, AngleApproximationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

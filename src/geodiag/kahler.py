@@ -28,7 +28,7 @@ HALF_PI = math.pi / 2
 
 
 class AngleApproximationError(RuntimeError):
-    """Raised when the convergent search exhausts its iteration cap."""
+    """Raised when no convergent of the float cosine meets the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,12 @@ def approximate_angle(
     Walks the continued-fraction convergents of ``cos(target)`` in order of
     increasing denominator and returns the first realization meeting the
     tolerance, keeping the diagonal count small.  The final convergent
-    reproduces the float cosine exactly, so the search always terminates;
-    ``max_convergents`` is a hard cap that raises
-    :class:`AngleApproximationError` if ever exceeded.
+    reproduces the float cosine exactly, so the search is finite, and
+    ``max_convergents`` caps it.  It fails with
+    :class:`AngleApproximationError` when the cap is reached, or when even
+    the float cosine misses the target: near 0 float cosines resolve angles
+    only in steps of about 1.5e-8 rad (``cos(target)`` rounds to 1.0 below
+    about 1.05e-8 rad), so a smaller ``epsilon`` may be out of reach there.
 
     Accuracy near angle 0 is intrinsically expensive: realizable nonzero
     angles scale like ``2/sqrt(k)``, so a target of t radians (with t above
@@ -200,8 +203,8 @@ def approximate_angle(
     """
     if not -1e-12 <= target_radians <= HALF_PI + 1e-12:
         raise ValueError("target must lie in [0, pi/2]")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     target = min(max(target_radians, 0.0), HALF_PI)
     x = Fraction(min(max(math.cos(target), 0.0), 1.0))
     for i, (p, q) in enumerate(_convergents(x)):
@@ -211,5 +214,6 @@ def approximate_angle(
         if abs(math.acos(float(cosine)) - target) < epsilon:
             return realize_angle(cosine, m)
     raise AngleApproximationError(
-        f"no convergent within {epsilon} of {target_radians} in {max_convergents} steps"
+        f"no convergent of the float cosine {float(x)!r} lies within {epsilon}"
+        f" of {target_radians} in at most {max_convergents} steps"
     )

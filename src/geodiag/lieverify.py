@@ -665,6 +665,55 @@ def _box_images(inclusion_sub: RankOneSpace, factor: RankOneSpace, block: Cartan
     raise ValueError(f"no matrix model for {sub} inside {amb}")
 
 
+def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> str | None:
+    """Why an entry's label is not the row's diagonal, or None when it is."""
+    if (label.field, label.n, label.curvature) == (row_class.field, row_class.n, curvature):
+        return None
+    diagonal = RankOneSpace(row_class.field, row_class.n, curvature, label.compact_dual)
+    return f"label {label} differs from the row's diagonal {diagonal}"
+
+
+def _measure_row(M: ProductSpace, model: ProductModel, block_of: dict[int, int], row, lie_tol: float,
+                 rng: np.random.Generator | None):
+    """Build a row's diagonal and measure it.
+
+    Returns its orthonormal coordinates, the Lie triple verdict and
+    residual, and the calibrated curvatures of the sampled planes; raises
+    ValueError when the row cannot be built or its planes leave it.
+    """
+    # one (dim, N, N) stack of box images per block, zero off the row
+    dim = row[0].inclusion.sub.real_dim
+    parts = [np.zeros((dim, blk.N, blk.N), dtype=complex) for blk in model.blocks]
+    for b in row:
+        p = block_of[b.factor]
+        parts[p] = np.array(_box_images(b.inclusion.sub, M.factor(b.factor), model.blocks[p]))
+    V = SubspaceBasis.orthonormalized(model, model._join(parts))
+    ok, residual = is_lie_triple_system(V, lie_tol)
+
+    row_class = row[0].inclusion.sub
+    C = V.coords
+    if row_class.field is Field.C:
+        # the diagonal is J-invariant; holomorphic planes carry the label
+        xs = list(C[0 : 2 * row_class.n : 2])
+        if rng is not None:
+            xs += [V._random_unit(rng) for _ in range(3)]
+        X = np.array(xs)
+        Y = model._j(X)
+    else:
+        i, j = _pairs(V.dim)
+        xs, ys = list(C[i]), list(C[j])
+        if rng is not None:
+            for _ in range(3):
+                v, w = V._random_unit(rng), V._random_unit(rng)
+                w = w - (v @ w) * v
+                nw = math.sqrt(w @ w)
+                if nw > 1e-6:
+                    xs.append(v)
+                    ys.append(w / nw)
+        X, Y = np.array(xs), np.array(ys)
+    return C, ok, residual, sectional_curvature(V, X, Y)
+
+
 @dataclass(frozen=True)
 class RowVerification:
     """Numerical verdict for one tableau row."""
@@ -740,7 +789,10 @@ def verify_classification_entry(
     the deterministic basis planes; a row reports the plane with the
     largest curvature error.  Rows or flat directions meeting
     quaternionic or octonionic factors are flagged as unsupported, never
-    skipped silently.
+    skipped silently.  Every row's label in ``semisimple_factors`` must be
+    the row's class with its exact harmonic curvature, and a row that
+    cannot be built or measured (a box outside the matrix models, planes
+    leaving a complex row) fails with the reason instead of raising.
     """
     if not entry.tableau.is_adapted_to(M):
         raise ValueError("entry does not belong to the given product space")
@@ -768,60 +820,37 @@ def verify_classification_entry(
     all_rows: list[np.ndarray] = []
     for idx, row in enumerate(entry.tableau.rows):
         description = " | ".join(str(b) for b in row)
+        exact = diagonal_curvature([b.inclusion.sub.curvature for b in row])
+        mislabel = _label_mismatch(entry.semisimple_factors[idx], row[0].inclusion.sub, exact)
         bad = [b for b in row if b.factor not in factor_models]
+        if bad and mislabel:
+            row_reports.append(RowVerification(idx, description, "fail", mislabel))
+            continue
         if bad:
             reason = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
             unsupported.append(f"row {idx}: {reason}")
             row_reports.append(RowVerification(idx, description, "unsupported", reason))
             continue
 
-        # one (dim, N, N) stack of box images per block, zero off the row
-        dim = row[0].inclusion.sub.real_dim
-        parts = [np.zeros((dim, blk.N, blk.N), dtype=complex) for blk in model.blocks]
-        for b in row:
-            p = block_of[b.factor]
-            parts[p] = np.array(_box_images(b.inclusion.sub, M.factor(b.factor), model.blocks[p]))
-        V = SubspaceBasis.orthonormalized(model, model._join(parts))
-        ok, residual = is_lie_triple_system(V, lie_tol)
-
-        expected = float(diagonal_curvature([b.inclusion.sub.curvature for b in row]))
-        row_class = row[0].inclusion.sub
-        C = V.coords
-        if row_class.field is Field.C:
-            # the diagonal is J-invariant; holomorphic planes carry the label
-            xs = list(C[0 : 2 * row_class.n : 2])
-            if rng is not None:
-                xs += [V._random_unit(rng) for _ in range(3)]
-            X = np.array(xs)
-            Y = model._j(X)
-        else:
-            i, j = _pairs(V.dim)
-            xs, ys = list(C[i]), list(C[j])
-            if rng is not None:
-                for _ in range(3):
-                    v, w = V._random_unit(rng), V._random_unit(rng)
-                    w = w - (v @ w) * v
-                    nw = math.sqrt(w @ w)
-                    if nw > 1e-6:
-                        xs.append(v)
-                        ys.append(w / nw)
-            X, Y = np.array(xs), np.array(ys)
-        measured = sectional_curvature(V, X, Y)
+        expected = float(exact)
+        try:
+            C, ok, residual, measured = _measure_row(M, model, block_of, row, lie_tol, rng)
+        except ValueError as exc:
+            row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
+            continue
         errors = np.abs(measured - expected)
         worst = int(np.argmax(errors))
         error = float(errors[worst])
-        curv_ok = error <= curvature_tol
-
-        status = "ok" if ok and curv_ok else "fail"
-        reason = None
         if not ok:
             reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
-        elif not curv_ok:
+        elif error > curvature_tol:
             reason = f"curvature off by {error:.3e}"
+        else:
+            reason = mislabel
         row_reports.append(
             RowVerification(
-                idx, description, status, reason, residual, expected,
-                float(measured[worst]), error, len(X),
+                idx, description, "ok" if reason is None else "fail", reason, residual, expected,
+                float(measured[worst]), error, len(measured),
             )
         )
         all_rows.append(C)

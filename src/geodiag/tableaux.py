@@ -10,9 +10,15 @@ The flat part is a Euclidean factor inside the product of the remaining
 maximal flats and is classified by its dimension alone.
 
 The curvature of a diagonal row is an exact rational: for row entries of
-curvatures ``c'_1, ..., c'_m`` it equals ``prod(c') / e_{m-1}(c')`` with
-``e_{m-1}`` the elementary symmetric polynomial of degree m-1, equivalently
-``1/c = sum(1/c'_i)``.
+curvatures ``c'_1, ..., c'_m`` it is the harmonic sum ``1/c = sum(1/c'_i)``,
+which is how it is computed (equivalently ``prod(c') / e_{m-1}(c')`` with
+``e_{m-1}`` the elementary symmetric polynomial of degree m-1).
+
+Each ``ProductSpace`` carries a memo, built on first use and dropped with
+the instance: every factor's catalog list, grouped by homothety class, and
+the rows over every block of factors, each row with its diagonal rank-one
+space.  One ``classify`` therefore queries the catalog once per factor and
+computes each row curvature once, however many tableaux share the row.
 
 Enumeration is per labelled factor subset: two tableaux that differ only by
 an ambient isometry permuting isometric factors are still listed separately,
@@ -22,6 +28,7 @@ merged (they may be non-congruent).  Everything here is exact; no floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +79,11 @@ class ProductSpace:
             raise ValueError(f"factor index {index} out of range 1..{self.r}")
         return self.factors[index - 1]
 
+    @functools.cached_property
+    def _memo(self) -> "_RowMemo":
+        """Catalog classes and rows of this product, built on first use."""
+        return _RowMemo(self)
+
     def __str__(self) -> str:
         return " x ".join(str(f) for f in self.factors)
 
@@ -84,8 +96,11 @@ class Box:
     inclusion: TotGeodInclusion
 
     def content_key(self) -> tuple:
-        sub = self.inclusion.sub
-        return (*sub.sort_key(), self.factor)
+        return self._content_key
+
+    @functools.cached_property
+    def _content_key(self) -> tuple:
+        return (*self.inclusion.sub.sort_key(), self.factor)
 
     def __str__(self) -> str:
         return f"({self.factor}: {self.inclusion})"
@@ -95,7 +110,17 @@ Row = tuple[Box, ...]
 
 
 def _row_key(row: Row) -> tuple:
-    return (-len(row), tuple(box.content_key() for box in row))
+    return (-len(row), tuple([box.content_key() for box in row]))
+
+
+def _unsorted(row: Row) -> bool:
+    return len(row) > 1 and any(a.factor > b.factor for a, b in zip(row, row[1:]))
+
+
+def _factor_sorted(row: Iterable[Box]) -> Row:
+    """The row with its boxes sorted by factor; a sorted tuple is returned as is."""
+    row = tuple(row)
+    return tuple(sorted(row, key=lambda b: b.factor)) if _unsorted(row) else row
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,7 @@ class AdaptedTableau:
         for row in self.rows:
             if not row:
                 raise ValueError("tableau rows must be non-empty")
-            if list(row) != sorted(row, key=lambda b: b.factor):
+            if _unsorted(row):
                 raise ValueError("boxes in a row must be sorted by factor index")
             for box in row:
                 if box.factor in seen:
@@ -125,26 +150,35 @@ class AdaptedTableau:
             for box in row[1:]:
                 if not are_homothetic(first, box.inclusion.sub):
                     raise ValueError("row entries must be mutually homothetic")
-        if list(self.rows) != sorted(self.rows, key=_row_key):
+        key = self.sort_key()
+        if any(a > b for a, b in zip(key, key[1:])):
             raise ValueError("rows are not in canonical order")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Box]]) -> "AdaptedTableau":
-        """Build the canonical-form tableau with the given rows."""
-        sorted_rows = tuple(
-            sorted((tuple(sorted(row, key=lambda b: b.factor)) for row in rows), key=_row_key)
-        )
-        return cls(sorted_rows)
+        """Build the canonical-form tableau with the given rows.
+
+        Rows already given as factor-sorted tuples are kept as they are.
+        """
+        return cls(tuple(sorted(map(_factor_sorted, rows), key=_row_key)))
 
     @property
     def shape(self) -> Partition:
         return tuple(len(row) for row in self.rows)
 
     def box_factors(self) -> frozenset[int]:
+        return self._box_factors
+
+    @functools.cached_property
+    def _box_factors(self) -> frozenset[int]:
         return frozenset(box.factor for row in self.rows for box in row)
 
     def sort_key(self) -> tuple:
-        return tuple(_row_key(row) for row in self.rows)
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return tuple([_row_key(row) for row in self.rows])
 
     def is_adapted_to(self, M: ProductSpace) -> bool:
         """Check that every box inclusion targets the factor it indexes."""
@@ -181,7 +215,7 @@ class ClassifiedSubmanifold:
             raise ValueError("one semisimple factor per tableau row expected")
         if not 0 <= self.flat_dim <= len(self.complement_factors):
             raise ValueError("flat dimension exceeds the available flat directions")
-        if set(self.complement_factors) & self.tableau.box_factors():
+        if not self.tableau.box_factors().isdisjoint(self.complement_factors):
             raise ValueError("flat factors must be disjoint from tableau factors")
 
     @property
@@ -198,28 +232,17 @@ class ClassifiedSubmanifold:
 def diagonal_curvature(row_curvatures: Sequence[Fraction | int | str]) -> Fraction:
     """Exact curvature of a diagonal assembled from curvatures ``c'_i``.
 
-    Returns ``prod(c') / e_{m-1}(c')`` where ``e_{m-1}`` is the elementary
-    symmetric polynomial of degree m-1 in the m inputs.  Symmetric in its
-    arguments; the single-input case returns the input (``e_0 = 1``).
+    Returns the harmonic sum ``1 / sum(1/c'_i)``, which equals
+    ``prod(c') / e_{m-1}(c')`` with ``e_{m-1}`` the elementary symmetric
+    polynomial of degree m-1 in the m inputs.  Symmetric in its arguments;
+    the single-input case returns the input.
     """
     cs = [Fraction(c) for c in row_curvatures]
     if not cs:
         raise ValueError("need at least one curvature")
     if any(c <= 0 for c in cs):
         raise ValueError("curvatures must be positive")
-    numerator = _product(cs)
-    e = sum(
-        (_product(combo) for combo in itertools.combinations(cs, len(cs) - 1)),
-        Fraction(0),
-    )
-    return numerator / e
-
-
-def _product(values: Iterable[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+    return 1 / sum(1 / c for c in cs)
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -240,29 +263,58 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
             yield augmented
 
 
-def _rows_for_block(M: ProductSpace, block: Sequence[int]) -> list[Row]:
-    """Every admissible row covering exactly the factors in ``block``.
+class _RowMemo:
+    """Catalog classes and admissible rows of one product, each built once.
 
-    A row picks, for each factor in the block, one totally geodesic class
-    (proper or the factor itself), all sharing one homothety type.
+    A row picks, for each factor in its block, one totally geodesic class
+    (proper or the factor itself), all sharing one homothety type.  Rows are
+    kept with their diagonal space, found again by identity: rows pass
+    unchanged into tableaux, so a lookup never hashes their exact data.
     """
-    per_factor: dict[int, dict[tuple, list[TotGeodInclusion]]] = {}
-    for i in sorted(block):
-        groups: dict[tuple, list[TotGeodInclusion]] = {}
-        for inc in list_totally_geodesic(M.factor(i), include_improper=True):
-            cls = (inc.sub.field.order, inc.sub.n)
-            groups.setdefault(cls, []).append(inc)
-        per_factor[i] = groups
-    common = set.intersection(*(set(g) for g in per_factor.values()))
-    rows: list[Row] = []
-    for cls in sorted(common):
-        choices = [
-            [Box(i, inc) for inc in sorted(per_factor[i][cls], key=lambda inc: inc.sub.sort_key())]
-            for i in sorted(block)
-        ]
-        for combo in itertools.product(*choices):
-            rows.append(tuple(combo))
-    return rows
+
+    def __init__(self, M: ProductSpace):
+        self._factors = M.factors
+        self._compact_dual = M.compact_dual
+        self._classes: dict[int, dict[tuple[int, int], list[Box]]] = {}
+        self._rows: dict[tuple[int, ...], list[Row]] = {}
+        self._spaces: dict[int, tuple[Row, RankOneSpace]] = {}
+
+    def classes(self, i: int) -> dict[tuple[int, int], list[Box]]:
+        """Boxes of factor i by homothety class ``(field order, n)``, sorted by subspace."""
+        groups = self._classes.get(i)
+        if groups is None:
+            incs = list_totally_geodesic(self._factors[i - 1], include_improper=True)
+            groups = {}
+            for inc in sorted(incs, key=lambda inc: inc.sub.sort_key()):
+                groups.setdefault((inc.sub.field.order, inc.sub.n), []).append(Box(i, inc))
+            self._classes[i] = groups
+        return groups
+
+    def rows(self, block: tuple[int, ...]) -> list[Row]:
+        """Every admissible row covering exactly the factors in ``block``."""
+        rows = self._rows.get(block)
+        if rows is None:
+            groups = [self.classes(i) for i in sorted(block)]
+            common = set(groups[0]).intersection(*groups[1:])
+            rows = [
+                row
+                for cls in sorted(common)
+                for row in itertools.product(*(g[cls] for g in groups))
+            ]
+            for row in rows:
+                self._spaces[id(row)] = (row, self._diagonal(row))
+            self._rows[block] = rows
+        return rows
+
+    def space(self, row: Row) -> RankOneSpace:
+        """The diagonal rank-one space of a row."""
+        hit = self._spaces.get(id(row))
+        return hit[1] if hit is not None and hit[0] is row else self._diagonal(row)
+
+    def _diagonal(self, row: Row) -> RankOneSpace:
+        model = row[0].inclusion.sub
+        curvature = diagonal_curvature([box.inclusion.sub.curvature for box in row])
+        return RankOneSpace(model.field, model.n, curvature, self._compact_dual)
 
 
 def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[AdaptedTableau]:
@@ -276,9 +328,10 @@ def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[Adapt
         raise ValueError("subset of factors must be non-empty")
     for i in indices:
         M.factor(i)  # range check
+    memo = M._memo
     tableaux: list[AdaptedTableau] = []
     for partition in _set_partitions(indices):
-        block_rows = [_rows_for_block(M, block) for block in partition]
+        block_rows = [memo.rows(block) for block in partition]
         if any(not rows for rows in block_rows):
             continue
         for combo in itertools.product(*block_rows):
@@ -289,12 +342,8 @@ def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[Adapt
 
 def _classify_tableau(M: ProductSpace, tableau: AdaptedTableau) -> tuple[RankOneSpace, ...]:
     """Isometry data of the semisimple part: one rank-one space per row."""
-    factors = []
-    for row in tableau.rows:
-        model = row[0].inclusion.sub
-        curvature = diagonal_curvature([box.inclusion.sub.curvature for box in row])
-        factors.append(RankOneSpace(model.field, model.n, curvature, M.compact_dual))
-    return tuple(factors)
+    memo = M._memo
+    return tuple([memo.space(row) for row in tableau.rows])
 
 
 def classify(M: ProductSpace) -> Iterator[ClassifiedSubmanifold]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -147,6 +148,23 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["k"] <= 2000
 
+    @pytest.mark.parametrize(
+        "target, epsilon, message",
+        [
+            ("0.5", "nan", "error: epsilon must be a positive finite number, got nan"),
+            ("0.5", "inf", "error: epsilon must be a positive finite number, got inf"),
+            # cos(1e-9) rounds to 1.0, whose angle 0 misses the target by 1e-9
+            ("1e-9", "1e-12", "error: no convergent of the float cosine 1.0 lies within 1e-12"),
+        ],
+    )
+    def test_approximate_failures_are_one_line_usage_errors(self, target, epsilon, message, capsys):
+        code, out = invoke(["approximate", "--target", target, "--epsilon", epsilon])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(message), err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_usage_errors_exit_2(self):
         assert invoke(["count", "-m", "OH3(1)"])[0] == 2
         assert invoke(["count", "-m", "RH3(1) y RH3(1)"])[0] == 2
@@ -193,6 +211,25 @@ class TestCommands:
         assert "fail: curvature off by 1.0e-02" in out
         assert out.splitlines()[-1] == "# verified: 2 pass, 1 fail, 0 unsupported"
 
+    def test_verify_exits_1_on_a_relabelled_entry(self, monkeypatch):
+        import dataclasses
+
+        import geodiag.cli as cli_mod
+
+        real = cli_mod.classify
+
+        def relabelled(M):
+            for e in real(M):
+                if len(e.tableau.rows) == 1 and len(e.tableau.rows[0]) == 2:
+                    e = dataclasses.replace(e, semisimple_factors=(space("R", 2, 7),))
+                yield e
+
+        monkeypatch.setattr(cli_mod, "classify", relabelled)
+        code, out = invoke(["verify", "-m", "RH2(1) x RH2(1)"])
+        assert code == 1
+        assert "fail: label RH2(7) differs from the row's diagonal RH2(1/2)" in out
+        assert out.splitlines()[-1] == "# verified: 8 pass, 1 fail, 0 unsupported"
+
     def test_verify_summary_counts_unsupported(self):
         code, out = invoke(["verify", "-m", "RH2(1) x OH2(1)"])
         assert code == 0
@@ -213,6 +250,24 @@ class TestCommands:
         from geodiag.cli import build_parser
 
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                "RH3(1) x CH3(2) x HH3(1)",
+                "74748707126b77f05ba35b338794c83015e01d513401e44272372b42a5a72095",
+            ),
+            (
+                "HH4(3/2) x CH3(1) x RH4(1/2) x OH2(1)",
+                "8e3fb945230dd17c59f1bc3e8871dbc1a67c76e1705e3fa336f58d792e8b5c0f",
+            ),
+        ],
+    )
+    def test_classify_json_bytes_are_pinned(self, spec, digest):
+        code, out = invoke(["classify", "-m", spec, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_output_is_deterministic(self):
         for argv in (

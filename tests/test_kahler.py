@@ -172,6 +172,14 @@ class TestApproximateAngle:
             approximate_angle(2.0, 1e-3, 1)
         with pytest.raises(ValueError):
             approximate_angle(0.5, 0.0, 1)
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                approximate_angle(0.5, epsilon, 1)
+
+    def test_target_below_float_cosine_resolution_raises(self):
+        # cos(1e-9) rounds to 1.0: the only convergent is angle 0, 1e-9 away
+        with pytest.raises(AngleApproximationError):
+            approximate_angle(1e-9, 1e-12, 1)
 
     def test_iteration_cap_raises(self):
         with pytest.raises(AngleApproximationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -538,6 +539,61 @@ class TestNegativeControls:
         assert row.reason.startswith(broken), row.reason
         assert (row.lie_residual > 1e-9) == (broken == "Lie triple residual")
         assert_reports_worst_plane(row)
+
+    @pytest.mark.parametrize(
+        "factors, label",
+        [
+            # the RH2(1) x RH2(1) diagonal is RH2(1/2)
+            ([space("R", 2, 1), space("R", 2, 1)], space("R", 2, 7)),
+            ([space("R", 2, 1), space("R", 2, 1)], space("C", 2, Fraction(1, 2))),
+            ([space("R", 2, 1), space("R", 2, 1)], space("R", 3, Fraction(1, 2))),
+            # the CH2(1) x CH2(1) complex diagonal is CH2(1/2)
+            ([space("C", 2, 1), space("C", 2, 1)], space("C", 2, 1)),
+            # no matrix model for HH2: the label is still checked
+            ([space("H", 2, 1), space("H", 2, 1)], space("H", 2, 2)),
+        ],
+    )
+    def test_relabelled_diagonal_fails_naming_both(self, factors, label):
+        M = ProductSpace(tuple(factors))
+        entry = next(
+            e for e in classify(M)
+            if len(e.tableau.rows) == 1 and len(e.tableau.rows[0]) == 2 and e.flat_dim == 0
+            and e.tableau.rows[0][0].inclusion.improper and e.tableau.rows[0][1].inclusion.improper
+        )
+        diagonal = entry.semisimple_factors[0]
+        assert verify_classification_entry(entry, M, rng=np.random.default_rng(3)).status in (
+            "pass", "unsupported"
+        )
+        forged = dataclasses.replace(entry, semisimple_factors=(label,))
+        report = verify_classification_entry(forged, M, rng=np.random.default_rng(3))
+        assert report.status == "fail"
+        row = report.rows[0]
+        assert row.status == "fail"
+        assert row.reason == f"label {label} differs from the row's diagonal {diagonal}"
+
+    @pytest.mark.parametrize(
+        "factors, rows, message",
+        [
+            # a complex row whose diagonal is not J-invariant
+            (
+                [space("C", 2, 1), space("C", 4, 1)],
+                [[(1, space("C", 2, 1)), (2, space("R", 4, Fraction(1, 4)))]],
+                "plane vectors must lie in the subspace",
+            ),
+            # a box class outside the catalog of its factor
+            ([space("C", 3, 1)], [[(1, space("R", 3, 1))]], "no matrix model for RH3(1) inside CH3(1)"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_unmeasurable_rows_fail_instead_of_raising(self, factors, rows, message, seed):
+        M = ProductSpace(tuple(factors))
+        rng = None if seed is None else np.random.default_rng(seed)
+        report = verify_classification_entry(forged_entry(M, rows), M, rng=rng)
+        assert report.status == "fail"
+        row = report.rows[0]
+        assert row.status == "fail"
+        assert row.reason == f"not measurable: {message}"
+        assert row.lie_residual is None and row.planes is None
 
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))

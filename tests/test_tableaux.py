@@ -1,9 +1,12 @@
+import copy
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import geodiag.tableaux as tableaux_mod
 from geodiag.catalog import Field, TotGeodInclusion, are_homothetic, is_totally_geodesic, space
 from geodiag.tableaux import (
     AdaptedTableau,
@@ -24,6 +27,20 @@ def mixed_product(c1=1, c2=2, c3=1):
 
 def box(i, field, n, curv, amb_field, amb_n, amb_curv):
     return Box(i, TotGeodInclusion(space(field, n, curv), space(amb_field, amb_n, amb_curv)))
+
+
+def product_over_elementary_symmetric(cs):
+    """``prod(c) / e_{m-1}(c)``, the expanded form of the diagonal curvature."""
+    prod = Fraction(1)
+    for c in cs:
+        prod *= c
+    e = Fraction(0)
+    for combo in itertools.combinations(cs, len(cs) - 1):
+        term = Fraction(1)
+        for c in combo:
+            term *= c
+        e += term
+    return prod / e
 
 
 class TestDiagonalCurvature:
@@ -62,6 +79,12 @@ class TestDiagonalCurvature:
     @given(st.fractions(min_value=Fraction(1, 50), max_value=50))
     def test_single_argument_identity(self, c):
         assert diagonal_curvature([c]) == c
+
+    @given(st.lists(st.fractions(min_value=Fraction(1, 99), max_value=99), min_size=1, max_size=6))
+    def test_equals_the_elementary_symmetric_form(self, cs):
+        got = diagonal_curvature(cs)
+        assert type(got) is Fraction
+        assert got == product_over_elementary_symmetric(cs)
 
 
 class TestEnumeration:
@@ -177,6 +200,66 @@ class TestClassify:
     def test_mixed_type_products_are_rejected(self):
         with pytest.raises(ValueError):
             ProductSpace((space("R", 2, 1), space("R", 2, 1, compact_dual=True)))
+
+
+class TestProductMemo:
+    """One classify queries the catalog once per factor and each row curvature once."""
+
+    @staticmethod
+    def counted_classify(monkeypatch, M):
+        calls = {"list": [], "curvature": 0}
+        list_tg, curvature = tableaux_mod.list_totally_geodesic, tableaux_mod.diagonal_curvature
+
+        def counting_list(ambient, include_improper=False):
+            calls["list"].append(ambient)
+            return list_tg(ambient, include_improper)
+
+        def counting_curvature(cs):
+            calls["curvature"] += 1
+            return curvature(cs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tableaux_mod, "list_totally_geodesic", counting_list)
+            patch.setattr(tableaux_mod, "diagonal_curvature", counting_curvature)
+            return list(classify(M)), calls
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [("R", 3, 1), ("C", 3, 2), ("H", 3, 1)],
+            [("C", 2, 1), ("C", 2, 1), ("R", 3, Fraction(1, 2)), ("O", 2, 3)],
+        ],
+    )
+    def test_catalog_once_per_factor_and_curvature_once_per_row(self, monkeypatch, factors):
+        make = lambda: ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        M = make()
+        entries, calls = self.counted_classify(monkeypatch, M)
+        assert calls["list"] == list(M.factors)
+        distinct_rows = {row for e in entries for row in e.tableau.rows}
+        assert 0 < calls["curvature"] <= len(distinct_rows)
+        # an equal but fresh product builds its own memo and repeats the counts
+        again, calls_again = self.counted_classify(monkeypatch, make())
+        assert calls_again == calls
+        assert again == entries
+
+    def test_copied_product_classifies_identically(self):
+        M = mixed_product(Fraction(5, 3), Fraction(7, 2), Fraction(2))
+        entries = list(classify(M))
+        clone = copy.deepcopy(M)
+        assert clone == M and hash(clone) == hash(M)
+        assert list(classify(clone)) == entries
+
+    def test_from_rows_sorts_boxes_and_rows(self):
+        a = box(1, "R", 2, 1, "R", 3, 1)
+        b = box(2, "R", 2, Fraction(1, 2), "C", 3, 2)
+        c = box(3, "C", 2, 1, "H", 3, 1)
+        t = AdaptedTableau.from_rows([[c], [b, a]])
+        assert t.rows == ((a, b), (c,))
+        assert t == AdaptedTableau.from_rows([(a, b), [c]])
+        with pytest.raises(ValueError):
+            AdaptedTableau(((c,), (a, b)))
+        with pytest.raises(ValueError):
+            AdaptedTableau(((b, a), (c,)))
 
 
 def random_products(seed, count, max_r=4):
