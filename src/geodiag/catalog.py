@@ -211,6 +211,16 @@ def _table_entries(ambient: RankOneSpace) -> Iterator[tuple[Field, int, Fraction
             yield (Field.R, k, c)
 
 
+@functools.lru_cache(maxsize=8)
+def _table_set(ambient: RankOneSpace) -> frozenset[tuple[Field, int, Fraction]]:
+    """The classes of :func:`_table_entries` as a set, for constant-time membership.
+
+    A product's catalog lists validate their inclusions ambient by ambient,
+    so a few recent ambients suffice.
+    """
+    return frozenset(_table_entries(ambient))
+
+
 def list_totally_geodesic(ambient: RankOneSpace, include_improper: bool = False) -> list[TotGeodInclusion]:
     """All proper non-flat semisimple totally geodesic submanifold classes.
 
@@ -245,4 +255,4 @@ def is_totally_geodesic(sub: RankOneSpace, ambient: RankOneSpace) -> bool:
         return False
     if sub == ambient:
         return True
-    return (sub.field, sub.n, sub.curvature) in _table_entries(ambient)
+    return (sub.field, sub.n, sub.curvature) in _table_set(ambient)

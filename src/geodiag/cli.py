@@ -186,15 +186,16 @@ def _dump(record: object) -> str:
 
 
 def _cmd_classify(args, out) -> int:
-    M = parse_product(args.product)
-    entries = list(classify(M))
+    entries = classify(parse_product(args.product))
     if args.json:
+        # each record as it is classified: no column width to wait for
         for e in entries:
             print(_dump(classified_record(e)), file=out)
-    else:
-        width = max((len(e.isometry_type()) for e in entries), default=0)
-        for e in entries:
-            print(f"{e.isometry_type():<{width}}  flat={e.flat_dim}  {e.tableau}", file=out)
+        return 0
+    entries = list(entries)
+    width = max((len(e.isometry_type()) for e in entries), default=0)
+    for e in entries:
+        print(f"{e.isometry_type():<{width}}  flat={e.flat_dim}  {e.tableau}", file=out)
     return 0
 
 
@@ -308,7 +309,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -371,9 +376,9 @@ def run(argv: Sequence[str], out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args, out)
     except (ValueError, AngleApproximationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,11 @@ from one projection ``T - (T C^T) C``.  Elements (one matrix per block)
 remain the public view of single vectors: ``V.vectors``, ``embed``,
 ``bracket``, ``J``, ``inner`` and the arguments of the measurements.
 
+Entry verification builds and checks each distinct tableau row once per
+product, in the sum of its own factors' blocks, and keeps it on the
+``ProductSpace``; every entry still samples its own random planes per row,
+checks its labels and runs the triple check of its whole subspace.
+
 Quaternionic and octonionic factors have no matrix model here and are
 reported as unsupported rather than approximated.
 """
@@ -46,7 +51,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,9 +203,12 @@ def _row_norms(T: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", T, T))
 
 
+@functools.lru_cache(maxsize=128)
 def _pairs(dim: int) -> np.ndarray:
-    """Index rows (i, j) of all pairs i < j, in row-major order."""
-    return np.array(list(itertools.combinations(range(dim), 2)), dtype=np.intp).reshape(-1, 2).T
+    """Index rows (i, j) of all pairs i < j, in row-major order; read-only."""
+    pairs = np.array(list(itertools.combinations(range(dim), 2)), dtype=np.intp).reshape(-1, 2).T
+    pairs.setflags(write=False)
+    return pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -673,45 +681,112 @@ def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> 
     return f"label {label} differs from the row's diagonal {diagonal}"
 
 
-def _measure_row(M: ProductSpace, model: ProductModel, block_of: dict[int, int], row, lie_tol: float,
-                 rng: np.random.Generator | None):
-    """Build a row's diagonal and measure it.
+class _BuiltRow(NamedTuple):
+    """A row's diagonal in the model of its own factors' blocks.
 
-    Returns its orthonormal coordinates, the Lie triple verdict and
-    residual, and the calibrated curvatures of the sampled planes; raises
-    ValueError when the row cannot be built or its planes leave it.
+    With its triple residual and deterministic planes ``X[n], Y[n]``:
+    ``(e_a, J e_a)`` for complex rows, all pairs of basis vectors for real ones.
     """
-    # one (dim, N, N) stack of box images per block, zero off the row
-    dim = row[0].inclusion.sub.real_dim
-    parts = [np.zeros((dim, blk.N, blk.N), dtype=complex) for blk in model.blocks]
-    for b in row:
-        p = block_of[b.factor]
-        parts[p] = np.array(_box_images(b.inclusion.sub, M.factor(b.factor), model.blocks[p]))
-    V = SubspaceBasis.orthonormalized(model, model._join(parts))
-    ok, residual = is_lie_triple_system(V, lie_tol)
 
+    basis: SubspaceBasis
+    residual: float
+    complex_row: bool
+    X: np.ndarray
+    Y: np.ndarray
+
+
+def _build_row(model: ProductModel, row) -> _BuiltRow:
+    """Assemble a row's diagonal from its box images, block k holding the row's k-th box.
+
+    Raises ValueError when a box has no matrix model or the images are
+    rank-deficient.
+    """
+    parts = [
+        np.array(_box_images(b.inclusion.sub, b.inclusion.ambient, block))
+        for b, block in zip(row, model.blocks)
+    ]
+    V = SubspaceBasis.orthonormalized(model, model._join(parts))
+    _, residual = is_lie_triple_system(V)
     row_class = row[0].inclusion.sub
     C = V.coords
     if row_class.field is Field.C:
         # the diagonal is J-invariant; holomorphic planes carry the label
-        xs = list(C[0 : 2 * row_class.n : 2])
-        if rng is not None:
-            xs += [V._random_unit(rng) for _ in range(3)]
-        X = np.array(xs)
-        Y = model._j(X)
-    else:
-        i, j = _pairs(V.dim)
-        xs, ys = list(C[i]), list(C[j])
-        if rng is not None:
-            for _ in range(3):
-                v, w = V._random_unit(rng), V._random_unit(rng)
-                w = w - (v @ w) * v
-                nw = math.sqrt(w @ w)
-                if nw > 1e-6:
-                    xs.append(v)
-                    ys.append(w / nw)
-        X, Y = np.array(xs), np.array(ys)
-    return C, ok, residual, sectional_curvature(V, X, Y)
+        X = C[0 : 2 * row_class.n : 2].copy()
+        return _BuiltRow(V, residual, True, X, model._j(X))
+    i, j = _pairs(V.dim)
+    return _BuiltRow(V, residual, False, C[i], C[j])
+
+
+class _VerifyMemo:
+    """Factor models, product models and built rows of one product, each made once.
+
+    Rows are found again by identity, as ``ProductSpace._memo`` finds them,
+    and the memo holds each row so that its identity stays valid.  Rows that
+    cannot be built are not kept: they fail again on every call.
+    """
+
+    @classmethod
+    def of(cls, M: ProductSpace) -> "_VerifyMemo":
+        """The memo of ``M``, kept in its instance dictionary like ``M._memo``.
+
+        It is dropped with the product; a fresh, equal product starts empty.
+        """
+        memo = M.__dict__.get("_verify_memo")
+        if memo is None:
+            memo = M.__dict__["_verify_memo"] = cls(M)
+        return memo
+
+    def __init__(self, M: ProductSpace):
+        self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
+        self._models: dict[tuple[int, ...], ProductModel] = {}
+        self._rows: dict[int, tuple[tuple, _BuiltRow]] = {}
+
+    def model(self, factors: tuple[int, ...]) -> ProductModel:
+        """The direct sum of the given factors' models, in the given order."""
+        model = self._models.get(factors)
+        if model is None:
+            model = ProductModel(*zip(*(self.factor_models[i] for i in factors)))
+            self._models[factors] = model
+        return model
+
+    def row(self, row) -> _BuiltRow:
+        """The built diagonal of ``row``; raises ValueError when it cannot be built."""
+        hit = self._rows.get(id(row))
+        if hit is not None and hit[0] is row:
+            return hit[1]
+        built = _build_row(self.model(tuple(b.factor for b in row)), row)
+        self._rows[id(row)] = (row, built)
+        return built
+
+
+def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
+    """The row's deterministic planes plus, with an ``rng``, a few random ones.
+
+    Draws 3 random vectors for a complex row and 3 pairs for a real one.
+    """
+    V, X, Y = built.basis, built.X, built.Y
+    if rng is None:
+        return X, Y
+    if built.complex_row:
+        R = np.array([V._random_unit(rng) for _ in range(3)])
+        return np.vstack([X, R]), np.vstack([Y, V.ambient._j(R)])
+    xs, ys = [], []
+    for _ in range(3):
+        v, w = V._random_unit(rng), V._random_unit(rng)
+        w = w - (v @ w) * v
+        nw = math.sqrt(w @ w)
+        if nw > 1e-6:
+            xs.append(v)
+            ys.append(w / nw)
+    return np.vstack([X, *xs]), np.vstack([Y, *ys])
+
+
+def _scatter(C: np.ndarray, src: ProductModel, dst: ProductModel, positions: Sequence[int]) -> np.ndarray:
+    """Coordinates in ``dst`` of the rows ``C`` of ``src``, whose block k is block ``positions[k]``."""
+    out = np.zeros((len(C), dst._offsets[-1]))
+    for k, p in enumerate(positions):
+        out[:, dst._offsets[p] : dst._offsets[p + 1]] = C[:, src._offsets[k] : src._offsets[k + 1]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -793,11 +868,14 @@ def verify_classification_entry(
     the row's class with its exact harmonic curvature, and a row that
     cannot be built or measured (a box outside the matrix models, planes
     leaving a complex row) fails with the reason instead of raising.
+    Rows are built once per ``M`` and their residuals compared with
+    ``lie_tol`` on every call; the random planes are drawn per call.
     """
     if not entry.tableau.is_adapted_to(M):
         raise ValueError("entry does not belong to the given product space")
 
-    factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
+    memo = _VerifyMemo.of(M)
+    factor_models = memo.factor_models
     unsupported: list[str] = []
 
     flat_factors = [i for i in entry.complement_factors if i in factor_models][: entry.flat_dim]
@@ -808,13 +886,13 @@ def verify_classification_entry(
             "flat part needs unsupported factors " + ", ".join(str(M.factor(i)) for i in missing)
         )
 
-    used: list[int] = sorted(
+    used = tuple(sorted(
         {b.factor for row in entry.tableau.rows for b in row if b.factor in factor_models}
         | set(flat_factors)
-    )
+    ))
     block_of = {i: pos for pos, i in enumerate(used)}
     # blocks and weights of the used factors, in factor order
-    model = ProductModel(*zip(*(factor_models[i] for i in used))) if used else None
+    model = memo.model(used) if used else None
 
     row_reports: list[RowVerification] = []
     all_rows: list[np.ndarray] = []
@@ -834,10 +912,14 @@ def verify_classification_entry(
 
         expected = float(exact)
         try:
-            C, ok, residual, measured = _measure_row(M, model, block_of, row, lie_tol, rng)
+            built = memo.row(row)
+            X, Y = _sample_planes(built, rng)
+            measured = sectional_curvature(built.basis, X, Y)
         except ValueError as exc:
             row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
             continue
+        residual = built.residual
+        ok = residual <= lie_tol
         errors = np.abs(measured - expected)
         worst = int(np.argmax(errors))
         error = float(errors[worst])
@@ -853,7 +935,8 @@ def verify_classification_entry(
                 float(measured[worst]), error, len(measured),
             )
         )
-        all_rows.append(C)
+        all_rows.append(_scatter(built.basis.coords, built.basis.ambient, model,
+                                 [block_of[b.factor] for b in row]))
 
     for i in flat_factors:
         block, weight = factor_models[i]

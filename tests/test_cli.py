@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -269,6 +270,38 @@ class TestCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_classify_json_streams_records(self, monkeypatch):
+        # the first record is written while the classification is still running
+        import geodiag.cli as cli_mod
+
+        real = cli_mod.classify
+        state = {"yielded": 0, "exhausted": False, "first_write": None}
+
+        def counting(M):
+            for e in real(M):
+                state["yielded"] += 1
+                yield e
+            state["exhausted"] = True
+
+        class Out(io.StringIO):
+            def write(self, text):
+                if state["first_write"] is None:
+                    state["first_write"] = (state["yielded"], state["exhausted"])
+                return super().write(text)
+
+        monkeypatch.setattr(cli_mod, "classify", counting)
+        out = Out()
+        assert run(["classify", "-m", "RH3(1) x CH3(2) x HH3(1)", "--json"], out) == 0
+        assert state["exhausted"] and state["yielded"] == 387
+        assert state["first_write"] == (1, False)
+        assert len(out.getvalue().splitlines()) == 387
+
+    def test_count_is_linear_in_a_huge_real_factor(self):
+        start = time.perf_counter()
+        code, out = invoke(["count", "-m", "RH20000(1)"])
+        assert (code, out) == (0, "20001\n")
+        assert time.perf_counter() - start < 10.0
+
     def test_output_is_deterministic(self):
         for argv in (
             ["classify", "-m", "RH3(1) x CH3(2) x HH3(1)", "--json"],
@@ -306,3 +339,12 @@ class TestSeedEnvFallback:
         monkeypatch.setenv("GEODIAG_SEED", "12345")
         b = invoke(["verify", "-m", "CH2(1)", "--json"])
         assert a == b
+
+    def test_non_integer_env_seed_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEODIAG_SEED", "abc")
+        code, out = invoke(["verify", "-m", "RH2(1)"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "error: $GEODIAG_SEED must be an integer, got 'abc'\n"
+        # an explicit --seed does not read the variable
+        assert invoke(["verify", "-m", "RH2(1)", "--seed", "3"])[0] == 0

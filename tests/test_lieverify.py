@@ -1,11 +1,15 @@
+import copy
 import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geodiag.lieverify as lieverify_mod
 from geodiag.catalog import TotGeodInclusion, space
 from geodiag.tableaux import (
     AdaptedTableau,
@@ -624,6 +628,147 @@ class TestNegativeControls:
             SubspaceBasis.orthonormalized(model, [a, b, model.add(a, model.scale(-2.0, b))])
         with pytest.raises(ValueError):
             SubspaceBasis.orthonormalized(model, [a, model.scale(1e-11, a)])
+
+
+# ---------------------------------------------------------------------------
+# the per-product row memo: each row is built once, each entry still measured
+# ---------------------------------------------------------------------------
+
+
+def verify_all(M, seed=11, **kw):
+    rng = np.random.default_rng(seed)
+    entries = list(classify(M))
+    return entries, [verify_classification_entry(e, M, rng=rng, **kw) for e in entries]
+
+
+def assert_same_report(a, b):
+    """Equal verdicts, reasons and plane counts; floats within 1e-12."""
+
+    def walk(x, y):
+        if isinstance(x, float) or isinstance(y, float):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (x, y)
+        elif isinstance(x, dict):
+            assert x.keys() == y.keys()
+            for key in x:
+                walk(x[key], y[key])
+        elif isinstance(x, list):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                walk(u, v)
+        else:
+            assert x == y
+
+    walk(a.to_dict(), b.to_dict())
+
+
+class TestRowMemo:
+    @staticmethod
+    def counted_verify(monkeypatch, M):
+        calls = {"orthonormalized": 0, "lie_triple": 0}
+        orthonormalized = SubspaceBasis.__dict__["orthonormalized"].__func__
+        lie_triple = lieverify_mod.is_lie_triple_system
+
+        def counting_orthonormalized(cls, ambient, raw):
+            calls["orthonormalized"] += 1
+            return orthonormalized(cls, ambient, raw)
+
+        def counting_lie_triple(V, tol=1e-9):
+            calls["lie_triple"] += 1
+            return lie_triple(V, tol)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting_orthonormalized))
+            patch.setattr(lieverify_mod, "is_lie_triple_system", counting_lie_triple)
+            entries, reports = verify_all(M)
+        return entries, reports, calls
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [("C", 2, 1), ("C", 2, 1)],
+            [("C", 2, 1), ("R", 3, 1), ("R", 2, Fraction(1, 2))],
+        ],
+    )
+    def test_each_row_built_once_and_each_total_checked(self, monkeypatch, factors):
+        make = lambda: ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        M = make()
+        entries, reports, calls = self.counted_verify(monkeypatch, M)
+        assert all(r.status == "pass" for r in reports)
+        distinct_rows = {row for e in entries for row in e.tableau.rows}
+        totals = sum(1 for e in entries if e.tableau.rows or e.flat_dim)
+        expected = len(distinct_rows) + totals
+        assert calls == {"orthonormalized": expected, "lie_triple": expected}
+        assert sum(len(e.tableau.rows) for e in entries) > len(distinct_rows)
+        # an equal but fresh product builds its own memo and repeats the counts
+        _, again, calls_again = self.counted_verify(monkeypatch, make())
+        assert calls_again == calls
+        for a, b in zip(reports, again):
+            assert_same_report(a, b)
+        # the memo lives on the product and is dropped with it
+        product = weakref.ref(M)
+        del M
+        gc.collect()
+        assert product() is None
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [("C", 3, 1), ("C", 3, 1)],
+            [("R", 2, 1), ("R", 3, 2), ("R", 2, Fraction(1, 2))],
+            [("C", 2, 1), ("R", 4, Fraction(1, 3))],
+        ],
+    )
+    def test_memo_agrees_with_fresh_rows(self, factors):
+        M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        hot, cold = np.random.default_rng(21), np.random.default_rng(21)
+        for e in classify(M):
+            clone = copy.deepcopy(e)
+            assert all(a is not b for a, b in zip(e.tableau.rows, clone.tableau.rows))
+            memo = verify_classification_entry(e, M, rng=hot)
+            fresh = verify_classification_entry(clone, M, rng=cold)
+            assert memo.status == "pass"
+            assert_same_report(memo, fresh)
+
+    def test_relabelled_entry_fails_on_a_hot_memo(self, monkeypatch):
+        M = ProductSpace((space("C", 2, 1), space("C", 2, 1)))
+        entry = next(
+            e for e in classify(M)
+            if len(e.tableau.rows) == 1 and len(e.tableau.rows[0]) == 2 and e.flat_dim == 0
+            and e.semisimple_factors[0].field.value == "C"
+        )
+        assert verify_classification_entry(entry, M).status == "pass"
+        forged = dataclasses.replace(entry, semisimple_factors=(space("C", 2, 1),))
+        built = []
+        orthonormalized = SubspaceBasis.__dict__["orthonormalized"].__func__
+
+        def counting(cls, ambient, raw):
+            built.append(len(raw))
+            return orthonormalized(cls, ambient, raw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting))
+            report = verify_classification_entry(forged, M, rng=np.random.default_rng(3))
+        assert built == [4]  # the total only: the row came from the memo
+        row = report.rows[0]
+        assert report.status == "fail" and row.status == "fail"
+        assert row.reason == "label CH2(1) differs from the row's diagonal CH2(1/2)"
+
+    def test_tolerance_is_compared_on_every_call(self):
+        M = ProductSpace((space("C", 3, 1), space("C", 3, 1)))
+        _, first = verify_all(M)
+        assert all(r.status == "pass" for r in first)
+        _, strict = verify_all(M, lie_tol=1e-30)
+        flipped = 0
+        for a, b in zip(first, strict):
+            for ra, rb in zip(a.rows, b.rows):
+                assert ra.lie_residual == rb.lie_residual
+                if ra.lie_residual > 1e-30:
+                    flipped += 1
+                    assert rb.status == "fail"
+                    assert rb.reason == f"Lie triple residual {rb.lie_residual:.3e} exceeds 1.0e-30"
+                else:
+                    assert rb.status == "ok"
+        assert flipped > 0
 
 
 # ---------------------------------------------------------------------------
