@@ -38,8 +38,12 @@ remain the public view of single vectors: ``V.vectors``, ``embed``,
 
 Entry verification builds and checks each distinct tableau row once per
 product, in the sum of its own factors' blocks, and keeps it on the
-``ProductSpace``; every entry still samples its own random planes per row,
-checks its labels and runs the triple check of its whole subspace.
+``ProductSpace``; every entry still samples its own random planes per row
+and checks its labels.  No entry is orthonormalized or bracketed as a
+whole: its rows and flat directions sit on pairwise disjoint factors, so
+its subspace is an orthogonal direct sum whose cross brackets vanish, and
+its total triple residual is the largest row residual.  An entry whose
+factors overlap has no such total and fails.
 
 Quaternionic and octonionic factors have no matrix model here and are
 reported as unsupported rather than approximated.
@@ -781,14 +785,6 @@ def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
     return np.vstack([X, *xs]), np.vstack([Y, *ys])
 
 
-def _scatter(C: np.ndarray, src: ProductModel, dst: ProductModel, positions: Sequence[int]) -> np.ndarray:
-    """Coordinates in ``dst`` of the rows ``C`` of ``src``, whose block k is block ``positions[k]``."""
-    out = np.zeros((len(C), dst._offsets[-1]))
-    for k, p in enumerate(positions):
-        out[:, dst._offsets[p] : dst._offsets[p + 1]] = C[:, src._offsets[k] : src._offsets[k + 1]]
-    return out
-
-
 @dataclass(frozen=True)
 class RowVerification:
     """Numerical verdict for one tableau row."""
@@ -870,6 +866,10 @@ def verify_classification_entry(
     leaving a complex row) fails with the reason instead of raising.
     Rows are built once per ``M`` and their residuals compared with
     ``lie_tol`` on every call; the random planes are drawn per call.
+    The total residual is derived from the block structure: when no factor
+    carries more than one row or flat direction it is the largest residual
+    of the measured rows (0.0 with flat directions only, None for the
+    point); an entry whose factors overlap gets None and fails.
     """
     if not entry.tableau.is_adapted_to(M):
         raise ValueError("entry does not belong to the given product space")
@@ -886,16 +886,7 @@ def verify_classification_entry(
             "flat part needs unsupported factors " + ", ".join(str(M.factor(i)) for i in missing)
         )
 
-    used = tuple(sorted(
-        {b.factor for row in entry.tableau.rows for b in row if b.factor in factor_models}
-        | set(flat_factors)
-    ))
-    block_of = {i: pos for pos, i in enumerate(used)}
-    # blocks and weights of the used factors, in factor order
-    model = memo.model(used) if used else None
-
     row_reports: list[RowVerification] = []
-    all_rows: list[np.ndarray] = []
     for idx, row in enumerate(entry.tableau.rows):
         description = " | ".join(str(b) for b in row)
         exact = diagonal_curvature([b.inclusion.sub.curvature for b in row])
@@ -935,18 +926,14 @@ def verify_classification_entry(
                 float(measured[worst]), error, len(measured),
             )
         )
-        all_rows.append(_scatter(built.basis.coords, built.basis.ambient, model,
-                                 [block_of[b.factor] for b in row]))
 
-    for i in flat_factors:
-        block, weight = factor_models[i]
-        all_rows.append(model.coords(model.embed(block_of[i], block.p_basis[0] / math.sqrt(weight))))
-
-    total_residual = None
-    total_ok = True
-    if all_rows:
-        total = SubspaceBasis.orthonormalized(model, np.vstack(all_rows))
-        total_ok, total_residual = is_lie_triple_system(total, lie_tol)
+    # disjoint factor blocks: cross brackets vanish and the stacked rows stay orthonormal
+    carried = [b.factor for row in entry.tableau.rows for b in row] + flat_factors
+    residuals = [r.lie_residual for r in row_reports if r.lie_residual is not None]
+    residuals += [0.0] * len(flat_factors)
+    disjoint = len(set(carried)) == len(carried)
+    total_residual = max(residuals) if disjoint and residuals else None
+    total_ok = disjoint and (total_residual is None or total_residual <= lie_tol)
 
     return EntryVerification(
         entry, tuple(row_reports), entry.flat_dim, flat_supported, total_residual, total_ok,

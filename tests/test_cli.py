@@ -16,7 +16,6 @@ from geodiag.cli import (
     classified_from_record,
     classified_record,
     parse_product,
-    render_product,
     run,
 )
 from geodiag.tableaux import ProductSpace, classify
@@ -78,27 +77,39 @@ class TestParser:
         assert not issubclass(SpecSemanticError, SpecSyntaxError)
 
     def test_render_parse_round_trip(self):
-        text = "RH3(1) x CH3(2) x HH3(1)"
-        M = parse_product(text)
-        assert render_product(M) == text
-        assert parse_product(render_product(M)) == M
+        for text in ("RH3(1) x CH3(2) x HH3(1)", "RH3(1)* x CH3(2/3)* x OH2(1)*"):
+            M = parse_product(text)
+            assert str(M) == text
+            assert parse_product(str(M)) == M
+
+    def test_star_marks_a_compact_dual(self):
+        M = parse_product("CH1(4)* x RH2(1)*")
+        assert M.factors == (space("R", 2, 4, compact_dual=True), space("R", 2, 1, compact_dual=True))
+        assert M.compact_dual
+
+    @pytest.mark.parametrize("text", ["RH2(1)* x RH2(1)", "RH2(1) x CH2(1)*"])
+    def test_mixed_compact_and_non_compact_is_a_usage_error(self, text, capsys):
+        assert invoke(["count", "-m", text]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "error: factors must all be compact duals or all non-compact\n"
 
 
 @st.composite
 def product_spaces(draw):
     r = draw(st.integers(min_value=1, max_value=4))
+    compact_dual = draw(st.booleans())
     factors = []
     for _ in range(r):
         field = draw(st.sampled_from(["R", "C", "H", "O"]))
         n = 2 if field == "O" else draw(st.integers(min_value=2, max_value=6))
         c = draw(st.fractions(min_value=Fraction(1, 12), max_value=12))
-        factors.append(space(field, n, c))
+        factors.append(space(field, n, c, compact_dual))
     return ProductSpace(tuple(factors))
 
 
 @given(product_spaces())
 def test_round_trip_is_the_identity(M):
-    assert parse_product(render_product(M)) == M
+    assert parse_product(str(M)) == M
 
 
 class TestCommands:
@@ -180,6 +191,7 @@ class TestCommands:
     def test_verify_strict_fails_on_unsupported(self):
         assert invoke(["verify", "-m", "OH2(1)"])[0] == 0
         assert invoke(["verify", "-m", "OH2(1)", "--strict"])[0] == 1
+        assert invoke(["verify", "-m", "CH2(1)", "--strict"])[0] == 0
 
     def test_verify_json_reports(self):
         code, out = invoke(["verify", "-m", "CH2(1)", "--json", "--seed", "3"])

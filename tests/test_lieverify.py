@@ -599,6 +599,37 @@ class TestNegativeControls:
         assert row.reason == f"not measurable: {message}"
         assert row.lie_residual is None and row.planes is None
 
+    @staticmethod
+    def rows_sharing_a_factor(entries):
+        entry = next(e for e in entries if e.tableau.shape == (1, 1))
+        first, second = entry.tableau.rows
+        tableau = AdaptedTableau(entry.tableau.rows)
+        # bypasses tableau validation: both rows on the first row's factor
+        object.__setattr__(tableau, "rows", (first, (Box(first[0].factor, second[0].inclusion),)))
+        return dataclasses.replace(entry, tableau=tableau)
+
+    @staticmethod
+    def flat_direction_on_a_row_factor(entries):
+        entry = next(e for e in entries if e.tableau.shape == (1,) and e.flat_dim == 1)
+        forged = copy.copy(entry)
+        # bypasses ClassifiedSubmanifold validation: the flat direction on the row's factor
+        object.__setattr__(forged, "complement_factors", (entry.tableau.rows[0][0].factor,))
+        return forged
+
+    @pytest.mark.parametrize("forge", ["rows_sharing_a_factor", "flat_direction_on_a_row_factor"])
+    @pytest.mark.parametrize("factors", [[("C", 2, 1), ("C", 2, 1)], [("R", 3, 2), ("R", 3, 2)]])
+    def test_overlapping_factors_fail_instead_of_raising(self, forge, factors):
+        M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        # improper boxes: the overlapping directions are linearly dependent
+        entries = [
+            e for e in classify(M) if all(b.inclusion.improper for row in e.tableau.rows for b in row)
+        ]
+        entry = getattr(self, forge)(entries)
+        report = verify_classification_entry(entry, M, rng=np.random.default_rng(6))
+        assert report.status == "fail"
+        assert not report.total_lie_ok and report.total_lie_residual is None
+        assert [r.status for r in report.rows] == ["ok"] * len(entry.tableau.rows)
+
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
         for e in classify(M):
@@ -689,14 +720,13 @@ class TestRowMemo:
             [("C", 2, 1), ("R", 3, 1), ("R", 2, Fraction(1, 2))],
         ],
     )
-    def test_each_row_built_once_and_each_total_checked(self, monkeypatch, factors):
+    def test_each_row_built_once(self, monkeypatch, factors):
         make = lambda: ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
         M = make()
         entries, reports, calls = self.counted_verify(monkeypatch, M)
         assert all(r.status == "pass" for r in reports)
         distinct_rows = {row for e in entries for row in e.tableau.rows}
-        totals = sum(1 for e in entries if e.tableau.rows or e.flat_dim)
-        expected = len(distinct_rows) + totals
+        expected = len(distinct_rows)
         assert calls == {"orthonormalized": expected, "lie_triple": expected}
         assert sum(len(e.tableau.rows) for e in entries) > len(distinct_rows)
         # an equal but fresh product builds its own memo and repeats the counts
@@ -748,7 +778,7 @@ class TestRowMemo:
         with monkeypatch.context() as patch:
             patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting))
             report = verify_classification_entry(forged, M, rng=np.random.default_rng(3))
-        assert built == [4]  # the total only: the row came from the memo
+        assert built == []  # the row came from the memo
         row = report.rows[0]
         assert report.status == "fail" and row.status == "fail"
         assert row.reason == "label CH2(1) differs from the row's diagonal CH2(1/2)"
@@ -769,6 +799,68 @@ class TestRowMemo:
                 else:
                     assert rb.status == "ok"
         assert flipped > 0
+
+
+# ---------------------------------------------------------------------------
+# the entry total, derived from its rows, against the whole-subspace check
+# ---------------------------------------------------------------------------
+
+
+def whole_subspace_residual(M, entry):
+    """Triple residual of the entry's rows and flat directions checked as one subspace.
+
+    Each row's basis goes onto its factors' blocks of the model of the whole
+    product, with one ``p`` vector per flat factor; the stack is
+    orthonormalized and triple-checked as a whole.  None for the point.
+    """
+    memo = lieverify_mod._VerifyMemo.of(M)
+    model = memo.model(tuple(range(1, M.r + 1)))
+    vectors = []
+    for row in entry.tableau.rows:
+        for v in memo.row(row).basis.vectors:
+            u = model.zero()
+            for box, part in zip(row, v):
+                u = model.add(u, model.embed(box.factor - 1, part))
+            vectors.append(u)
+    for i in entry.complement_factors[: entry.flat_dim]:
+        block, weight = memo.factor_models[i]
+        vectors.append(model.embed(i - 1, block.p_basis[0] / math.sqrt(weight)))
+    if not vectors:
+        return None
+    return is_lie_triple_system(SubspaceBasis.orthonormalized(model, vectors))[1]
+
+
+class TestDerivedTotal:
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [("C", 3, 1), ("C", 3, 1)],
+            [("R", 2, 1), ("C", 3, 2), ("R", 3, Fraction(1, 2))],
+        ],
+    )
+    def test_total_is_the_whole_subspace_residual(self, factors):
+        M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        entries, reports = verify_all(M)
+        for e, report in zip(entries, reports):
+            assert report.status == "pass" and report.total_lie_ok
+            whole = whole_subspace_residual(M, e)
+            if not e.tableau.rows:
+                assert report.total_lie_residual == (0.0 if e.flat_dim else None)
+            if whole is None:
+                assert report.total_lie_residual is None
+            else:
+                assert abs(report.total_lie_residual - whole) <= 1e-15, e.isometry_type()
+
+    def test_total_of_an_entry_with_a_broken_row(self):
+        # S^4 paired with CP^2 is no triple system; a sound row and a flat direction beside it
+        M = ProductSpace((space("R", 4, 1), space("C", 2, 1), space("R", 3, 1), space("R", 2, 1)))
+        entry = forged_entry(M, [[(1, space("R", 4, 1)), (2, space("C", 2, 1))], [(3, space("R", 3, 1))]])
+        entry = dataclasses.replace(entry, flat_dim=1)
+        report = verify_classification_entry(entry, M)
+        assert [r.status for r in report.rows] == ["fail", "ok"]
+        assert report.status == "fail" and not report.total_lie_ok
+        assert report.total_lie_residual == report.rows[0].lie_residual > 1e-9
+        assert abs(report.total_lie_residual - whole_subspace_residual(M, entry)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
