@@ -292,6 +292,8 @@ def _cmd_verify(args, out) -> int:
                         f" (expected {r.curvature_expected:.12g}){failure}",
                         file=out,
                     )
+            if report.reason is not None:
+                print(f"             fail: {report.reason}", file=out)
     if not args.json:
         print(
             f"# verified: {counts['pass']} pass, {counts['fail']} fail,"

@@ -43,7 +43,9 @@ and checks its labels.  No entry is orthonormalized or bracketed as a
 whole: its rows and flat directions sit on pairwise disjoint factors, so
 its subspace is an orthogonal direct sum whose cross brackets vanish, and
 its total triple residual is the largest row residual.  An entry whose
-factors overlap has no such total and fails.
+factors overlap has no such total and fails, with a reason naming the
+factor.  Products whose real and complex factors need models of total
+matrix size above ``MAX_MODEL_SIZE`` are refused before any is built.
 
 Quaternionic and octonionic factors have no matrix model here and are
 reported as unsupported rather than approximated.
@@ -65,6 +67,12 @@ from .tableaux import ClassifiedSubmanifold, ProductSpace, diagonal_curvature
 TOL_ARITHMETIC = 1e-12
 TOL_STRUCTURAL = 1e-10
 TOL_CONSTRUCTIVE = 1e-9
+
+# Largest sum of the factors' matrix sizes ``N`` (``n + 1`` for RH^n and CH^n)
+# that entry verification builds models for.  A row's triple check holds
+# about dim^3 * N^2 floats, so the worst case, a full CH^17 row, peaks near
+# 0.3 GiB.
+MAX_MODEL_SIZE = 18
 
 Matrix = np.ndarray
 Element = tuple[Matrix, ...]
@@ -724,9 +732,11 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
 class _VerifyMemo:
     """Factor models, product models and built rows of one product, each made once.
 
-    Rows are found again by identity, as ``ProductSpace._memo`` finds them,
-    and the memo holds each row so that its identity stays valid.  Rows that
-    cannot be built are not kept: they fail again on every call.
+    Rows are found again by identity: the product's row memo hands out each
+    row as one object, and this memo holds each row so that its identity
+    stays valid.  Rows that cannot be built are not kept: they fail again on
+    every call.  Products above ``MAX_MODEL_SIZE`` are refused before any
+    model is built.
     """
 
     @classmethod
@@ -741,6 +751,12 @@ class _VerifyMemo:
         return memo
 
     def __init__(self, M: ProductSpace):
+        # only real and complex factors have models, of matrix size n + 1
+        size = sum(f.n + 1 for f in M.factors if f.field in (Field.R, Field.C))
+        if size > MAX_MODEL_SIZE:
+            raise ValueError(
+                f"{M} needs matrix models of total size {size}; verify builds at most {MAX_MODEL_SIZE}"
+            )
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
         self._models: dict[tuple[int, ...], ProductModel] = {}
         self._rows: dict[int, tuple[tuple, _BuiltRow]] = {}
@@ -805,7 +821,12 @@ class RowVerification:
 
 @dataclass(frozen=True)
 class EntryVerification:
-    """Full report for one classification entry."""
+    """Full report for one classification entry.
+
+    ``reason`` explains a failure of the entry's total: a factor carrying
+    two rows or flat directions, or a total residual above the tolerance.
+    Row failures carry their reasons in ``rows``.
+    """
 
     entry: ClassifiedSubmanifold
     rows: tuple[RowVerification, ...]
@@ -814,6 +835,7 @@ class EntryVerification:
     total_lie_residual: float | None
     total_lie_ok: bool
     unsupported: tuple[str, ...]
+    reason: str | None = None
 
     @property
     def failed(self) -> bool:
@@ -832,8 +854,10 @@ class EntryVerification:
         return "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
+        """The JSON record; a failing entry's record also carries ``reason``."""
+        status = self.status
+        record = {
+            "status": status,
             "isometry_type": self.entry.isometry_type(),
             "rows": [r.to_dict() for r in self.rows],
             "flat_dim": self.flat_dim,
@@ -841,6 +865,9 @@ class EntryVerification:
             "total_lie_residual": self.total_lie_residual,
             "unsupported": list(self.unsupported),
         }
+        if status == "fail":
+            record["reason"] = self.reason
+        return record
 
 
 def verify_classification_entry(
@@ -869,7 +896,9 @@ def verify_classification_entry(
     The total residual is derived from the block structure: when no factor
     carries more than one row or flat direction it is the largest residual
     of the measured rows (0.0 with flat directions only, None for the
-    point); an entry whose factors overlap gets None and fails.
+    point); an entry whose factors overlap gets None and fails.  Either
+    failure of the total sets the report's ``reason``.  Products above
+    ``MAX_MODEL_SIZE`` raise ValueError before any model is built.
     """
     if not entry.tableau.is_adapted_to(M):
         raise ValueError("entry does not belong to the given product space")
@@ -928,14 +957,23 @@ def verify_classification_entry(
         )
 
     # disjoint factor blocks: cross brackets vanish and the stacked rows stay orthonormal
-    carried = [b.factor for row in entry.tableau.rows for b in row] + flat_factors
+    rows = entry.tableau.rows
+    carried = [b.factor for row in rows for b in row] + flat_factors
     residuals = [r.lie_residual for r in row_reports if r.lie_residual is not None]
     residuals += [0.0] * len(flat_factors)
     disjoint = len(set(carried)) == len(carried)
     total_residual = max(residuals) if disjoint and residuals else None
-    total_ok = disjoint and (total_residual is None or total_residual <= lie_tol)
+    if not disjoint:
+        shared = next(i for i in carried if carried.count(i) > 1)
+        on = [f"row {idx}" for idx, row in enumerate(rows) for b in row if b.factor == shared]
+        on += ["a flat direction"] * flat_factors.count(shared)
+        reason = f"factor {shared} carries " + " and ".join(on)
+    elif total_residual is not None and not total_residual <= lie_tol:
+        reason = f"total Lie triple residual {total_residual:.3e} exceeds {lie_tol:.1e}"
+    else:
+        reason = None
 
     return EntryVerification(
-        entry, tuple(row_reports), entry.flat_dim, flat_supported, total_residual, total_ok,
-        tuple(unsupported),
+        entry, tuple(row_reports), entry.flat_dim, flat_supported, total_residual,
+        reason is None, tuple(unsupported), reason,
     )

@@ -16,9 +16,14 @@ which is how it is computed (equivalently ``prod(c') / e_{m-1}(c')`` with
 
 Each ``ProductSpace`` carries a memo, built on first use and dropped with
 the instance: every factor's catalog list, grouped by homothety class, and
-the rows over every block of factors, each row with its diagonal rank-one
-space.  One ``classify`` therefore queries the catalog once per factor and
-computes each row curvature once, however many tableaux share the row.
+the rows over every block of factors.  Each memo row is made once, already
+factor-sorted and homothetic, and carries its sort key and its diagonal
+rank-one space.  One ``classify`` therefore queries the catalog once per
+factor and computes each row curvature once, however many tableaux share
+the row.  Tableaux made only of memo rows are sorted by the stored keys and
+checked for shared factors alone, and the stream's entries, valid by
+construction, skip validation too; tableaux and entries built any other
+way are fully validated.
 
 Enumeration is per labelled factor subset: two tableaux that differ only by
 an ambient isometry permuting isometric factors are still listed separately,
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +49,9 @@ from .catalog import (
 )
 
 Partition = tuple[int, ...]
+
+# sets the fields of a frozen instance that skips validation, as __init__ would
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,29 @@ class AdaptedTableau:
         """Build the canonical-form tableau with the given rows.
 
         Rows already given as factor-sorted tuples are kept as they are.
+        Rows that all come from a product's memo are sorted by their stored
+        keys and only checked for shared factors; any other rows are fully
+        validated.
         """
+        rows = tuple(rows)
+        if all(type(row) is _MemoRow for row in rows):
+            return cls._from_memo_rows(rows)
         return cls(tuple(sorted(map(_factor_sorted, rows), key=_row_key)))
+
+    @classmethod
+    def _from_memo_rows(cls, rows: tuple["_MemoRow", ...]) -> "AdaptedTableau":
+        """The tableau of memo rows, which are factor-sorted and homothetic by construction."""
+        rows = tuple(sorted(rows, key=_memo_key))
+        factors = [box.factor for row in rows for box in row]
+        box_factors = frozenset(factors)
+        if len(box_factors) != len(factors):
+            shared = next(f for f in box_factors if factors.count(f) > 1)
+            raise ValueError(f"factor {shared} appears in more than one box")
+        tableau = object.__new__(cls)
+        _set(tableau, "rows", rows)
+        _set(tableau, "_key", tuple([row.key for row in rows]))
+        _set(tableau, "_box_factors", box_factors)
+        return tableau
 
     @property
     def shape(self) -> Partition:
@@ -218,6 +248,22 @@ class ClassifiedSubmanifold:
         if not self.tableau.box_factors().isdisjoint(self.complement_factors):
             raise ValueError("flat factors must be disjoint from tableau factors")
 
+    @classmethod
+    def _trusted(
+        cls,
+        semisimple_factors: tuple[RankOneSpace, ...],
+        flat_dim: int,
+        tableau: AdaptedTableau,
+        complement_factors: tuple[int, ...],
+    ) -> "ClassifiedSubmanifold":
+        """An entry that is valid by construction, made without validation."""
+        entry = object.__new__(cls)
+        _set(entry, "semisimple_factors", semisimple_factors)
+        _set(entry, "flat_dim", flat_dim)
+        _set(entry, "tableau", tableau)
+        _set(entry, "complement_factors", complement_factors)
+        return entry
+
     @property
     def total_rank(self) -> int:
         return len(self.semisimple_factors) + self.flat_dim
@@ -263,21 +309,34 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
             yield augmented
 
 
+class _MemoRow(tuple):
+    """A row made by ``_RowMemo``: factor-sorted and homothetic by construction.
+
+    It carries its sort key ``key`` and its diagonal rank-one space
+    ``space``, and compares and hashes as the plain tuple of its boxes.
+    """
+
+    key: tuple
+    space: RankOneSpace
+
+
+_memo_key = operator.attrgetter("key")
+
+
 class _RowMemo:
     """Catalog classes and admissible rows of one product, each built once.
 
     A row picks, for each factor in its block, one totally geodesic class
-    (proper or the factor itself), all sharing one homothety type.  Rows are
-    kept with their diagonal space, found again by identity: rows pass
-    unchanged into tableaux, so a lookup never hashes their exact data.
+    (proper or the factor itself), all sharing one homothety type.  Each
+    row is made once as a ``_MemoRow`` holding its sort key and diagonal
+    space, so tableaux and entries read both from the row itself.
     """
 
     def __init__(self, M: ProductSpace):
         self._factors = M.factors
         self._compact_dual = M.compact_dual
         self._classes: dict[int, dict[tuple[int, int], list[Box]]] = {}
-        self._rows: dict[tuple[int, ...], list[Row]] = {}
-        self._spaces: dict[int, tuple[Row, RankOneSpace]] = {}
+        self._rows: dict[tuple[int, ...], list[_MemoRow]] = {}
 
     def classes(self, i: int) -> dict[tuple[int, int], list[Box]]:
         """Boxes of factor i by homothety class ``(field order, n)``, sorted by subspace."""
@@ -290,31 +349,27 @@ class _RowMemo:
             self._classes[i] = groups
         return groups
 
-    def rows(self, block: tuple[int, ...]) -> list[Row]:
+    def rows(self, block: tuple[int, ...]) -> list[_MemoRow]:
         """Every admissible row covering exactly the factors in ``block``."""
         rows = self._rows.get(block)
         if rows is None:
             groups = [self.classes(i) for i in sorted(block)]
             common = set(groups[0]).intersection(*groups[1:])
             rows = [
-                row
+                self._row(boxes)
                 for cls in sorted(common)
-                for row in itertools.product(*(g[cls] for g in groups))
+                for boxes in itertools.product(*(g[cls] for g in groups))
             ]
-            for row in rows:
-                self._spaces[id(row)] = (row, self._diagonal(row))
             self._rows[block] = rows
         return rows
 
-    def space(self, row: Row) -> RankOneSpace:
-        """The diagonal rank-one space of a row."""
-        hit = self._spaces.get(id(row))
-        return hit[1] if hit is not None and hit[0] is row else self._diagonal(row)
-
-    def _diagonal(self, row: Row) -> RankOneSpace:
+    def _row(self, boxes: Row) -> _MemoRow:
+        row = _MemoRow(boxes)
+        row.key = _row_key(row)
         model = row[0].inclusion.sub
         curvature = diagonal_curvature([box.inclusion.sub.curvature for box in row])
-        return RankOneSpace(model.field, model.n, curvature, self._compact_dual)
+        row.space = RankOneSpace(model.field, model.n, curvature, self._compact_dual)
+        return row
 
 
 def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[AdaptedTableau]:
@@ -340,12 +395,6 @@ def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[Adapt
     return iter(tableaux)
 
 
-def _classify_tableau(M: ProductSpace, tableau: AdaptedTableau) -> tuple[RankOneSpace, ...]:
-    """Isometry data of the semisimple part: one rank-one space per row."""
-    memo = M._memo
-    return tuple([memo.space(row) for row in tableau.rows])
-
-
 def classify(M: ProductSpace) -> Iterator[ClassifiedSubmanifold]:
     """Every totally geodesic submanifold class of ``M``, lazily.
 
@@ -354,6 +403,8 @@ def classify(M: ProductSpace) -> Iterator[ClassifiedSubmanifold]:
     one (purely flat submanifolds, the point being d = 0) and
     0 <= d <= r - |S|.  Deterministic order: subsets by size then
     lexicographically, tableaux in canonical order, then d ascending.
+    Entries are made without validation: the tableaux come from the memo
+    and each flat part lies on the complement of its tableau's factors.
     """
     r = M.r
     all_indices = range(1, r + 1)
@@ -365,9 +416,9 @@ def classify(M: ProductSpace) -> Iterator[ClassifiedSubmanifold]:
             else:
                 tableaux = enumerate_tableaux(M, subset)
             for tableau in tableaux:
-                semisimple = _classify_tableau(M, tableau)
+                semisimple = tuple([row.space for row in tableau.rows])
                 for d in range(r - size + 1):
-                    yield ClassifiedSubmanifold(semisimple, d, tableau, complement)
+                    yield ClassifiedSubmanifold._trusted(semisimple, d, tableau, complement)
 
 
 def count_classes(M: ProductSpace) -> int:

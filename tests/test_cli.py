@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -242,6 +243,63 @@ class TestCommands:
         assert code == 1
         assert "fail: label RH2(7) differs from the row's diagonal RH2(1/2)" in out
         assert out.splitlines()[-1] == "# verified: 8 pass, 1 fail, 0 unsupported"
+
+    @staticmethod
+    def flat_direction_on_the_row_factor(real):
+        """``classify`` with each one-row, flat-dimension-1 entry's flat direction on its row's factor."""
+
+        def forged(M):
+            for e in real(M):
+                if e.tableau.shape == (1,) and e.flat_dim == 1:
+                    e = copy.copy(e)
+                    # bypasses ClassifiedSubmanifold validation
+                    object.__setattr__(e, "complement_factors", (e.tableau.rows[0][0].factor,))
+                yield e
+
+        return forged
+
+    def test_verify_names_the_factor_of_a_failing_total(self, monkeypatch):
+        import geodiag.cli as cli_mod
+
+        argv = ["verify", "-m", "RH2(1) x RH2(1)"]
+        clean_text, clean_json = invoke(argv)[1], invoke(argv + ["--json"])[1]
+        monkeypatch.setattr(cli_mod, "classify", self.flat_direction_on_the_row_factor(cli_mod.classify))
+        code, out = invoke(argv)
+        assert code == 1
+        assert out.count("fail         RH2(1) x R^1\n") == 2
+        for factor in (1, 2):
+            assert f"             fail: factor {factor} carries row 0 and a flat direction\n" in out
+        assert out.splitlines()[-1] == "# verified: 7 pass, 2 fail, 0 unsupported"
+        assert len(out.splitlines()) == len(clean_text.splitlines()) + 2
+
+        code, out = invoke(argv + ["--json"])
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        failing = [r for r in records if r["status"] == "fail"]
+        assert [r["reason"] for r in failing] == [
+            f"factor {factor} carries row 0 and a flat direction" for factor in (1, 2)
+        ]
+        # passing records are byte-identical to an unforged run
+        passing = [line for line in out.splitlines() if '"status":"pass"' in line]
+        assert len(passing) == 7 and set(passing) <= set(clean_json.splitlines())
+        assert all("reason" not in r for r in records if r["status"] == "pass")
+
+    def test_verify_refuses_a_model_above_the_limit(self, monkeypatch, capsys):
+        import geodiag.lieverify as lieverify_mod
+
+        def refuse(*args):
+            raise AssertionError("a matrix model was built")
+
+        monkeypatch.setattr(lieverify_mod, "sphere_decomp", refuse)
+        monkeypatch.setattr(lieverify_mod, "grassmannian_decomp", refuse)
+        for argv in (["verify", "-m", "RH100000(1)"], ["verify", "-m", "CH9(1) x CH9(1)", "--json"]):
+            start = time.perf_counter()
+            code, out = invoke(argv)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "verify builds at most 18" in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_verify_summary_counts_unsupported(self):
         code, out = invoke(["verify", "-m", "RH2(1) x OH2(1)"])

@@ -629,6 +629,10 @@ class TestNegativeControls:
         assert report.status == "fail"
         assert not report.total_lie_ok and report.total_lie_residual is None
         assert [r.status for r in report.rows] == ["ok"] * len(entry.tableau.rows)
+        shared = entry.tableau.rows[0][0].factor
+        carried = {"rows_sharing_a_factor": "row 0 and row 1"}.get(forge, "row 0 and a flat direction")
+        assert report.reason == f"factor {shared} carries {carried}"
+        assert report.to_dict()["reason"] == report.reason
 
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
@@ -861,6 +865,51 @@ class TestDerivedTotal:
         assert report.status == "fail" and not report.total_lie_ok
         assert report.total_lie_residual == report.rows[0].lie_residual > 1e-9
         assert abs(report.total_lie_residual - whole_subspace_residual(M, entry)) <= 1e-15
+        assert report.reason == (
+            f"total Lie triple residual {report.total_lie_residual:.3e} exceeds 1.0e-09"
+        )
+
+    def test_only_failing_records_carry_a_reason(self):
+        M = ProductSpace((space("C", 2, 1), space("R", 3, 1)))
+        _, reports = verify_all(M)
+        assert all(r.status == "pass" and r.reason is None for r in reports)
+        assert all("reason" not in r.to_dict() for r in reports)
+        # a failing row alone gives the entry no reason of its own
+        entry = next(e for e in classify(M) if e.tableau.shape == (1,))
+        label = entry.semisimple_factors[0]
+        wrong = dataclasses.replace(entry, semisimple_factors=(space(label.field.value, label.n, 7),))
+        report = verify_classification_entry(wrong, M)
+        assert report.status == "fail" and report.total_lie_ok
+        assert report.rows[0].reason.startswith("label ")
+        assert report.reason is None and report.to_dict()["reason"] is None
+
+
+class TestModelSizeLimit:
+    @pytest.mark.parametrize(
+        "factors, size",
+        [([("R", 17, 1)], 18), ([("C", 8, 1), ("C", 8, 1)], 18), ([("C", 5, 1), ("H", 9, 1)], 6)],
+    )
+    def test_products_up_to_the_limit_are_accepted(self, factors, size):
+        M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        assert size <= lieverify_mod.MAX_MODEL_SIZE == 18
+        point = next(classify(M))
+        assert verify_classification_entry(point, M).status == "pass"
+
+    @pytest.mark.parametrize(
+        "factors, size",
+        [([("R", 18, 1)], 19), ([("C", 9, 1), ("R", 9, 1)], 20), ([("R", 100000, 1)], 100001)],
+    )
+    def test_larger_products_raise_before_any_model_is_built(self, monkeypatch, factors, size):
+        def refuse(*args):
+            raise AssertionError("a matrix model was built")
+
+        monkeypatch.setattr(lieverify_mod, "sphere_decomp", refuse)
+        monkeypatch.setattr(lieverify_mod, "grassmannian_decomp", refuse)
+        M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
+        point = next(classify(M))
+        with pytest.raises(ValueError) as exc:
+            verify_classification_entry(point, M)
+        assert str(exc.value) == f"{M} needs matrix models of total size {size}; verify builds at most 18"
 
 
 # ---------------------------------------------------------------------------

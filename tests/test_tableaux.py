@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geodiag.tableaux as tableaux_mod
-from geodiag.catalog import Field, TotGeodInclusion, are_homothetic, is_totally_geodesic, space
+from geodiag.catalog import (
+    Field,
+    TotGeodInclusion,
+    are_homothetic,
+    is_totally_geodesic,
+    list_totally_geodesic,
+    space,
+)
 from geodiag.tableaux import (
     AdaptedTableau,
     Box,
+    ClassifiedSubmanifold,
     ProductSpace,
     classify,
     count_classes,
@@ -249,6 +258,19 @@ class TestProductMemo:
         assert clone == M and hash(clone) == hash(M)
         assert list(classify(clone)) == entries
 
+    @pytest.mark.parametrize("hot", [False, True])
+    def test_copied_memo_rows_keep_their_key_and_space(self, hot):
+        M = mixed_product(Fraction(5, 3), Fraction(7, 2), Fraction(2))
+        entries = list(classify(M)) if hot else None
+        clone = copy.deepcopy(M)
+        assert ("_memo" in clone.__dict__) == hot
+        copied = list(classify(clone))
+        assert copied == (entries or list(classify(M)))
+        for e in copied:
+            for row, factor in zip(e.tableau.rows, e.semisimple_factors):
+                assert type(row) is tableaux_mod._MemoRow
+                assert row.key == tableaux_mod._row_key(row) and row.space == factor
+
     def test_from_rows_sorts_boxes_and_rows(self):
         a = box(1, "R", 2, 1, "R", 3, 1)
         b = box(2, "R", 2, Fraction(1, 2), "C", 3, 2)
@@ -275,6 +297,47 @@ def random_products(seed, count, max_r=4):
         yield ProductSpace(tuple(factors))
 
 
+class TestTrustedConstruction:
+    """Tableaux and entries of the stream skip validation; every other path keeps it."""
+
+    @pytest.mark.parametrize("M", list(random_products(seed=23, count=8, max_r=3)), ids=str)
+    def test_stream_equals_validated_rebuilds(self, M):
+        for e in classify(M):
+            rows = tuple(tuple(row) for row in e.tableau.rows)
+            assert all(type(row) is tuple for row in rows)
+            for rebuilt in (AdaptedTableau(rows), AdaptedTableau.from_rows(reversed(rows))):
+                assert rebuilt == e.tableau and rebuilt.rows == e.tableau.rows
+                assert rebuilt.sort_key() == e.tableau.sort_key()
+                assert rebuilt.box_factors() == e.tableau.box_factors()
+            validated = ClassifiedSubmanifold(
+                e.semisimple_factors, e.flat_dim, AdaptedTableau(rows), e.complement_factors
+            )
+            assert validated == e
+
+    def test_memo_rows_sharing_a_factor_raise(self):
+        M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
+        single, pair = M._memo.rows((1,))[0], M._memo.rows((1, 2))[0]
+        with pytest.raises(ValueError, match="factor 1 appears in more than one box"):
+            AdaptedTableau.from_rows([single, pair])
+
+    def test_memo_row_with_a_plain_row_is_validated(self):
+        M = mixed_product()
+        memo_row = M._memo.rows((1,))[0]
+        c2 = box(2, "C", 2, 2, "C", 3, 2)
+        h2 = box(3, "H", 2, 1, "H", 3, 1)
+        with pytest.raises(ValueError, match="mutually homothetic"):
+            AdaptedTableau.from_rows([memo_row, (c2, h2)])
+        with pytest.raises(ValueError, match="sorted by factor"):
+            AdaptedTableau((memo_row, (h2, c2)))
+        mixed = AdaptedTableau.from_rows([[h2], memo_row])
+        assert mixed == AdaptedTableau((tuple(memo_row), (h2,)))
+        assert mixed.box_factors() == {1, 3}
+
+    def test_empty_rows_make_the_empty_tableau(self):
+        assert AdaptedTableau.from_rows([]) == AdaptedTableau(())
+        assert AdaptedTableau.from_rows([]).box_factors() == frozenset()
+
+
 class TestStreamInvariants:
     @pytest.mark.parametrize("M", list(random_products(seed=7, count=6, max_r=3)), ids=str)
     def test_structural_invariants(self, M):
@@ -293,6 +356,14 @@ class TestStreamInvariants:
                     assert is_totally_geodesic(b.inclusion.sub, M.factor(b.factor))
             # every box targets the correct ambient factor
             assert e.tableau.is_adapted_to(M)
+
+    @pytest.mark.parametrize("M", list(random_products(seed=29, count=6)), ids=str)
+    def test_stream_size_is_within_the_stated_bound(self, M):
+        # (r + 1) * Bell(r) * prod(1 + c_i), c_i the catalog classes of factor i
+        classes = [len(list_totally_geodesic(f, include_improper=True)) for f in M.factors]
+        assert all(c <= max(3 * f.n, 11) for c, f in zip(classes, M.factors))
+        bell = [1, 1, 2, 5, 15][M.r]
+        assert count_classes(M) <= (M.r + 1) * bell * math.prod(1 + c for c in classes)
 
     def test_row_curvatures_recompute(self):
         M = mixed_product(Fraction(5, 3), Fraction(7, 2), Fraction(2))
