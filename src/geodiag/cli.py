@@ -68,10 +68,12 @@ _SEPARATOR_RE = re.compile(r"\s*x\s*")
 def parse_product(text: str) -> ProductSpace:
     """Parse a product specification into a normalized ProductSpace.
 
-    Syntax errors carry the offending position; semantic errors (zero
+    Syntax errors carry the offending position.  Semantic errors (a zero
+    denominator, or a factor that :class:`RankOneSpace` refuses: zero
     curvature, octonionic dimension other than 2, real dimension 1) are
-    reported separately from syntax errors.  A product mixing compact
-    duals with non-compact factors is rejected by :class:`ProductSpace`.
+    reported separately, at the position of their factor.  A product
+    mixing compact duals with non-compact factors is rejected by
+    :class:`ProductSpace`.
     """
     factors: list[RankOneSpace] = []
     pos = 0
@@ -83,21 +85,14 @@ def parse_product(text: str) -> ProductSpace:
                 "expected a factor like 'RH3(1)' or 'CH2(1/4)'", pos
             )
         letter, n_str, num_str, den_str, star = m.groups()
-        n = int(n_str)
-        num = int(num_str)
         den = int(den_str) if den_str is not None else 1
         if den == 0:
             raise SpecSemanticError("curvature denominator must not be zero", pos)
-        if num == 0:
-            raise SpecSemanticError("curvature must be positive", pos)
-        field = Field(letter)
-        if field is Field.O and n > 2:
-            raise SpecSemanticError("octonionic dimension must be 2", pos)
-        if field is Field.R and n < 2:
-            raise SpecSemanticError("real hyperbolic dimension must be at least 2", pos)
-        if n < 1:
-            raise SpecSemanticError("dimension must be positive", pos)
-        factors.append(RankOneSpace(field, n, Fraction(num, den), bool(star)))
+        curvature = Fraction(int(num_str), den)
+        try:
+            factors.append(RankOneSpace(Field(letter), int(n_str), curvature, bool(star)))
+        except ValueError as exc:
+            raise SpecSemanticError(str(exc), pos) from None
         pos = m.end()
         if pos >= len(stripped):
             break
@@ -310,9 +305,12 @@ def _cmd_verify(args, out) -> int:
 def _default_seed() -> int:
     value = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
         raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValueError(f"${SEED_ENV_VAR} must not be negative, got {value!r}")
+    return seed
 
 
 @functools.lru_cache(maxsize=1)
@@ -376,8 +374,11 @@ def run(argv: Sequence[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
+        if hasattr(args, "seed"):
+            if args.seed is None:
+                args.seed = _default_seed()
+            elif args.seed < 0:
+                raise ValueError(f"--seed must not be negative, got {args.seed}")
         return args.func(args, out)
     except (ValueError, AngleApproximationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

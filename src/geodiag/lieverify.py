@@ -32,9 +32,9 @@ The weighted inner product is then the plain dot product, the Gram matrix
 of rows ``C`` is ``C @ C.T``, and a :class:`SubspaceBasis` is one
 ``(dim, D)`` array of orthonormal rows.  Triple brackets are batched
 matmuls on each block's ``(dim, N, N)`` stack, and every residual comes
-from one projection ``T - (T C^T) C``.  Elements (one matrix per block)
-remain the public view of single vectors: ``V.vectors``, ``embed``,
-``bracket``, ``J``, ``inner`` and the arguments of the measurements.
+from one projection ``T - (T C^T) C``.  Coordinate rows are the only vector
+type: the measurements, :meth:`ProductModel.bracket` and
+:meth:`ProductModel.J` take and return them.
 
 Entry verification builds and checks each distinct tableau row once per
 product, in the sum of its own factors' blocks, and keeps it on the
@@ -75,7 +75,6 @@ TOL_CONSTRUCTIVE = 1e-9
 MAX_MODEL_SIZE = 18
 
 Matrix = np.ndarray
-Element = tuple[Matrix, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +90,14 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
 
 
 def check_element(x: Matrix, tol: float = TOL_ARITHMETIC) -> None:
-    """Validate skew-Hermitian and traceless, relative to the matrix norm."""
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(x + x.conj().T) > tol * scale:
+    """Validate skew-Hermitian and traceless, relative to each matrix's norm.
+
+    ``x`` is one matrix or a stack ``(..., N, N)`` checked at once.
+    """
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+    if np.any(np.linalg.norm(x + np.swapaxes(x, -1, -2).conj(), axis=(-2, -1)) > tol * scale):
         raise ValueError("matrix is not skew-Hermitian")
-    if abs(np.trace(x)) > tol * scale:
+    if np.any(np.abs(np.trace(x, axis1=-2, axis2=-1)) > tol * scale):
         raise ValueError("matrix is not traceless")
 
 
@@ -129,29 +131,37 @@ class CartanDecomp:
     """A compact matrix model ``g = k + p`` with orthonormal bases.
 
     ``kind`` is ``"grassmannian"`` (``su(n+k)`` with ``block_shape=(k, n)``)
-    or ``"sphere"`` (``so(m+1)`` with ``block_shape=(1, m)``).  For
-    Hermitian models ``J_generator`` is the central element of ``k`` whose
-    adjoint action squares to minus the identity on ``p``.
+    or ``"sphere"`` (``so(m+1)`` with ``block_shape=(1, m)``).  ``k_basis``
+    and ``p_basis`` are read-only ``(dim, N, N)`` stacks.  For Hermitian
+    models ``J_generator`` is the central element of ``k`` whose adjoint
+    action squares to minus the identity on ``p``.
     """
 
     N: int
     kind: str
     block_shape: tuple[int, int]
-    k_basis: tuple[Matrix, ...]
-    p_basis: tuple[Matrix, ...]
+    k_basis: np.ndarray
+    p_basis: np.ndarray
     J_generator: Matrix | None
 
     def __post_init__(self) -> None:
-        for m in (*self.k_basis, *self.p_basis):
-            check_element(m)
-        P = _flat(self.p_basis)
-        if np.max(np.abs(P @ P.T - np.eye(len(P)))) > TOL_ARITHMETIC:
+        for name in ("k_basis", "p_basis", "J_generator"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=complex)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        P = self.p_basis
+        check_element(self.k_basis)
+        check_element(P)
+        F = _flat(P)
+        if np.max(np.abs(F @ F.T - np.eye(len(F)))) > TOL_ARITHMETIC:
             raise ValueError("p basis is not orthonormal")
-        if self.J_generator is not None:
-            for v in self.p_basis:
-                jjv = bracket(self.J_generator, bracket(self.J_generator, v))
-                if np.linalg.norm(jjv + v) > TOL_STRUCTURAL:
-                    raise ValueError("ad(J)^2 is not -identity on p")
+        g = self.J_generator
+        if g is not None:
+            jv = g @ P - P @ g
+            if np.any(np.linalg.norm(g @ jv - jv @ g + P, axis=(1, 2)) > TOL_STRUCTURAL):
+                raise ValueError("ad(J)^2 is not -identity on p")
 
     @property
     def p_dim(self) -> int:
@@ -164,8 +174,8 @@ class CartanDecomp:
             self.N,
             self.kind,
             self.block_shape,
-            tuple(conj(m) for m in self.k_basis),
-            tuple(conj(m) for m in self.p_basis),
+            conj(self.k_basis),
+            conj(self.p_basis),
             None if self.J_generator is None else conj(self.J_generator),
         )
 
@@ -256,9 +266,7 @@ def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
     scale = np.linalg.norm(bracket(z_raw, p_basis[0])) / np.linalg.norm(p_basis[0])
     j_generator = z_raw / scale
 
-    decomp = CartanDecomp(N, "grassmannian", (k, n), tuple(k_basis), tuple(p_basis), j_generator)
-    _freeze(decomp)
-    return decomp
+    return CartanDecomp(N, "grassmannian", (k, n), k_basis, p_basis, j_generator)
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,22 +281,13 @@ def sphere_decomp(m: int) -> CartanDecomp:
     N = m + 1
     k_basis = [_antisym(N, a, b) / math.sqrt(2) for a in range(m) for b in range(a + 1, m)]
     p_basis = [_antisym(N, a, m) / math.sqrt(2) for a in range(m)]
-    decomp = CartanDecomp(N, "sphere", (1, m), tuple(k_basis), tuple(p_basis), None)
-    _freeze(decomp)
-    return decomp
-
-
-def _freeze(decomp: CartanDecomp) -> None:
-    for m in (*decomp.k_basis, *decomp.p_basis):
-        m.setflags(write=False)
-    if decomp.J_generator is not None:
-        decomp.J_generator.setflags(write=False)
+    return CartanDecomp(N, "sphere", (1, m), k_basis, p_basis, None)
 
 
 def bracket_relation_residuals(decomp: CartanDecomp) -> dict[str, float]:
     """Relative residuals of [k,k] in k, [k,p] in p and [p,p] in k."""
 
-    K, P = np.array(decomp.k_basis), np.array(decomp.p_basis)
+    K, P = decomp.k_basis, decomp.p_basis
     (ki, kj), (pi, pj) = _pairs(len(K)), _pairs(len(P))
     kp = K[:, None] @ P - P @ K[:, None]
     return {
@@ -319,11 +318,11 @@ def calibration_constant() -> float:
 class ProductModel:
     """An orthogonal direct sum of compact models with metric weights.
 
-    Elements are tuples holding one matrix per block; the inner product is
-    the weighted sum of the blockwise trace forms.  A weight ``w`` scales
-    the block metric by ``w`` and therefore its curvatures by ``1/w``.
-    Coordinates scale block ``b`` by ``sqrt(w_b)``, so the inner product is
-    the dot product of coordinates (see the module docstring).
+    Vectors are coordinate rows ``(..., D)``: block ``b`` contributes
+    ``sqrt(w_b)`` times the real and imaginary parts of its flattened
+    matrix, so the weighted sum of the blockwise trace forms is the dot
+    product (see the module docstring).  A weight ``w`` scales the block
+    metric by ``w`` and therefore its curvatures by ``1/w``.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -363,20 +362,6 @@ class ProductModel:
             for b, w, lo, hi in zip(self.blocks, self.weights, self._offsets, self._offsets[1:])
         ]
 
-    def coords(self, u: Element | np.ndarray) -> np.ndarray:
-        """Coordinates of an Element; coordinate arrays pass through unchanged."""
-        return u if isinstance(u, np.ndarray) else self._join(u)
-
-    def element(self, c: np.ndarray) -> Element:
-        """The Element with coordinates ``c``."""
-        return tuple(self._split(c))
-
-    def _rows(self, vectors: Sequence[Element] | np.ndarray) -> np.ndarray:
-        """Coordinate rows of a family of Elements; arrays pass through unchanged."""
-        if isinstance(vectors, np.ndarray):
-            return vectors
-        return np.array([self._join(v) for v in vectors]).reshape(len(vectors), self._offsets[-1])
-
     @functools.cached_property
     def p_coords(self) -> np.ndarray:
         """Orthonormal coordinate rows spanning ``p``, block by block; built on first use."""
@@ -388,38 +373,15 @@ class ProductModel:
         rows.setflags(write=False)
         return rows
 
-    def zero(self) -> Element:
-        return tuple(np.zeros((b.N, b.N), dtype=complex) for b in self.blocks)
+    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Blockwise commutator of coordinates ``(..., D)``."""
+        return self._join([bracket(a, b) for a, b in zip(self._split(X), self._split(Y))])
 
-    def embed(self, index: int, matrix: Matrix) -> Element:
-        parts = list(self.zero())
-        parts[index] = parts[index] + matrix
-        return tuple(parts)
-
-    def add(self, u: Element, v: Element) -> Element:
-        return tuple(a + b for a, b in zip(u, v))
-
-    def scale(self, alpha: float, u: Element) -> Element:
-        return tuple(alpha * a for a in u)
-
-    def inner(self, u: Element, v: Element) -> float:
-        return float(self.coords(u) @ self.coords(v))
-
-    def norm(self, u: Element) -> float:
-        return math.sqrt(max(self.inner(u, u), 0.0))
-
-    def bracket(self, u: Element, v: Element) -> Element:
-        return tuple(bracket(a, b) for a, b in zip(u, v))
-
-    def J(self, u: Element) -> Element:
-        """Blockwise complex structure; defined where the element lives.
+    def J(self, C: np.ndarray) -> np.ndarray:
+        """Blockwise complex structure on coordinates ``(..., D)``.
 
         Components on blocks without a complex structure must vanish.
         """
-        return self.element(self._j(self.coords(u)))
-
-    def _j(self, C: np.ndarray) -> np.ndarray:
-        """:meth:`J` on coordinates ``(..., D)``."""
         parts = []
         for block, a in zip(self.blocks, self._split(C)):
             g = block.J_generator
@@ -431,24 +393,20 @@ class ProductModel:
                 parts.append(g @ a - a @ g)
         return self._join(parts)
 
-    def p_basis_elements(self) -> list[Element]:
-        """Orthonormal basis of the full tangent space ``p`` of the sum."""
-        return [self.element(row) for row in self.p_coords]
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """An orthonormal family spanning a candidate Lie triple system.
 
-    ``coords`` holds one coordinate row per basis vector; a sequence of
-    Elements may be passed in its place and is converted.
+    ``coords`` is a read-only ``(dim, D)`` array holding one coordinate row
+    of ``ambient`` per basis vector.
     """
 
     ambient: ProductModel
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        C = np.array(self.ambient._rows(self.coords), dtype=float)
+        C = np.array(self.coords, dtype=float)
         C.setflags(write=False)
         object.__setattr__(self, "coords", C)
         if not len(C):
@@ -459,43 +417,26 @@ class SubspaceBasis:
             raise ValueError("subspace basis does not lie in p")
 
     @classmethod
-    def orthonormalized(
-        cls, ambient: ProductModel, raw_vectors: Sequence[Element] | np.ndarray
-    ) -> "SubspaceBasis":
-        """Modified Gram-Schmidt with one reorthogonalization pass.
+    def orthonormalized(cls, ambient: ProductModel, raw_vectors: np.ndarray) -> "SubspaceBasis":
+        """Modified Gram-Schmidt with one reorthogonalization pass on coordinate rows.
 
-        Takes Elements or coordinate rows.  Rejects rank-deficient families
-        (relative threshold 1e-10).
+        Rejects rank-deficient families (relative threshold 1e-10).
         """
-        return cls(ambient, _gram_schmidt(ambient._rows(raw_vectors)))
+        return cls(ambient, _gram_schmidt(raw_vectors))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    @functools.cached_property
-    def vectors(self) -> tuple[Element, ...]:
-        """The basis as Elements."""
-        return tuple(self.ambient.element(c) for c in self.coords)
+    def span_residual(self, u: np.ndarray) -> float:
+        """Relative distance of a coordinate row from the span."""
+        return float(_residuals(u, self.coords)[0])
 
-    def project(self, u: Element) -> Element:
-        return self.ambient.element((self.coords @ self.ambient.coords(u)) @ self.coords)
-
-    def span_residual(self, u: Element | np.ndarray) -> float:
-        """Relative distance of an Element or coordinate row from the span."""
-        return float(_residuals(self.ambient.coords(u), self.coords)[0])
-
-    def combination(self, coefficients: Sequence[float]) -> Element:
-        return self.ambient.element(np.asarray(coefficients, dtype=float) @ self.coords)
-
-    def _random_unit(self, rng: np.random.Generator) -> np.ndarray:
+    def random_unit_vector(self, rng: np.random.Generator) -> np.ndarray:
         """Coordinates of a random unit vector of the span."""
         coeffs = rng.standard_normal(self.dim)
         coeffs /= math.sqrt(coeffs @ coeffs)
         return coeffs @ self.coords
-
-    def random_unit_vector(self, rng: np.random.Generator) -> Element:
-        return self.ambient.element(self._random_unit(rng))
 
     def conjugated(self, gs: Sequence[Matrix]) -> "SubspaceBasis":
         """Transport basis and ambient by one unitary per block."""
@@ -541,38 +482,33 @@ def _sectional_raw(model: ProductModel, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return -np.einsum("ij,ij->i", T, X) / den
 
 
-def sectional_curvature(V: SubspaceBasis, x, y):
-    """Calibrated sectional curvature of the plane spanned by x, y in V.
+def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
+    """Calibrated sectional curvature of the plane spanned by rows x, y of V.
 
-    ``x`` and ``y`` are Elements or coordinate rows; stacked rows ``(n, D)``
-    measure n planes at once and return an array of n curvatures.
-    Positive on these compact models; the scale is fixed by the
-    projective-line anchor (see :func:`calibration_constant`).
+    Stacked rows ``(n, D)`` measure n planes at once and return an array of
+    n curvatures.  Positive on these compact models; the scale is fixed by
+    the projective-line anchor (see :func:`calibration_constant`).
     """
-    model = V.ambient
-    X, Y = model.coords(x), model.coords(y)
-    if max(np.max(_residuals(U, V.coords)) for U in (X, Y)) > TOL_CONSTRUCTIVE:
+    if max(np.max(_residuals(u, V.coords)) for u in (x, y)) > TOL_CONSTRUCTIVE:
         raise ValueError("plane vectors must lie in the subspace")
-    out = 4.0 / calibration_constant() * _sectional_raw(model, np.atleast_2d(X), np.atleast_2d(Y))
-    return out if X.ndim == 2 else float(out[0])
+    out = 4.0 / calibration_constant() * _sectional_raw(V.ambient, np.atleast_2d(x), np.atleast_2d(y))
+    return out if x.ndim == 2 else float(out[0])
 
 
-def kahler_angle_of(V: SubspaceBasis, v: Element | np.ndarray) -> float:
+def kahler_angle_of(V: SubspaceBasis, v: np.ndarray) -> float:
     """Kahler angle of ``v`` with respect to ``V``, in [0, pi/2].
 
     Defined by ``|proj_V J v| = cos(angle) * |v|``; 0 for complex
     subspaces, pi/2 for totally real ones.  Computed from the projection
     and its orthogonal remainder via ``atan2``, which stays accurate at
     both endpoints where ``acos`` alone would lose half the precision.
-    ``v`` is an Element or a coordinate row.
+    ``v`` is a coordinate row.
     """
-    model = V.ambient
-    c = model.coords(v)
-    if not np.any(c):
+    if not np.any(v):
         raise ValueError("Kahler angle of the zero vector")
-    if V.span_residual(c) > TOL_CONSTRUCTIVE:
+    if V.span_residual(v) > TOL_CONSTRUCTIVE:
         raise ValueError("vector must lie in the subspace")
-    jv = model._j(c)
+    jv = V.ambient.J(v)
     tangential = (V.coords @ jv) @ V.coords
     normal = jv - tangential
     return math.atan2(math.sqrt(normal @ normal), math.sqrt(tangential @ tangential))
@@ -597,7 +533,7 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
     # the canonical CP^n basis runs e_0, J e_0, e_1, J e_1, ...
-    base = np.array(block.p_basis)
+    base = block.p_basis
     conjugated = base * np.tile([1.0, -1.0], n)[:, None, None]
     raw = model._join([base if b < s else conjugated for b in range(k)])
     return SubspaceBasis.orthonormalized(model, raw)
@@ -724,7 +660,7 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     if row_class.field is Field.C:
         # the diagonal is J-invariant; holomorphic planes carry the label
         X = C[0 : 2 * row_class.n : 2].copy()
-        return _BuiltRow(V, residual, True, X, model._j(X))
+        return _BuiltRow(V, residual, True, X, model.J(X))
     i, j = _pairs(V.dim)
     return _BuiltRow(V, residual, False, C[i], C[j])
 
@@ -759,7 +695,7 @@ class _VerifyMemo:
             )
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
         self._models: dict[tuple[int, ...], ProductModel] = {}
-        self._rows: dict[int, tuple[tuple, _BuiltRow]] = {}
+        self._built: dict[int, tuple[tuple, _BuiltRow]] = {}
 
     def model(self, factors: tuple[int, ...]) -> ProductModel:
         """The direct sum of the given factors' models, in the given order."""
@@ -771,11 +707,11 @@ class _VerifyMemo:
 
     def row(self, row) -> _BuiltRow:
         """The built diagonal of ``row``; raises ValueError when it cannot be built."""
-        hit = self._rows.get(id(row))
+        hit = self._built.get(id(row))
         if hit is not None and hit[0] is row:
             return hit[1]
         built = _build_row(self.model(tuple(b.factor for b in row)), row)
-        self._rows[id(row)] = (row, built)
+        self._built[id(row)] = (row, built)
         return built
 
 
@@ -788,11 +724,11 @@ def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
     if rng is None:
         return X, Y
     if built.complex_row:
-        R = np.array([V._random_unit(rng) for _ in range(3)])
-        return np.vstack([X, R]), np.vstack([Y, V.ambient._j(R)])
+        R = np.array([V.random_unit_vector(rng) for _ in range(3)])
+        return np.vstack([X, R]), np.vstack([Y, V.ambient.J(R)])
     xs, ys = [], []
     for _ in range(3):
-        v, w = V._random_unit(rng), V._random_unit(rng)
+        v, w = V.random_unit_vector(rng), V.random_unit_vector(rng)
         w = w - (v @ w) * v
         nw = math.sqrt(w @ w)
         if nw > 1e-6:

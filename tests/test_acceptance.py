@@ -148,7 +148,7 @@ def test_criterion_6_grassmannian_embedding_lemma():
                     ok, residual = is_lie_triple_system(V, 1e-10)
                     assert ok, (parts, residual)
                     worst_triple = max(worst_triple, residual)
-                    for v in V.vectors:
+                    for v in V.coords:
                         worst_j = max(worst_j, V.span_residual(V.ambient.J(v)))
                     offsets = [0]
                     for p in parts:
@@ -157,8 +157,8 @@ def test_criterion_6_grassmannian_embedding_lemma():
                         for j in range(i + 1, k):
                             for a in range(offsets[i], offsets[i + 1]):
                                 for b in range(offsets[j], offsets[j + 1]):
-                                    br = V.ambient.bracket(V.vectors[a], V.vectors[b])
-                                    worst_comm = max(worst_comm, V.ambient.norm(br))
+                                    br = V.ambient.bracket(V.coords[a], V.coords[b])
+                                    worst_comm = max(worst_comm, float(np.linalg.norm(br)))
         assert worst_triple <= 1e-10
         assert worst_j <= 1e-10
         assert worst_comm <= 1e-12
@@ -171,15 +171,15 @@ def test_criterion_6_grassmannian_embedding_lemma():
 def test_criterion_7_diagonal_curvature_duality():
     with timed(5.0) as t:
         cp1 = ProductModel.single(grassmannian_decomp(1, 1))
-        full = SubspaceBasis(cp1, tuple(cp1.p_basis_elements()))
-        calibration = sectional_curvature(full, full.vectors[0], full.vectors[1])
+        full = SubspaceBasis(cp1, cp1.p_coords)
+        calibration = sectional_curvature(full, full.coords[0], full.coords[1])
 
         diag2 = construct_diagonal_cp(2, 2, 1)
-        sec2 = sectional_curvature(diag2, diag2.vectors[0], diag2.vectors[1])
+        sec2 = sectional_curvature(diag2, diag2.coords[0], diag2.coords[1])
         assert abs(sec2 - calibration / 2) <= 1e-8
 
         diag3 = construct_diagonal_cp(3, 3, 1)
-        sec3 = sectional_curvature(diag3, diag3.vectors[0], diag3.vectors[1])
+        sec3 = sectional_curvature(diag3, diag3.coords[0], diag3.coords[1])
         assert abs(sec3 - calibration / 3) <= 1e-8
     print(
         f"PASS criterion 7: diagonal spheres read calibration/2 and /3 "

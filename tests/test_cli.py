@@ -60,6 +60,24 @@ class TestParser:
         with pytest.raises(SpecSemanticError):
             parse_product("RH1(1)")
 
+    @pytest.mark.parametrize(
+        "spec, position, message",
+        [
+            ("OH3(1)", 0, "octonionic dimension must be 2"),
+            ("RH2(1) x OH3(1)", 9, "octonionic dimension must be 2"),
+            ("RH2(1) x RH1(1)", 9, "R H^1 is flat"),
+            ("RH2(1) x CH2(0)", 9, "curvature must be positive"),
+            ("RH2(1) x CH0(1)", 9, "dimension must be a positive integer"),
+            ("RH2(1) x CH2(1) x HH2(1/0)", 18, "curvature denominator must not be zero"),
+        ],
+    )
+    def test_semantic_errors_carry_their_factor_position(self, spec, position, message):
+        with pytest.raises(SpecSemanticError) as err:
+            parse_product(spec)
+        assert err.value.position == position
+        assert message in str(err.value)
+        assert str(err.value).endswith(f"(at position {position})")
+
     def test_syntax_errors_carry_positions(self):
         with pytest.raises(SpecSyntaxError) as err:
             parse_product("RH3(1) y CH3(2)")
@@ -418,3 +436,14 @@ class TestSeedEnvFallback:
         assert err == "error: $GEODIAG_SEED must be an integer, got 'abc'\n"
         # an explicit --seed does not read the variable
         assert invoke(["verify", "-m", "RH2(1)", "--seed", "3"])[0] == 0
+
+    def test_negative_env_seed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEODIAG_SEED", "-1")
+        assert invoke(["verify", "-m", "RH2(1)"]) == (2, "")
+        assert capsys.readouterr().err == "error: $GEODIAG_SEED must not be negative, got '-1'\n"
+
+    def test_negative_seed_flag_names_the_flag(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEODIAG_SEED", "4")
+        assert invoke(["verify", "-m", "RH2(1)", "--seed", "-1"]) == (2, "")
+        assert capsys.readouterr().err == "error: --seed must not be negative, got -1\n"
+        assert invoke(["verify", "-m", "RH2(1)", "--seed", "0"])[0] == 0

@@ -44,7 +44,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def full_p_basis(decomp):
     model = ProductModel.single(decomp)
-    return SubspaceBasis(model, tuple(model.p_basis_elements()))
+    return SubspaceBasis(model, model.p_coords)
 
 
 class TestBracket:
@@ -118,7 +118,7 @@ class TestLieTripleSystem:
     def test_single_vector_is_a_triple_system(self):
         d = grassmannian_decomp(2, 2)
         model = ProductModel.single(d)
-        V = SubspaceBasis.orthonormalized(model, [model.embed(0, d.p_basis[0])])
+        V = SubspaceBasis.orthonormalized(model, model.p_coords[:1])
         ok, residual = is_lie_triple_system(V)
         assert ok and residual == 0.0
 
@@ -127,15 +127,8 @@ class TestLieTripleSystem:
         d = grassmannian_decomp(2, 2)
         model = ProductModel.single(d)
         rng = np.random.default_rng(0)
-        basis = model.p_basis_elements()
-        raw = []
-        for _ in range(2):
-            coeffs = rng.standard_normal(len(basis))
-            v = model.zero()
-            for c, b in zip(coeffs, basis):
-                v = model.add(v, model.scale(float(c), b))
-            raw.append(v)
-        W = SubspaceBasis.orthonormalized(model, raw)
+        basis = model.p_coords
+        W = SubspaceBasis.orthonormalized(model, rng.standard_normal((2, len(basis))) @ basis)
         ok, residual = is_lie_triple_system(W, 1e-9)
         assert not ok
         assert residual > 0.1
@@ -143,15 +136,15 @@ class TestLieTripleSystem:
     def test_degenerate_family_rejected(self):
         d = grassmannian_decomp(1, 2)
         model = ProductModel.single(d)
-        v = model.embed(0, d.p_basis[0])
+        v = model.p_coords[0]
         with pytest.raises(ValueError):
-            SubspaceBasis.orthonormalized(model, [v, model.scale(2.0, v)])
+            SubspaceBasis.orthonormalized(model, np.array([v, 2.0 * v]))
 
 
 class TestSectionalCurvature:
     def test_projective_line_reads_the_anchor_value(self):
         V = full_p_basis(grassmannian_decomp(1, 1))
-        sec = sectional_curvature(V, V.vectors[0], V.vectors[1])
+        sec = sectional_curvature(V, V.coords[0], V.coords[1])
         assert abs(sec - 4.0) <= 1e-12
         assert abs(calibration_constant() - 2.0) <= 1e-12
 
@@ -159,9 +152,9 @@ class TestSectionalCurvature:
         d = grassmannian_decomp(1, 3)
         V = full_p_basis(d)
         model = V.ambient
-        x = model.embed(0, d.p_basis[0])
+        x = model.p_coords[0]
         hol = sectional_curvature(V, x, model.J(x))
-        real = sectional_curvature(V, x, model.embed(0, d.p_basis[2]))
+        real = sectional_curvature(V, x, model.p_coords[2])
         assert abs(hol / real - 4.0) <= 1e-10
         assert abs(hol - 4.0) <= 1e-12
         assert abs(real - 1.0) <= 1e-12
@@ -170,17 +163,17 @@ class TestSectionalCurvature:
         V = full_p_basis(sphere_decomp(4))
         for i in range(V.dim):
             for j in range(i + 1, V.dim):
-                assert abs(sectional_curvature(V, V.vectors[i], V.vectors[j]) - 1.0) <= 1e-12
+                assert abs(sectional_curvature(V, V.coords[i], V.coords[j]) - 1.0) <= 1e-12
 
     def test_diagonal_sphere_halves_the_curvature(self):
         V = construct_diagonal_cp(2, 2, 1)
-        sec = sectional_curvature(V, V.vectors[0], V.vectors[1])
+        sec = sectional_curvature(V, V.coords[0], V.coords[1])
         assert abs(sec - 2.0) <= 1e-8  # half the projective-line anchor 4
 
     def test_dependent_plane_rejected(self):
         V = full_p_basis(grassmannian_decomp(1, 1))
         with pytest.raises(ValueError):
-            sectional_curvature(V, V.vectors[0], V.vectors[0])
+            sectional_curvature(V, V.coords[0], V.coords[0])
 
     def test_two_diagonal_curvatures_stay_in_the_pinched_interval(self):
         rng = np.random.default_rng(11)
@@ -190,11 +183,11 @@ class TestSectionalCurvature:
             for _ in range(25):
                 x = V.random_unit_vector(rng)
                 y = V.random_unit_vector(rng)
-                y = V.ambient.add(y, V.ambient.scale(-V.ambient.inner(x, y), x))
-                ny = V.ambient.norm(y)
+                y = y - (x @ y) * x
+                ny = math.sqrt(y @ y)
                 if ny < 1e-6:
                     continue
-                sec = sectional_curvature(V, x, V.ambient.scale(1 / ny, y))
+                sec = sectional_curvature(V, x, y / ny)
                 assert anchor / 8 - 1e-8 <= sec <= anchor / 2 + 1e-8
 
 
@@ -208,10 +201,8 @@ class TestKahlerAngle:
     def test_totally_real_plane(self):
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
-        V = SubspaceBasis.orthonormalized(
-            model, [model.embed(0, d.p_basis[0]), model.embed(0, d.p_basis[2])]
-        )
-        assert abs(kahler_angle_of(V, V.vectors[0]) - math.pi / 2) <= 1e-12
+        V = SubspaceBasis.orthonormalized(model, model.p_coords[[0, 2]])
+        assert abs(kahler_angle_of(V, V.coords[0]) - math.pi / 2) <= 1e-12
 
     def test_three_diagonal_with_one_conjugation(self):
         V = construct_diagonal_cp(3, 1, 1)
@@ -223,12 +214,12 @@ class TestKahlerAngle:
     def test_zero_vector_rejected(self):
         V = full_p_basis(grassmannian_decomp(1, 1))
         with pytest.raises(ValueError):
-            kahler_angle_of(V, V.ambient.zero())
+            kahler_angle_of(V, np.zeros(V.coords.shape[1]))
 
     def test_sphere_model_has_no_complex_structure(self):
         V = full_p_basis(sphere_decomp(3))
         with pytest.raises(ValueError):
-            kahler_angle_of(V, V.vectors[0])
+            kahler_angle_of(V, V.coords[0])
 
 
 class TestDiagonalCp:
@@ -238,7 +229,7 @@ class TestDiagonalCp:
             assert V.dim == 4
             ok, _ = is_lie_triple_system(V, 1e-12)
             assert ok
-            assert kahler_angle_of(V, V.vectors[0]) <= 1e-12
+            assert kahler_angle_of(V, V.coords[0]) <= 1e-12
 
     def test_two_copies_complex_versus_totally_real(self):
         rng = np.random.default_rng(4)
@@ -296,8 +287,8 @@ class TestGrassmannianProducts:
                 for j in range(i + 1, k):
                     for a in range(2):
                         for b in range(2):
-                            br = model.bracket(V.vectors[2 * i + a], V.vectors[2 * j + b])
-                            assert model.norm(br) <= 1e-12
+                            br = model.bracket(V.coords[2 * i + a], V.coords[2 * j + b])
+                            assert np.linalg.norm(br) <= 1e-12
 
     def test_single_part_is_full_p(self):
         ambient = grassmannian_decomp(1, 4)
@@ -310,7 +301,7 @@ class TestGrassmannianProducts:
         assert V.dim == 6
         ok, residual = is_lie_triple_system(V, 1e-10)
         assert ok, residual
-        for v in V.vectors:
+        for v in V.coords:
             assert V.span_residual(V.ambient.J(v)) <= 1e-10
 
     def test_shape_mismatch_rejected(self):
@@ -328,11 +319,11 @@ class TestIsometryInvariance:
         rng = np.random.default_rng(21)
         V = construct_diagonal_cp(2, 1, 2)
         ok0, res0 = is_lie_triple_system(V)
-        angle0 = kahler_angle_of(V, V.vectors[0])
+        angle0 = kahler_angle_of(V, V.coords[0])
         gs = [random_special_unitary(3, rng) for _ in range(2)]
         W = V.conjugated(gs)
         ok1, res1 = is_lie_triple_system(W)
-        angle1 = kahler_angle_of(W, W.vectors[0])
+        angle1 = kahler_angle_of(W, W.coords[0])
         assert ok0 and ok1
         assert abs(res0 - res1) <= 1e-10
         assert abs(angle0 - angle1) <= 1e-10
@@ -345,10 +336,9 @@ class TestIsometryInvariance:
         W = V.conjugated([g])
         ok, residual = is_lie_triple_system(W, 1e-9)
         assert ok
-        x = W.vectors[0]
+        x, y = W.coords[0], V.coords[0]
         assert abs(
-            sectional_curvature(W, x, W.ambient.J(x))
-            - sectional_curvature(V, V.vectors[0], V.ambient.J(V.vectors[0]))
+            sectional_curvature(W, x, W.ambient.J(x)) - sectional_curvature(V, y, V.ambient.J(y))
         ) <= 1e-10
 
 
@@ -470,13 +460,6 @@ def forged_entry(M, rows):
     covered = {i for row in rows for i, _ in row}
     complement = tuple(i for i in range(1, M.r + 1) if i not in covered)
     return ClassifiedSubmanifold(tuple(row[0][1] for row in rows), 0, tableau, complement)
-
-
-def _combine(model, coeffs, basis):
-    v = model.zero()
-    for c, b in zip(coeffs, basis):
-        v = model.add(v, model.scale(float(c), b))
-    return v
 
 
 def assert_reports_worst_plane(row):
@@ -647,9 +630,8 @@ class TestNegativeControls:
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
         rng = np.random.default_rng(13)
-        basis = model.p_basis_elements()
-        raw = [_combine(model, rng.standard_normal(len(basis)), basis) for _ in range(3)]
-        V = SubspaceBasis.orthonormalized(model, raw)
+        basis = model.p_coords
+        V = SubspaceBasis.orthonormalized(model, rng.standard_normal((3, len(basis))) @ basis)
         ok, residual = is_lie_triple_system(V, 1e-9)
         assert not ok
         assert residual > 1e-9
@@ -657,12 +639,11 @@ class TestNegativeControls:
     def test_rank_deficient_family_still_raises(self):
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
-        a = model.embed(0, d.p_basis[0])
-        b = model.embed(0, d.p_basis[3])
+        a, b = model.p_coords[0], model.p_coords[3]
         with pytest.raises(ValueError):
-            SubspaceBasis.orthonormalized(model, [a, b, model.add(a, model.scale(-2.0, b))])
+            SubspaceBasis.orthonormalized(model, np.array([a, b, a - 2.0 * b]))
         with pytest.raises(ValueError):
-            SubspaceBasis.orthonormalized(model, [a, model.scale(1e-11, a)])
+            SubspaceBasis.orthonormalized(model, np.array([a, 1e-11 * a]))
 
 
 # ---------------------------------------------------------------------------
@@ -816,22 +797,26 @@ def whole_subspace_residual(M, entry):
     Each row's basis goes onto its factors' blocks of the model of the whole
     product, with one ``p`` vector per flat factor; the stack is
     orthonormalized and triple-checked as a whole.  None for the point.
+    Factor ``i`` is block ``i - 1`` of that model, and a block's
+    coordinates carry its weight, so rows are copied block by block.
     """
     memo = lieverify_mod._VerifyMemo.of(M)
     model = memo.model(tuple(range(1, M.r + 1)))
+    starts = model._offsets
     vectors = []
     for row in entry.tableau.rows:
-        for v in memo.row(row).basis.vectors:
-            u = model.zero()
-            for box, part in zip(row, v):
-                u = model.add(u, model.embed(box.factor - 1, part))
+        basis = memo.row(row).basis
+        own = basis.ambient._offsets
+        for c in basis.coords:
+            u = np.zeros(starts[-1])
+            for k, box in enumerate(row):
+                u[starts[box.factor - 1] : starts[box.factor]] = c[own[k] : own[k + 1]]
             vectors.append(u)
-    for i in entry.complement_factors[: entry.flat_dim]:
-        block, weight = memo.factor_models[i]
-        vectors.append(model.embed(i - 1, block.p_basis[0] / math.sqrt(weight)))
+    first_p = np.cumsum([0] + [b.p_dim for b in model.blocks])
+    vectors += [model.p_coords[first_p[i - 1]] for i in entry.complement_factors[: entry.flat_dim]]
     if not vectors:
         return None
-    return is_lie_triple_system(SubspaceBasis.orthonormalized(model, vectors))[1]
+    return is_lie_triple_system(SubspaceBasis.orthonormalized(model, np.array(vectors)))[1]
 
 
 class TestDerivedTotal:
@@ -916,9 +901,24 @@ class TestModelSizeLimit:
 # equivalence with a plain per-matrix reference
 # ---------------------------------------------------------------------------
 #
-# The reference below sees only Elements (``V.vectors``), the weights and the
-# complex-structure generators, and recomputes everything with loops over
-# the blocks' matrices.
+# The reference below reads coordinate rows into per-block matrices itself
+# (``ref_matrices``), sees only those, the weights and the complex-structure
+# generators, and recomputes everything with loops over the blocks' matrices.
+
+
+def ref_matrices(blocks, weights, c):
+    """One matrix per block of the coordinate row ``c``.
+
+    Block b holds ``2 N_b^2`` coordinates: ``sqrt(w_b)`` times the
+    interleaved real and imaginary parts of its row-major matrix.
+    """
+    out, lo = [], 0
+    for block, w in zip(blocks, weights):
+        hi = lo + 2 * block.N**2
+        out.append((c[lo:hi] / math.sqrt(w)).view(complex).reshape(block.N, block.N))
+        lo = hi
+    assert lo == len(c)
+    return tuple(out)
 
 
 def ref_inner(weights, u, v):
@@ -994,15 +994,15 @@ def random_subspaces(draw):
     )
     weights = tuple(draw(st.floats(0.25, 4.0)) for _ in blocks)
     model = ProductModel(blocks, weights)
-    basis = model.p_basis_elements()
+    basis = model.p_coords
     dim = draw(st.integers(1, min(4, len(basis))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         # aligned with the canonical basis: structural zeros and exact triple systems occur
         picks = rng.choice(len(basis), size=dim, replace=False)
-        raw = [basis[i] for i in sorted(picks)]
+        raw = basis[np.sort(picks)]
     else:
-        raw = [_combine(model, rng.standard_normal(len(basis)), basis) for _ in range(dim)]
+        raw = rng.standard_normal((dim, len(basis))) @ basis
     return SubspaceBasis.orthonormalized(model, raw), rng
 
 
@@ -1011,8 +1011,8 @@ class TestAgreesWithPerMatrixReference:
     @given(random_subspaces())
     def test_gram_triples_curvature_and_angle(self, case):
         V, rng = case
-        weights = V.ambient.weights
-        vectors = V.vectors
+        blocks, weights = V.ambient.blocks, V.ambient.weights
+        vectors = [ref_matrices(blocks, weights, c) for c in V.coords]
         gram = np.array([[ref_inner(weights, a, b) for b in vectors] for a in vectors])
         assert np.max(np.abs(gram - np.eye(V.dim))) <= 1e-12
 
@@ -1020,11 +1020,11 @@ class TestAgreesWithPerMatrixReference:
         assert close(residual, ref_triple_residual(weights, vectors))
 
         if V.dim >= 2:
-            x, y = vectors[0], vectors[1]
-            assert close(sectional_curvature(V, x, y), ref_curvature(weights, x, y))
+            expected = ref_curvature(weights, vectors[0], vectors[1])
+            assert close(sectional_curvature(V, V.coords[0], V.coords[1]), expected)
 
-        generators = [b.J_generator for b in V.ambient.blocks]
+        generators = [b.J_generator for b in blocks]
         if all(g is not None for g in generators):
             v = V.random_unit_vector(rng)
-            expected = ref_kahler_angle(weights, generators, vectors, v)
+            expected = ref_kahler_angle(weights, generators, vectors, ref_matrices(blocks, weights, v))
             assert close(kahler_angle_of(V, v), expected)
