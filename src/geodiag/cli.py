@@ -203,7 +203,9 @@ def _cmd_tableaux(args, out) -> int:
     try:
         subset = {int(tok) for tok in args.subset.split(",") if tok.strip()}
     except ValueError:
-        raise SpecSemanticError("subset must be a comma-separated list of indices", 0)
+        raise ValueError(
+            f"--subset must be a comma-separated list of factor indices, got {args.subset!r}"
+        ) from None
     for t in enumerate_tableaux(M, subset):
         if args.json:
             print(_dump({"rows": tableau_record(t)}), file=out)
@@ -247,9 +249,7 @@ def _cmd_realize(args, out) -> int:
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
-        raise SpecSemanticError(f"not a rational: {args.q!r}", 0)
-    if not 0 <= q <= 1:
-        raise SpecSemanticError("cosine must lie in [0, 1]", 0)
+        raise ValueError(f"--q must be a rational like 1/5, got {args.q!r}") from None
     r = realize_angle(q, args.m)
     print(_dump(_realization_record(r)), file=out)
     return 0

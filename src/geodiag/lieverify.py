@@ -110,15 +110,18 @@ def random_special_unitary(dim: int, rng: np.random.Generator) -> Matrix:
     return q * det ** (-1.0 / dim)
 
 
-def _e(n: int, i: int, j: int, value: complex) -> Matrix:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = value
-    return m
+def _generators(N: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The ``(2 len(pairs), N, N)`` stack of orthonormal off-diagonal generators.
 
-
-def _antisym(n: int, i: int, j: int) -> Matrix:
-    """E_ij - E_ji as a complex matrix."""
-    return _e(n, i, j, 1.0) + _e(n, j, i, -1.0)
+    Pair ``(a, b)`` gives ``(E_ab - E_ba)/sqrt(2)`` and then
+    ``i(E_ab + E_ba)/sqrt(2)``; the real rows are the even ones.
+    """
+    s = 1 / math.sqrt(2)
+    out = np.zeros((2 * len(pairs), N, N), dtype=complex)
+    for r, (a, b) in enumerate(pairs):
+        out[2 * r, a, b], out[2 * r, b, a] = s, -s
+        out[2 * r + 1, a, b] = out[2 * r + 1, b, a] = 1j * s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def _antisym(n: int, i: int, j: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanDecomp:
     """A compact matrix model ``g = k + p`` with orthonormal bases.
 
@@ -134,7 +137,8 @@ class CartanDecomp:
     or ``"sphere"`` (``so(m+1)`` with ``block_shape=(1, m)``).  ``k_basis``
     and ``p_basis`` are read-only ``(dim, N, N)`` stacks.  For Hermitian
     models ``J_generator`` is the central element of ``k`` whose adjoint
-    action squares to minus the identity on ``p``.
+    action squares to minus the identity on ``p``.  Models compare and hash
+    by identity.
     """
 
     N: int
@@ -186,24 +190,22 @@ def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
     return stack.view(np.float64).reshape(-1, 2 * stack.shape[-1] ** 2)
 
 
-def _gram_schmidt(raw: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``raw``, in order.
+def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``raw``, in order, by one QR.
 
-    Modified Gram-Schmidt: each finished row is removed from all later rows
-    at once, and each row is projected once more against the finished rows
-    before it is normalized.  Rank-deficient families are rejected
-    (relative threshold 1e-10).
+    Row i is the unit part of raw row i orthogonal to the rows before it
+    (R's diagonal made positive).  Rank-deficient families are rejected:
+    more rows than coordinates, or a remainder ``|R_ii|`` at or below
+    ``1e-10 * max(1, |raw_i|)``.  The rows come back C-contiguous.
     """
-    Q = np.array(raw, dtype=float)
-    floor = 1e-10 * np.maximum(1.0, _row_norms(Q))
-    for i, w in enumerate(Q):
-        w -= (Q[:i] @ w) @ Q[:i]
-        nrm = math.sqrt(w @ w)
-        if nrm <= floor[i]:
-            raise ValueError("rank-deficient basis rejected")
-        w /= nrm
-        Q[i + 1 :] -= np.outer(Q[i + 1 :] @ w, w)
-    return Q
+    raw = np.asarray(raw, dtype=float)
+    if len(raw) > raw.shape[1]:
+        raise ValueError("rank-deficient basis rejected")
+    Q, R = np.linalg.qr(raw.T)
+    d = R.diagonal()
+    if np.any(np.abs(d) <= 1e-10 * np.maximum(1.0, _row_norms(raw))):
+        raise ValueError("rank-deficient basis rejected")
+    return np.multiply(Q.T, np.sign(d)[:, None], order="C")
 
 
 def _residuals(T: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -237,35 +239,25 @@ def _pairs(dim: int) -> np.ndarray:
 def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
     """The ``su(n+k)`` model of the Grassmannian of complex k-planes.
 
-    ``k`` is the block-diagonal ``s(u(k) + u(n))``, ``p`` the off-diagonal
-    blocks identified with k x n complex matrices.  The complex structure
-    generator is the central diagonal element, normalized numerically so
-    that its adjoint action squares to minus the identity on ``p``.
+    ``k`` is the block-diagonal ``s(u(k) + u(n))``: the off-diagonal
+    generators inside each diagonal block, then the Cartan generators
+    ``i(sum_{a<j} E_aa - j E_jj)/sqrt(j(j+1))`` for ``j = 1..N-1``.  ``p`` is
+    the off-diagonal blocks identified with k x n complex matrices.  The
+    complex structure generator is ``J = i diag(n 1_k, -k 1_n)/(n+k)``,
+    whose adjoint action is ``i`` on ``p``.
     """
     if k < 1 or n < 1:
         raise ValueError("block sizes must be positive")
     N = k + n
-    k_raw: list[Matrix] = []
-    for lo, hi in ((0, k), (k, N)):
-        for a in range(lo, hi):
-            for b in range(a + 1, hi):
-                k_raw.append(_antisym(N, a, b))
-                k_raw.append(_e(N, a, b, 1j) + _e(N, b, a, 1j))
-    for a in range(N - 1):
-        k_raw.append(_e(N, a, a, 1j) + _e(N, a + 1, a + 1, -1j))
-    k_basis = _gram_schmidt(_flat(k_raw)).view(complex).reshape(-1, N, N)
-
-    p_basis: list[Matrix] = []
-    for a in range(k):
-        for b in range(n):
-            real = (_e(N, a, k + b, 1.0) + _e(N, k + b, a, -1.0)) / math.sqrt(2)
-            imag = (_e(N, a, k + b, 1j) + _e(N, k + b, a, 1j)) / math.sqrt(2)
-            p_basis.extend((real, imag))
-
-    z_raw = 1j * np.diag([float(n)] * k + [float(-k)] * n).astype(complex)
-    scale = np.linalg.norm(bracket(z_raw, p_basis[0])) / np.linalg.norm(p_basis[0])
-    j_generator = z_raw / scale
-
+    inner = [(a, b) for lo, hi in ((0, k), (k, N)) for a in range(lo, hi) for b in range(a + 1, hi)]
+    cartan = np.zeros((N - 1, N, N), dtype=complex)
+    for j in range(1, N):
+        c = 1j / math.sqrt(j * (j + 1))
+        cartan[j - 1, range(j), range(j)] = c
+        cartan[j - 1, j, j] = -j * c
+    k_basis = np.concatenate([_generators(N, inner), cartan])
+    p_basis = _generators(N, [(a, k + b) for a in range(k) for b in range(n)])
+    j_generator = 1j * np.diag([n / N] * k + [-k / N] * n)
     return CartanDecomp(N, "grassmannian", (k, n), k_basis, p_basis, j_generator)
 
 
@@ -279,8 +271,8 @@ def sphere_decomp(m: int) -> CartanDecomp:
     if m < 2:
         raise ValueError("sphere dimension must be at least 2")
     N = m + 1
-    k_basis = [_antisym(N, a, b) / math.sqrt(2) for a in range(m) for b in range(a + 1, m)]
-    p_basis = [_antisym(N, a, m) / math.sqrt(2) for a in range(m)]
+    k_basis = _generators(N, [(a, b) for a in range(m) for b in range(a + 1, m)])[::2]
+    p_basis = _generators(N, [(a, m) for a in range(m)])[::2]
     return CartanDecomp(N, "sphere", (1, m), k_basis, p_basis, None)
 
 
@@ -314,7 +306,7 @@ def calibration_constant() -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductModel:
     """An orthogonal direct sum of compact models with metric weights.
 
@@ -322,7 +314,8 @@ class ProductModel:
     ``sqrt(w_b)`` times the real and imaginary parts of its flattened
     matrix, so the weighted sum of the blockwise trace forms is the dot
     product (see the module docstring).  A weight ``w`` scales the block
-    metric by ``w`` and therefore its curvatures by ``1/w``.
+    metric by ``w`` and therefore its curvatures by ``1/w``.  Compared and
+    hashed by identity, like its blocks.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -394,12 +387,12 @@ class ProductModel:
         return self._join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """An orthonormal family spanning a candidate Lie triple system.
 
     ``coords`` is a read-only ``(dim, D)`` array holding one coordinate row
-    of ``ambient`` per basis vector.
+    of ``ambient`` per basis vector.  Compared and hashed by identity.
     """
 
     ambient: ProductModel
@@ -418,11 +411,11 @@ class SubspaceBasis:
 
     @classmethod
     def orthonormalized(cls, ambient: ProductModel, raw_vectors: np.ndarray) -> "SubspaceBasis":
-        """Modified Gram-Schmidt with one reorthogonalization pass on coordinate rows.
+        """Orthonormalize coordinate rows in order, by one QR.
 
         Rejects rank-deficient families (relative threshold 1e-10).
         """
-        return cls(ambient, _gram_schmidt(raw_vectors))
+        return cls(ambient, _orthonormal_rows(raw_vectors))
 
     @property
     def dim(self) -> int:
@@ -588,36 +581,33 @@ def _factor_model(space: RankOneSpace) -> tuple[CartanDecomp, float] | None:
     return None
 
 
-def _box_images(inclusion_sub: RankOneSpace, factor: RankOneSpace, block: CartanDecomp) -> list[Matrix]:
+def _box_images(
+    inclusion_sub: RankOneSpace, factor: RankOneSpace, block: CartanDecomp
+) -> np.ndarray:
     """Images of the standard tangent basis of the box's submanifold class.
 
-    Each list is the image of one fixed abstract basis under a Lie algebra
-    homomorphism into the factor model, so diagonals assembled from these
-    images across boxes are Lie triple systems by construction; the
-    numerical check below re-verifies that independently.
+    The ``(dim, N, N)`` stack is the image of one fixed abstract basis under
+    a Lie algebra homomorphism into the factor model (up to one common
+    scale), so diagonals assembled from these stacks across boxes are Lie
+    triple systems by construction; the numerical check below re-verifies
+    that independently.
     """
     sub, amb = inclusion_sub, factor
     N = block.N
     if sub.field is Field.R:
         if amb.field is Field.R:
             # sub-sphere on the first n' coordinates, pole at the last axis
-            return [_antisym(N, a, N - 1) for a in range(sub.n)]
+            return _generators(N, [(a, N - 1) for a in range(sub.n)])[::2]
         if amb.field is Field.C:
             if 4 * sub.curvature == amb.curvature:
                 # totally real projective subspace: real antisymmetric corner
-                return [_antisym(N, a + 1, 0) for a in range(sub.n)]
+                return -_generators(N, [(0, a + 1) for a in range(sub.n)])[::2]
             if sub.curvature == amb.curvature and sub.n == 2:
                 # the complex line: explicit so(3) -> su(2) isomorphism
-                e = _antisym(N, 0, 1)
-                f = _e(N, 0, 1, 1j) + _e(N, 1, 0, 1j)
-                return [-0.5 * e, -0.5 * f]
+                return -0.5 * _generators(N, [(0, 1)])
         raise ValueError(f"no matrix model for {sub} inside {amb}")
     if sub.field is Field.C and amb.field is Field.C:
-        images: list[Matrix] = []
-        for a in range(sub.n):
-            images.append(_antisym(N, 0, a + 1))
-            images.append(_e(N, 0, a + 1, 1j) + _e(N, a + 1, 0, 1j))
-        return images
+        return _generators(N, [(0, a + 1) for a in range(sub.n)])
     raise ValueError(f"no matrix model for {sub} inside {amb}")
 
 
@@ -650,8 +640,7 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     rank-deficient.
     """
     parts = [
-        np.array(_box_images(b.inclusion.sub, b.inclusion.ambient, block))
-        for b, block in zip(row, model.blocks)
+        _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
     ]
     V = SubspaceBasis.orthonormalized(model, model._join(parts))
     _, residual = is_lie_triple_system(V)
@@ -718,23 +707,21 @@ class _VerifyMemo:
 def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
     """The row's deterministic planes plus, with an ``rng``, a few random ones.
 
-    Draws 3 random vectors for a complex row and 3 pairs for a real one.
+    Draws 3 random unit vectors for a complex row and 3 pairs for a real
+    one, in one call and in the order of :meth:`SubspaceBasis.random_unit_vector`.
     """
     V, X, Y = built.basis, built.X, built.Y
     if rng is None:
         return X, Y
+    G = rng.standard_normal((3 if built.complex_row else 6, V.dim))
+    U = (G / _row_norms(G)[:, None]) @ V.coords
     if built.complex_row:
-        R = np.array([V.random_unit_vector(rng) for _ in range(3)])
-        return np.vstack([X, R]), np.vstack([Y, V.ambient.J(R)])
-    xs, ys = [], []
-    for _ in range(3):
-        v, w = V.random_unit_vector(rng), V.random_unit_vector(rng)
-        w = w - (v @ w) * v
-        nw = math.sqrt(w @ w)
-        if nw > 1e-6:
-            xs.append(v)
-            ys.append(w / nw)
-    return np.vstack([X, *xs]), np.vstack([Y, *ys])
+        return np.vstack([X, U]), np.vstack([Y, V.ambient.J(U)])
+    v, w = U[0::2], U[1::2]
+    w = w - np.einsum("ij,ij->i", v, w)[:, None] * v
+    nw = _row_norms(w)
+    keep = nw > 1e-6
+    return np.vstack([X, v[keep]]), np.vstack([Y, w[keep] / nw[keep, None]])
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,24 @@ class TestCommands:
         assert err.startswith(message), err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize", "--q", "abc"], "error: --q must be a rational like 1/5, got 'abc'"),
+            (["realize", "--q", "1/0"], "error: --q must be a rational like 1/5, got '1/0'"),
+            (["realize", "--q", "3/2"], "error: cosine must lie in [0, 1], got 3/2"),
+            (
+                ["tableaux", "-m", "RH3(1) x CH3(2)", "--subset", "a"],
+                "error: --subset must be a comma-separated list of factor indices, got 'a'",
+            ),
+        ],
+    )
+    def test_flag_errors_name_the_flag(self, argv, message, capsys):
+        code, out = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == message + "\n"
+
     def test_usage_errors_exit_2(self):
         assert invoke(["count", "-m", "OH3(1)"])[0] == 2
         assert invoke(["count", "-m", "RH3(1) y RH3(1)"])[0] == 2

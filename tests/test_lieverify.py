@@ -109,6 +109,125 @@ class TestCartanDecompositions:
             assert np.linalg.norm(jjv + v) <= 1e-10
 
 
+def classical_gram_schmidt(raw):
+    """Reference orthonormalization: subtract the projections of each raw row, then normalize."""
+    rows = []
+    for v in np.asarray(raw, dtype=float):
+        w = v - sum(((q @ v) * q for q in rows), np.zeros_like(v))
+        rows.append(w / np.linalg.norm(w))
+    return np.array(rows)
+
+
+class TestClosedFormModels:
+    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 3), (14, 14)])
+    def test_k_basis_is_an_orthonormal_basis_of_s_u_k_plus_u_n(self, k, n):
+        K = grassmannian_decomp(k, n).k_basis
+        assert len(K) == k * k + n * n - 1
+        F = K.reshape(len(K), -1)
+        np.testing.assert_allclose((F.conj() @ F.T).real, np.eye(len(K)), rtol=0, atol=1e-12)
+        assert not K[:, :k, k:].any() and not K[:, k:, :k].any()
+        check_element(K)
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 3)])
+    def test_cartan_generators_are_gram_schmidt_of_consecutive_differences(self, k, n):
+        N = k + n
+        raw = np.zeros((N - 1, N, N), dtype=complex)
+        for a in range(N - 1):
+            raw[a, a, a], raw[a, a + 1, a + 1] = 1j, -1j
+        expected = classical_gram_schmidt(raw.view(float).reshape(N - 1, -1))
+        cartan = np.ascontiguousarray(grassmannian_decomp(k, n).k_basis[-(N - 1) :])
+        np.testing.assert_allclose(cartan.view(float).reshape(N - 1, -1), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (2, 3), (14, 14)])
+    def test_complex_structure_is_the_closed_form(self, k, n):
+        expected = 1j * np.diag([n] * k + [-k] * n) / (n + k)
+        np.testing.assert_allclose(grassmannian_decomp(k, n).J_generator, expected, rtol=0, atol=1e-15)
+
+
+class TestOrthonormalization:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_random_family_matches_classical_gram_schmidt(self, seed, dim):
+        model = ProductModel((grassmannian_decomp(1, 3), sphere_decomp(4)), (1.0, 0.5))
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((dim, len(model.p_coords))) @ model.p_coords
+        V = SubspaceBasis.orthonormalized(model, raw)
+        np.testing.assert_allclose(V.coords, classical_gram_schmidt(raw), rtol=0, atol=1e-12)
+        assert V.coords.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            np.eye(6)[[0, 3, 5]],
+            -3.0 * np.eye(6)[[4, 1]],
+            np.triu(np.ones((6, 6))),
+            np.tril(np.ones((6, 6))) * [1.0, -2.0, 3.0, -4.0, 5.0, -6.0],
+        ],
+    )
+    def test_basis_aligned_family_matches_classical_gram_schmidt(self, coefficients):
+        model = ProductModel.single(grassmannian_decomp(1, 3))
+        raw = coefficients @ model.p_coords
+        V = SubspaceBasis.orthonormalized(model, raw)
+        np.testing.assert_allclose(V.coords, classical_gram_schmidt(raw), rtol=0, atol=1e-12)
+        assert V.coords.flags.c_contiguous
+
+    def test_remainders_are_measured_against_a_relative_floor(self):
+        # the remainder of row 1 is 1e-9 * |b|; the floor is 1e-10 * max(1, |row 1|)
+        a, b = np.eye(4)[:2]
+        rows = lieverify_mod._orthonormal_rows(np.array([a, a + 1e-9 * b]))
+        np.testing.assert_allclose(rows, np.array([a, b]), rtol=0, atol=1e-6)
+        for raw in ([a, a + 1e-11 * b], [100.0 * a, 100.0 * a + 1e-9 * b]):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                lieverify_mod._orthonormal_rows(np.array(raw))
+
+    def test_more_rows_than_coordinates_raise(self):
+        model = ProductModel.single(sphere_decomp(2))
+        D = model.p_coords.shape[1]
+        raw = np.random.default_rng(0).standard_normal((D + 1, D))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            SubspaceBasis.orthonormalized(model, raw)
+
+
+class TestSampledPlanes:
+    def test_random_planes_are_the_per_vector_draws(self):
+        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
+        memo = lieverify_mod._VerifyMemo.of(M)
+        rows = {}
+        for e in classify(M):
+            for r in e.tableau.rows:
+                rows.setdefault((r[0].inclusion.sub.field.value, len(r)), r)
+        for key in (("R", 2), ("C", 1)):
+            built = memo.row(rows[key])
+            X, Y = lieverify_mod._sample_planes(built, np.random.default_rng(7))
+            V, rng = built.basis, np.random.default_rng(7)
+            if built.complex_row:
+                xs = np.array([V.random_unit_vector(rng) for _ in range(3)])
+                ys = V.ambient.J(xs)
+            else:
+                xs, ys = [], []
+                for _ in range(3):
+                    v, w = V.random_unit_vector(rng), V.random_unit_vector(rng)
+                    w = w - (v @ w) * v
+                    xs.append(v)
+                    ys.append(w / np.linalg.norm(w))
+            np.testing.assert_allclose(X, np.vstack([built.X, xs]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(Y, np.vstack([built.Y, ys]), rtol=0, atol=1e-14)
+
+
+class TestModelIdentity:
+    def test_models_compare_and_hash_by_identity(self):
+        d = grassmannian_decomp(1, 2)
+        copy_ = d.conjugated(np.eye(3))
+        model, other = ProductModel.single(d), ProductModel.single(d)
+        V = full_p_basis(d)
+        W = SubspaceBasis(model, model.p_coords)
+        for a, b in ((d, copy_), (model, other), (V, W)):
+            assert a == a and b == b
+            assert a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+        assert grassmannian_decomp(1, 2) == d
+
+
 class TestLieTripleSystem:
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 2)])
     def test_full_p_is_a_triple_system(self, k, n):
@@ -769,7 +888,8 @@ class TestRowMemo:
         assert row.reason == "label CH2(1) differs from the row's diagonal CH2(1/2)"
 
     def test_tolerance_is_compared_on_every_call(self):
-        M = ProductSpace((space("C", 3, 1), space("C", 3, 1)))
+        # unequal curvatures leave rounding in some rows' residuals and none in others
+        M = ProductSpace((space("C", 3, 1), space("C", 3, 2)))
         _, first = verify_all(M)
         assert all(r.status == "pass" for r in first)
         _, strict = verify_all(M, lie_tol=1e-30)
