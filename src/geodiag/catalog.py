@@ -102,10 +102,8 @@ class RankOneSpace:
         return RankOneSpace(self.field, self.n, self.curvature * Fraction(factor), self.compact_dual)
 
     def __str__(self) -> str:
-        c = self.curvature
-        c_str = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         tag = "*" if self.compact_dual else ""
-        return f"{self.field}H{self.n}({c_str}){tag}"
+        return f"{self.field}H{self.n}({self.curvature}){tag}"
 
 
 def space(field: Field | str, n: int, curvature: RationalLike, compact_dual: bool = False) -> RankOneSpace:

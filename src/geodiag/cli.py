@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -105,17 +105,13 @@ def parse_product(text: str) -> ProductSpace:
     return ProductSpace(tuple(factors))
 
 
-def _curv_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # JSON records (schema/classified.json, tag v1)
 # ---------------------------------------------------------------------------
 
 
 def _space_record(s: RankOneSpace) -> list:
-    return [s.field.value, s.n, _curv_str(s.curvature)]
+    return [s.field.value, s.n, str(s.curvature)]
 
 
 def tableau_record(tableau: AdaptedTableau) -> list:
@@ -126,7 +122,7 @@ def tableau_record(tableau: AdaptedTableau) -> list:
                 "sub": {
                     "field": box.inclusion.sub.field.value,
                     "n": box.inclusion.sub.n,
-                    "curv": _curv_str(box.inclusion.sub.curvature),
+                    "curv": str(box.inclusion.sub.curvature),
                 },
             }
             for box in row
@@ -220,17 +216,17 @@ def _cmd_angles(args, out) -> int:
     if args.table:
         print("k,s,cosine", file=out)
         for s in range(k + 1):
-            print(f"{k},{s},{_curv_str(Fraction(abs(2 * s - k), k))}", file=out)
+            print(f"{k},{s},{Fraction(abs(2 * s - k), k)}", file=out)
     elif args.json:
         record = {
             "k": k,
-            "cosines": [_curv_str(a.cosine) for a in angles],
+            "cosines": [str(a.cosine) for a in angles],
             "radians": [a.radians for a in angles],
         }
         print(_dump(record), file=out)
     else:
         for a in angles:
-            print(f"cos = {_curv_str(a.cosine):>8}   angle = {a.radians:.12f}", file=out)
+            print(f"cos = {a.cosine!s:>8}   angle = {a.radians:.12f}", file=out)
     return 0
 
 
@@ -241,7 +237,7 @@ def _realization_record(r) -> dict:
         "n": r.n,
         "m": r.m,
         "ambient": str(r.ambient),
-        "cosine": _curv_str(r.cosine),
+        "cosine": str(r.cosine),
     }
 
 
@@ -313,10 +309,17 @@ def _default_seed() -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``ValueError`` on a usage error instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodiag",
         description="Totally geodesic submanifolds of products of rank-one symmetric spaces",
     )
@@ -368,18 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str], out=None) -> int:
     """Parse and dispatch one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "seed"):
             if args.seed is None:
                 args.seed = _default_seed()
             elif args.seed < 0:
                 raise ValueError(f"--seed must not be negative, got {args.seed}")
         return args.func(args, out)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ValueError, AngleApproximationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -214,6 +214,27 @@ class TestCommands:
         assert out == ""
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize", "--q", "-1/2"], "error: argument --q: expected one argument"),
+            (["nonsense"], "error: argument command: invalid choice: 'nonsense'"),
+            (["count"], "error: the following arguments are required: -m/--product"),
+            (["realize", "--q=-1/2"], "error: cosine must lie in [0, 1], got -1/2"),
+        ],
+    )
+    def test_argument_errors_are_one_line(self, argv, message, capsys):
+        code, out = invoke(argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(message), err
+        assert len(err.splitlines()) == 1
+
+    def test_help_exits_0(self, capsys):
+        assert invoke(["--help"]) == (0, "")
+        assert capsys.readouterr().out.startswith("usage: geodiag")
+
     def test_usage_errors_exit_2(self):
         assert invoke(["count", "-m", "OH3(1)"])[0] == 2
         assert invoke(["count", "-m", "RH3(1) y RH3(1)"])[0] == 2

@@ -569,14 +569,15 @@ def forged_entry(M, rows):
     Neither the inclusions nor the tableau are validated, so labels can be
     wrong and rows can mix classes that are not homothetic.
     """
+    covered = {i for row in rows for i, _ in row}
     tableau = _unchecked(
         AdaptedTableau,
         rows=tuple(
             tuple(Box(i, _unchecked(TotGeodInclusion, sub=sub, ambient=M.factor(i))) for i, sub in row)
             for row in rows
         ),
+        _box_factors=frozenset(covered),
     )
-    covered = {i for row in rows for i, _ in row}
     complement = tuple(i for i in range(1, M.r + 1) if i not in covered)
     return ClassifiedSubmanifold(tuple(row[0][1] for row in rows), 0, tableau, complement)
 

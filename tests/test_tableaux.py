@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import geodiag.catalog as catalog_mod
 import geodiag.tableaux as tableaux_mod
 from geodiag.catalog import (
     Field,
@@ -139,18 +140,17 @@ class TestEnumeration:
             assert len(set(keys)) == len(keys)
             assert keys == sorted(keys)
 
-    def test_rows_validated(self):
-        with pytest.raises(ValueError):
-            AdaptedTableau.from_rows(
-                [[box(1, "R", 2, 1, "R", 3, 1), box(2, "C", 2, 2, "C", 3, 2)]]
-            )
-        with pytest.raises(ValueError):
-            AdaptedTableau.from_rows(
-                [
-                    [box(1, "R", 2, 1, "R", 3, 1)],
-                    [box(1, "R", 2, 1, "R", 3, 1)],
-                ]
-            )
+    @pytest.mark.parametrize("build", [AdaptedTableau, AdaptedTableau.from_rows])
+    def test_rows_validated(self, build):
+        r2 = box(1, "R", 2, 1, "R", 3, 1)
+        with pytest.raises(ValueError, match="mutually homothetic"):
+            build(((r2, box(2, "C", 2, 2, "C", 3, 2)),))
+        with pytest.raises(ValueError, match="factor 1 appears in more than one box"):
+            build(((r2,), (r2,)))
+        with pytest.raises(ValueError, match="factor 1 appears in more than one box"):
+            build(((r2, box(1, "R", 2, 1, "R", 3, 1)),))
+        with pytest.raises(ValueError, match="rows must be non-empty"):
+            build(((r2,), ()))
 
 
 class TestClassify:
@@ -216,8 +216,9 @@ class TestProductMemo:
 
     @staticmethod
     def counted_classify(monkeypatch, M):
-        calls = {"list": [], "curvature": 0}
+        calls = {"list": [], "curvature": 0, "from_rows": 0, "is_tg": 0}
         list_tg, curvature = tableaux_mod.list_totally_geodesic, tableaux_mod.diagonal_curvature
+        from_rows, is_tg = AdaptedTableau.from_rows.__func__, catalog_mod.is_totally_geodesic
 
         def counting_list(ambient, include_improper=False):
             calls["list"].append(ambient)
@@ -227,9 +228,19 @@ class TestProductMemo:
             calls["curvature"] += 1
             return curvature(cs)
 
+        def counting_from_rows(cls, rows):
+            calls["from_rows"] += 1
+            return from_rows(cls, rows)
+
+        def counting_is_tg(sub, ambient):
+            calls["is_tg"] += 1
+            return is_tg(sub, ambient)
+
         with monkeypatch.context() as patch:
             patch.setattr(tableaux_mod, "list_totally_geodesic", counting_list)
             patch.setattr(tableaux_mod, "diagonal_curvature", counting_curvature)
+            patch.setattr(AdaptedTableau, "from_rows", classmethod(counting_from_rows))
+            patch.setattr(catalog_mod, "is_totally_geodesic", counting_is_tg)
             return list(classify(M)), calls
 
     @pytest.mark.parametrize(
@@ -246,6 +257,9 @@ class TestProductMemo:
         assert calls["list"] == list(M.factors)
         distinct_rows = {row for e in entries for row in e.tableau.rows}
         assert 0 < calls["curvature"] <= len(distinct_rows)
+        # the benchmark's traced runs must reach these spans
+        assert calls["from_rows"] == len({e.tableau for e in entries if e.tableau.rows})
+        assert calls["is_tg"] > 0
         # an equal but fresh product builds its own memo and repeats the counts
         again, calls_again = self.counted_classify(monkeypatch, make())
         assert calls_again == calls
@@ -268,7 +282,7 @@ class TestProductMemo:
         assert copied == (entries or list(classify(M)))
         for e in copied:
             for row, factor in zip(e.tableau.rows, e.semisimple_factors):
-                assert type(row) is tableaux_mod._MemoRow
+                assert type(row) is tableaux_mod.Row
                 assert row.key == tableaux_mod._row_key(row) and row.space == factor
 
     def test_from_rows_sorts_boxes_and_rows(self):
@@ -278,10 +292,8 @@ class TestProductMemo:
         t = AdaptedTableau.from_rows([[c], [b, a]])
         assert t.rows == ((a, b), (c,))
         assert t == AdaptedTableau.from_rows([(a, b), [c]])
-        with pytest.raises(ValueError):
-            AdaptedTableau(((c,), (a, b)))
-        with pytest.raises(ValueError):
-            AdaptedTableau(((b, a), (c,)))
+        assert AdaptedTableau(((c,), (a, b))) == t
+        assert AdaptedTableau(((b, a), (c,))) == t
 
 
 def random_products(seed, count, max_r=4):
@@ -298,14 +310,21 @@ def random_products(seed, count, max_r=4):
 
 
 class TestTrustedConstruction:
-    """Tableaux and entries of the stream skip validation; every other path keeps it."""
+    """Every tableau is built by one validating path; only the stream's entries skip validation."""
 
     @pytest.mark.parametrize("M", list(random_products(seed=23, count=8, max_r=3)), ids=str)
     def test_stream_equals_validated_rebuilds(self, M):
+        rnd = random.Random(str(M))
         for e in classify(M):
             rows = tuple(tuple(row) for row in e.tableau.rows)
             assert all(type(row) is tuple for row in rows)
-            for rebuilt in (AdaptedTableau(rows), AdaptedTableau.from_rows(reversed(rows))):
+            shuffled = [rnd.sample(row, len(row)) for row in rnd.sample(rows, len(rows))]
+            for rebuilt in (
+                AdaptedTableau(rows),
+                AdaptedTableau.from_rows(reversed(rows)),
+                AdaptedTableau(tuple(map(tuple, shuffled))),
+                AdaptedTableau.from_rows(shuffled),
+            ):
                 assert rebuilt == e.tableau and rebuilt.rows == e.tableau.rows
                 assert rebuilt.sort_key() == e.tableau.sort_key()
                 assert rebuilt.box_factors() == e.tableau.box_factors()
@@ -327,7 +346,7 @@ class TestTrustedConstruction:
         h2 = box(3, "H", 2, 1, "H", 3, 1)
         with pytest.raises(ValueError, match="mutually homothetic"):
             AdaptedTableau.from_rows([memo_row, (c2, h2)])
-        with pytest.raises(ValueError, match="sorted by factor"):
+        with pytest.raises(ValueError, match="mutually homothetic"):
             AdaptedTableau((memo_row, (h2, c2)))
         mixed = AdaptedTableau.from_rows([[h2], memo_row])
         assert mixed == AdaptedTableau((tuple(memo_row), (h2,)))
