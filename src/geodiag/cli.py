@@ -11,8 +11,11 @@ never floats.
 Commands: ``classify``, ``count``, ``tableaux``, ``angles``, ``realize``,
 ``verify``.  Output is deterministic for fixed flags and seed; ``--json``
 switches to JSON lines (one record per line).  The classify record format
-is frozen in ``schema/classified.json`` (tag v1).  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+is frozen in ``schema/classified.json`` (tag v1).  ``classify --json``
+splices each line from JSON fragments rendered once per row and once per
+tableau; every line reads as ``classified_record`` renders its entry.  It
+and ``tableaux --json`` render rows with one helper, ``_row_record``.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .tableaux import (
     Box,
     ClassifiedSubmanifold,
     ProductSpace,
+    Row,
     classify,
     count_classes,
     enumerate_tableaux,
@@ -114,21 +118,22 @@ def _space_record(s: RankOneSpace) -> list:
     return [s.field.value, s.n, str(s.curvature)]
 
 
-def tableau_record(tableau: AdaptedTableau) -> list:
+def _row_record(row: Row) -> list:
     return [
-        [
-            {
-                "factor": box.factor,
-                "sub": {
-                    "field": box.inclusion.sub.field.value,
-                    "n": box.inclusion.sub.n,
-                    "curv": str(box.inclusion.sub.curvature),
-                },
-            }
-            for box in row
-        ]
-        for row in tableau.rows
+        {
+            "factor": box.factor,
+            "sub": {
+                "field": box.inclusion.sub.field.value,
+                "n": box.inclusion.sub.n,
+                "curv": str(box.inclusion.sub.curvature),
+            },
+        }
+        for box in row
     ]
+
+
+def tableau_record(tableau: AdaptedTableau) -> list:
+    return [_row_record(row) for row in tableau.rows]
 
 
 def classified_record(entry: ClassifiedSubmanifold) -> dict:
@@ -170,6 +175,42 @@ def _dump(record: object) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=False)
 
 
+def _write_classified(entries: Iterable[ClassifiedSubmanifold], out) -> None:
+    """Write ``_dump(classified_record(e))`` for each streamed entry, one line per write.
+
+    The lines are spliced from JSON fragments: each row is rendered once per
+    call and each tableau once for its run of entries, which differ only in
+    ``flat_dim``.  The stream's semisimple factors are its rows' diagonal
+    spaces.  Rows are keyed by ``id``: the product's memo keeps them alive
+    while its stream runs.
+    """
+    row_texts: dict[int, tuple[str, str]] = {}
+    complements: dict[tuple[int, ...], str] = {}
+    tableau = None
+    for e in entries:
+        if e.tableau is not tableau:
+            tableau = e.tableau
+            rows = []
+            for row in tableau.rows:
+                text = row_texts.get(id(row))
+                if text is None:
+                    text = row_texts[id(row)] = (
+                        _dump(_space_record(row.space)),
+                        _dump(_row_record(row)),
+                    )
+                rows.append(text)
+            complement = complements.get(e.complement_factors)
+            if complement is None:
+                complement = complements[e.complement_factors] = _dump(list(e.complement_factors))
+            head = '{"factors":[' + ",".join([space for space, _ in rows]) + '],"flat_dim":'
+            tail = (
+                f',"complement":{complement},"tableau":['
+                + ",".join([boxes for _, boxes in rows])
+                + "]}\n"
+            )
+        out.write(f"{head}{e.flat_dim}{tail}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -179,13 +220,12 @@ def _cmd_classify(args, out) -> int:
     entries = classify(parse_product(args.product))
     if args.json:
         # each record as it is classified: no column width to wait for
-        for e in entries:
-            print(_dump(classified_record(e)), file=out)
+        _write_classified(entries, out)
         return 0
-    entries = list(entries)
-    width = max((len(e.isometry_type()) for e in entries), default=0)
-    for e in entries:
-        print(f"{e.isometry_type():<{width}}  flat={e.flat_dim}  {e.tableau}", file=out)
+    typed = [(e.isometry_type(), e) for e in entries]
+    width = max((len(name) for name, _ in typed), default=0)
+    for name, e in typed:
+        print(f"{name:<{width}}  flat={e.flat_dim}  {e.tableau}", file=out)
     return 0
 
 

@@ -143,6 +143,17 @@ class Row(tuple):
         row.space = RankOneSpace(model.field, model.n, curvature, model.compact_dual)
         return row
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt without validating again
+        return _copied_row, (tuple(self), self.key, self.space)
+
+
+def _copied_row(boxes: tuple[Box, ...], key: tuple, space: RankOneSpace) -> Row:
+    row = tuple.__new__(Row, boxes)
+    row.key = key
+    row.space = space
+    return row
+
 
 _key_of = operator.attrgetter("key")
 

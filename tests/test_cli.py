@@ -14,12 +14,20 @@ from geodiag.catalog import space
 from geodiag.cli import (
     SpecSemanticError,
     SpecSyntaxError,
+    _dump,
     classified_from_record,
     classified_record,
     parse_product,
     run,
+    tableau_record,
 )
-from geodiag.tableaux import ProductSpace, classify
+from geodiag.tableaux import (
+    ClassifiedSubmanifold,
+    ProductSpace,
+    classify,
+    count_classes,
+    enumerate_tableaux,
+)
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "schema" / "classified.json").read_text()
@@ -436,6 +444,69 @@ class TestCommands:
             ["tableaux", "-m", "OH2(1) x HH2(2)", "--subset", "1,2", "--json"],
         ):
             assert invoke(argv) == invoke(argv)
+
+
+class TestSplicedRecords:
+    """``classify --json`` splices its lines from fragments rendered once, and
+    ``tableaux --json`` shares its row helper; every line must read as the record
+    functions write it."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "RH2(1)",
+            "OH2(1)",
+            "RH3(1)* x CH3(2)*",
+            "RH3(1) x CH3(2) x HH3(1)",
+            "HH4(3/2) x CH3(1) x RH4(1/2) x OH2(1)",
+        ],
+    )
+    def test_classify_json_lines_are_the_records(self, spec):
+        class Out(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        M = parse_product(spec)
+        out = Out()
+        assert run(["classify", "-m", spec, "--json"], out) == 0
+        lines = out.getvalue().splitlines()
+        assert lines == [_dump(classified_record(e)) for e in classify(M)]
+        assert len(lines) == count_classes(M) == out.writes
+
+    @pytest.mark.parametrize(
+        "spec, subset",
+        [
+            ("RH3(1) x CH3(2) x HH3(1)", "1,2,3"),
+            ("HH4(3/2) x CH3(1) x RH4(1/2) x OH2(1)", "1,3,4"),
+        ],
+    )
+    def test_tableaux_json_lines_are_the_records(self, spec, subset):
+        M = parse_product(spec)
+        code, out = invoke(["tableaux", "-m", spec, "--subset", subset, "--json"])
+        assert code == 0
+        tableaux = list(enumerate_tableaux(M, [int(i) for i in subset.split(",")]))
+        assert len(tableaux) > 1
+        assert out.splitlines() == [_dump({"rows": tableau_record(t)}) for t in tableaux]
+
+    def test_classify_text_is_pinned_and_names_each_entry_once(self, monkeypatch):
+        calls = []
+        real = ClassifiedSubmanifold.isometry_type
+
+        def counting(entry):
+            calls.append(entry)
+            return real(entry)
+
+        monkeypatch.setattr(ClassifiedSubmanifold, "isometry_type", counting)
+        code, out = invoke(["classify", "-m", "RH3(1) x CH3(2) x HH3(1)"])
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "6ed2dfd14018be6bd7abea242e2a277d7f25fdb1b6b6b7d0e42e6a7cbcb90055"
+        )
+        assert len(calls) == len(out.splitlines()) == 387
 
 
 class TestSchema:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -273,17 +274,29 @@ class TestProductMemo:
         assert list(classify(clone)) == entries
 
     @pytest.mark.parametrize("hot", [False, True])
-    def test_copied_memo_rows_keep_their_key_and_space(self, hot):
+    def test_copied_memo_rows_keep_their_key_and_space(self, hot, monkeypatch):
         M = mixed_product(Fraction(5, 3), Fraction(7, 2), Fraction(2))
         entries = list(classify(M)) if hot else None
-        clone = copy.deepcopy(M)
-        assert ("_memo" in clone.__dict__) == hot
-        copied = list(classify(clone))
-        assert copied == (entries or list(classify(M)))
-        for e in copied:
-            for row, factor in zip(e.tableau.rows, e.semisimple_factors):
-                assert type(row) is tableaux_mod.Row
-                assert row.key == tableaux_mod._row_key(row) and row.space == factor
+        calls = []
+        real = tableaux_mod.diagonal_curvature
+
+        def counting(curvatures):
+            calls.append(curvatures)
+            return real(curvatures)
+
+        monkeypatch.setattr(tableaux_mod, "diagonal_curvature", counting)
+        clones = [copy.deepcopy(M), pickle.loads(pickle.dumps(M))]
+        # copied rows are not validated again
+        assert calls == []
+        monkeypatch.undo()
+        for clone in clones:
+            assert ("_memo" in clone.__dict__) == hot
+            copied = list(classify(clone))
+            assert copied == (entries or list(classify(M)))
+            for e in copied:
+                for row, factor in zip(e.tableau.rows, e.semisimple_factors):
+                    assert type(row) is tableaux_mod.Row
+                    assert row.key == tableaux_mod._row_key(row) and row.space == factor
 
     def test_from_rows_sorts_boxes_and_rows(self):
         a = box(1, "R", 2, 1, "R", 3, 1)
