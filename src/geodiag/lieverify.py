@@ -34,15 +34,22 @@ of rows ``C`` is ``C @ C.T``, and a :class:`SubspaceBasis` is one
 matmuls on each block's ``(dim, N, N)`` stack, and every residual comes
 from one projection ``T - (T C^T) C``.  Coordinate rows are the only vector
 type: the measurements, :meth:`ProductModel.bracket` and
-:meth:`ProductModel.J` take and return them.
+:meth:`ProductModel.J` take and return them.  The coefficients ``T C^T``
+of a basis's triple brackets ``[[e_i, e_j], e_l]`` on ``e_m``, over the
+pairs ``i < j`` and ``l < m``, are its curvature tensor ``K``, which the
+basis keeps (not the brackets): a plane of the span is measured by
+projecting it onto the basis and contracting its coefficients with ``K``,
+with no bracket taken.
 
 Entry verification builds and checks each distinct tableau row once per
 product, in the sum of its own factors' blocks, and keeps it on the
-``ProductSpace``; every entry still samples its own random planes per row
-and checks its labels.  No entry is orthonormalized or bracketed as a
-whole: its rows and flat directions sit on pairwise disjoint factors, so
-its subspace is an orthogonal direct sum whose cross brackets vanish, and
-its total triple residual is the largest row residual.  An entry whose
+``ProductSpace`` with its curvature tensor, its ``J``-images and its exact
+diagonal curvature; every entry still samples its own random planes per
+row, measures them by contracting the row's tensor, and checks its
+labels.  No entry is orthonormalized or bracketed as a whole: its rows
+and flat directions sit on pairwise disjoint factors, so its subspace is
+an orthogonal direct sum whose cross brackets vanish, and its total
+triple residual is the largest row residual.  An entry whose
 factors overlap has no such total and fails, with a reason naming the
 factor.  Products whose real and complex factors need models of total
 matrix size above ``MAX_MODEL_SIZE`` are refused before any is built.
@@ -57,6 +64,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -208,19 +216,34 @@ def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:
     return np.multiply(Q.T, np.sign(d)[:, None], order="C")
 
 
-def _residuals(T: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Relative distance of each row of ``T`` from the span of orthonormal rows ``Q``; 0 if zero."""
+def _residuals(T: np.ndarray, Q: np.ndarray, TQ: np.ndarray | None = None) -> np.ndarray:
+    """Relative distance of each row of ``T`` from the span of orthonormal rows ``Q``; 0 if zero.
+
+    ``TQ`` is ``T @ Q.T`` when the caller has it already.
+    """
     T = np.atleast_2d(T)
+    if TQ is None:
+        TQ = T @ Q.T
     norms = _row_norms(T)
-    rem = _row_norms(T - (T @ Q.T) @ Q)
+    rem = _row_norms(T - TQ @ Q)
     return np.divide(rem, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
-def _worst_residual(T: np.ndarray, Q: np.ndarray) -> float:
-    """Largest residual of the rows of ``T`` off span(Q), skipping structural zeros."""
+def _worst_residual(T: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest residual of the rows of ``T`` off span(Q), and the coefficients ``T @ Q.T``.
+
+    Structural zeros, the rows at most ``TOL_ARITHMETIC`` times the largest
+    row norm (or 1), are skipped: only the other rows are projected, and
+    the coefficients of the structural zeros are left 0.
+    """
     norms = _row_norms(T)
     live = norms > TOL_ARITHMETIC * max(float(norms.max(initial=0.0)), 1.0)
-    return float(_residuals(T[live], Q).max()) if live.any() else 0.0
+    coeffs = np.zeros((len(T), len(Q)))
+    if not live.any():
+        return 0.0, coeffs
+    T = T[live]
+    coeffs[live] = TQ = T @ Q.T
+    return float(_residuals(T, Q, TQ).max()), coeffs
 
 
 def _row_norms(T: np.ndarray) -> np.ndarray:
@@ -283,9 +306,9 @@ def bracket_relation_residuals(decomp: CartanDecomp) -> dict[str, float]:
     (ki, kj), (pi, pj) = _pairs(len(K)), _pairs(len(P))
     kp = K[:, None] @ P - P @ K[:, None]
     return {
-        "kk_in_k": _worst_residual(_flat(bracket(K[ki], K[kj])), _flat(K)),
-        "kp_in_p": _worst_residual(_flat(kp), _flat(P)),
-        "pp_in_k": _worst_residual(_flat(bracket(P[pi], P[pj])), _flat(K)),
+        "kk_in_k": _worst_residual(_flat(bracket(K[ki], K[kj])), _flat(K))[0],
+        "kp_in_p": _worst_residual(_flat(kp), _flat(P))[0],
+        "pp_in_k": _worst_residual(_flat(bracket(P[pi], P[pj])), _flat(K))[0],
     }
 
 
@@ -392,7 +415,10 @@ class SubspaceBasis:
     """An orthonormal family spanning a candidate Lie triple system.
 
     ``coords`` is a read-only ``(dim, D)`` array holding one coordinate row
-    of ``ambient`` per basis vector.  Compared and hashed by identity.
+    of ``ambient`` per basis vector.  ``_curvature_tensor`` holds the
+    projections ``<[[e_i, e_j], e_l], e_m>`` (``i < j``, ``l < m``) of the
+    basis's triple brackets, left by :func:`is_lie_triple_system` or
+    computed on first use.  Compared and hashed by identity.
     """
 
     ambient: ProductModel
@@ -421,6 +447,10 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.coords)
 
+    @functools.cached_property
+    def _curvature_tensor(self) -> np.ndarray:
+        return _as_curvature_tensor(_worst_residual(_triple_brackets(self), self.coords)[1], self.dim)
+
     def span_residual(self, u: np.ndarray) -> float:
         """Relative distance of a coordinate row from the span."""
         return float(_residuals(u, self.coords)[0])
@@ -446,14 +476,11 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
-    """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual).
+def _triple_brackets(V: SubspaceBasis) -> np.ndarray:
+    """Coordinate rows of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
 
-    The residual of a triple bracket is the norm of its component
-    orthogonal to ``V`` relative to the bracket's own norm; brackets that
-    vanish to arithmetic precision are structural zeros and are skipped.
-    Per block, all ``[X_i, X_j]`` (i < j) and then all ``[[X_i, X_j], X_l]``
-    are batched matmuls on the ``(dim, N, N)`` stack of the basis.
+    Per block, all ``[X_i, X_j]`` and then all ``[[X_i, X_j], X_l]`` are
+    batched matmuls on the ``(dim, N, N)`` stack of the basis.
     """
     model = V.ambient
     i, j = _pairs(V.dim)
@@ -461,18 +488,50 @@ def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tup
     for X in model._split(V.coords):
         B = bracket(X[i], X[j])[:, None]
         parts.append(B @ X - X @ B)
-    worst = _worst_residual(model._join(parts).reshape(-1, V.coords.shape[1]), V.coords)
+    return model._join(parts).reshape(-1, V.coords.shape[1])
+
+
+def _as_curvature_tensor(TC: np.ndarray, dim: int) -> np.ndarray:
+    """``K[p, q] = <[[e_i, e_j], e_l], e_m>`` over the pairs ``p = (i < j)``, ``q = (l < m)``; read-only.
+
+    ``TC`` holds the coefficients of the triple brackets on the basis.  They
+    are antisymmetric in ``(l, m)``, because ``ad [e_i, e_j]`` is skew for
+    the trace form, so the pairs ``l < m`` carry all of them.
+    """
+    l, m = _pairs(dim)
+    K = TC.reshape(-1, dim, dim)[:, l, m]
+    K.setflags(write=False)
+    return K
+
+
+def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
+    """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual).
+
+    The residual of a triple bracket is the norm of its component
+    orthogonal to ``V`` relative to the bracket's own norm; brackets that
+    vanish to arithmetic precision are structural zeros and are skipped.
+    The brackets' coefficients on the basis are kept on ``V`` as its
+    curvature tensor; the brackets themselves are dropped.
+    """
+    worst, TC = _worst_residual(_triple_brackets(V), V.coords)
+    V.__dict__["_curvature_tensor"] = _as_curvature_tensor(TC, V.dim)
     return worst <= tol, worst
 
 
 def _sectional_raw(model: ProductModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Uncalibrated curvature of the planes spanned by coordinate rows X[n], Y[n]."""
     T = model._join([bracket(bracket(x, y), y) for x, y in zip(model._split(X), model._split(Y))])
-    xx, yy, xy = (np.einsum("ij,ij->i", a, b) for a, b in ((X, X), (Y, Y), (X, Y)))
-    den = xx * yy - xy**2
-    if np.any(den <= 1e-12 * np.maximum(xx * yy, 1e-300)):
+    return -np.einsum("ij,ij->i", T, X) / _plane_areas(X, Y)
+
+
+def _plane_areas(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``|x|^2 |y|^2 - <x, y>^2`` per row pair; raises for linearly dependent pairs."""
+    xxyy = np.einsum("ij,ij->i", X, X) * np.einsum("ij,ij->i", Y, Y)
+    xy = np.einsum("ij,ij->i", X, Y)
+    den = xxyy - xy * xy
+    if (den <= 1e-12 * np.maximum(xxyy, 1e-300)).any():
         raise ValueError("sectional curvature of linearly dependent vectors")
-    return -np.einsum("ij,ij->i", T, X) / den
+    return den
 
 
 def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
@@ -480,11 +539,24 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
 
     Stacked rows ``(n, D)`` measure n planes at once and return an array of
     n curvatures.  Positive on these compact models; the scale is fixed by
-    the projective-line anchor (see :func:`calibration_constant`).
+    the projective-line anchor (see :func:`calibration_constant`).  The
+    planes are projected onto the basis once, as coefficient rows ``a, b``,
+    and measured by contracting ``V``'s curvature tensor:
+    ``<[[x, y], y], x> = -sum w_p K[p, q] w_q`` with
+    ``w_p = a_i b_j - a_j b_i``, exact because x and y lie in V.
     """
-    if max(np.max(_residuals(u, V.coords)) for u in (x, y)) > TOL_CONSTRUCTIVE:
+    C = V.coords
+    X = np.atleast_2d(x)
+    n = len(X)
+    P = np.concatenate([X, np.atleast_2d(y)])
+    coeffs = P @ C.T
+    if np.max(_residuals(P, C, coeffs)) > TOL_CONSTRUCTIVE:
         raise ValueError("plane vectors must lie in the subspace")
-    out = 4.0 / calibration_constant() * _sectional_raw(V.ambient, np.atleast_2d(x), np.atleast_2d(y))
+    A, B = coeffs[:n], coeffs[n:]
+    i, j = _pairs(V.dim)
+    O = A[:, :, None] * B[:, None, :]
+    W = (O - O.transpose(0, 2, 1))[:, i, j]
+    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._curvature_tensor, W) / _plane_areas(A, B)
     return out if x.ndim == 2 else float(out[0])
 
 
@@ -623,14 +695,22 @@ class _BuiltRow(NamedTuple):
     """A row's diagonal in the model of its own factors' blocks.
 
     With its triple residual and deterministic planes ``X[n], Y[n]``:
-    ``(e_a, J e_a)`` for complex rows, all pairs of basis vectors for real ones.
+    ``(e_a, J e_a)`` for complex rows, all pairs of basis vectors for real
+    ones.  The basis keeps the curvature tensor its triple check left, so
+    measuring a plane brackets nothing.  ``JC`` is ``J`` of every basis row
+    for complex rows (None for real ones): ``J`` is linear, so the partner
+    of a random vector ``g C`` is ``g JC``.
     """
 
     basis: SubspaceBasis
     residual: float
-    complex_row: bool
     X: np.ndarray
     Y: np.ndarray
+    JC: np.ndarray | None
+
+    @property
+    def complex_row(self) -> bool:
+        return self.JC is not None
 
 
 def _build_row(model: ProductModel, row) -> _BuiltRow:
@@ -648,10 +728,11 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     C = V.coords
     if row_class.field is Field.C:
         # the diagonal is J-invariant; holomorphic planes carry the label
-        X = C[0 : 2 * row_class.n : 2].copy()
-        return _BuiltRow(V, residual, True, X, model.J(X))
+        JC = model.J(C)
+        holomorphic = slice(0, 2 * row_class.n, 2)
+        return _BuiltRow(V, residual, C[holomorphic], JC[holomorphic], JC)
     i, j = _pairs(V.dim)
-    return _BuiltRow(V, residual, False, C[i], C[j])
+    return _BuiltRow(V, residual, C[i], C[j], None)
 
 
 class _VerifyMemo:
@@ -684,6 +765,7 @@ class _VerifyMemo:
             )
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
         self._models: dict[tuple[int, ...], ProductModel] = {}
+        self._exact: dict[int, tuple[tuple, Fraction]] = {}
         self._built: dict[int, tuple[tuple, _BuiltRow]] = {}
 
     def model(self, factors: tuple[int, ...]) -> ProductModel:
@@ -694,14 +776,27 @@ class _VerifyMemo:
             self._models[factors] = model
         return model
 
-    def row(self, row) -> _BuiltRow:
-        """The built diagonal of ``row``; raises ValueError when it cannot be built."""
-        hit = self._built.get(id(row))
+    @staticmethod
+    def _by_identity(table: dict, row, make):
+        """``table``'s value for ``row``, made by ``make(row)`` and kept on a miss."""
+        hit = table.get(id(row))
         if hit is not None and hit[0] is row:
             return hit[1]
-        built = _build_row(self.model(tuple(b.factor for b in row)), row)
-        self._built[id(row)] = (row, built)
-        return built
+        value = make(row)
+        table[id(row)] = (row, value)
+        return value
+
+    def exact(self, row) -> Fraction:
+        """The exact curvature of ``row``'s diagonal."""
+        return self._by_identity(
+            self._exact, row, lambda row: diagonal_curvature([b.inclusion.sub.curvature for b in row])
+        )
+
+    def row(self, row) -> _BuiltRow:
+        """The built diagonal of ``row``; raises ValueError when it cannot be built."""
+        return self._by_identity(
+            self._built, row, lambda row: _build_row(self.model(tuple(b.factor for b in row)), row)
+        )
 
 
 def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
@@ -714,14 +809,15 @@ def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
     if rng is None:
         return X, Y
     G = rng.standard_normal((3 if built.complex_row else 6, V.dim))
-    U = (G / _row_norms(G)[:, None]) @ V.coords
+    G /= _row_norms(G)[:, None]
+    U = G @ V.coords
     if built.complex_row:
-        return np.vstack([X, U]), np.vstack([Y, V.ambient.J(U)])
+        return np.concatenate([X, U]), np.concatenate([Y, G @ built.JC])
     v, w = U[0::2], U[1::2]
     w = w - np.einsum("ij,ij->i", v, w)[:, None] * v
     nw = _row_norms(w)
     keep = nw > 1e-6
-    return np.vstack([X, v[keep]]), np.vstack([Y, w[keep] / nw[keep, None]])
+    return np.concatenate([X, v[keep]]), np.concatenate([Y, w[keep] / nw[keep, None]])
 
 
 @dataclass(frozen=True)
@@ -840,8 +936,8 @@ def verify_classification_entry(
 
     row_reports: list[RowVerification] = []
     for idx, row in enumerate(entry.tableau.rows):
-        description = " | ".join(str(b) for b in row)
-        exact = diagonal_curvature([b.inclusion.sub.curvature for b in row])
+        description = str(row)
+        exact = memo.exact(row)
         mislabel = _label_mismatch(entry.semisimple_factors[idx], row[0].inclusion.sub, exact)
         bad = [b for b in row if b.factor not in factor_models]
         if bad and mislabel:

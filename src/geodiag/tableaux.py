@@ -123,7 +123,8 @@ class Row(tuple):
     Construction sorts the boxes and rejects an empty or non-homothetic
     row.  The row carries its sort key ``key`` and ``space``, the diagonal
     rank-one space it spans, and compares and hashes as the plain tuple of
-    its boxes.
+    its boxes.  Its text, the boxes joined by ``" | "``, is rendered on
+    first use and kept.
     """
 
     key: tuple
@@ -142,6 +143,13 @@ class Row(tuple):
         curvature = diagonal_curvature([box.inclusion.sub.curvature for box in boxes])
         row.space = RankOneSpace(model.field, model.n, curvature, model.compact_dual)
         return row
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return " | ".join(str(b) for b in self)
+
+    def __str__(self) -> str:
+        return self._text
 
     def __reduce__(self):
         # copies and pickles are rebuilt without validating again
@@ -210,7 +218,7 @@ class AdaptedTableau:
             return False
 
     def __str__(self) -> str:
-        return "; ".join(" | ".join(str(b) for b in row) for row in self.rows) or "(empty)"
+        return "; ".join(str(row) for row in self.rows) or "(empty)"
 
 
 @dataclass(frozen=True)

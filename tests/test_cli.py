@@ -22,6 +22,7 @@ from geodiag.cli import (
     tableau_record,
 )
 from geodiag.tableaux import (
+    Box,
     ClassifiedSubmanifold,
     ProductSpace,
     classify,
@@ -507,6 +508,27 @@ class TestSplicedRecords:
             == "6ed2dfd14018be6bd7abea242e2a277d7f25fdb1b6b6b7d0e42e6a7cbcb90055"
         )
         assert len(calls) == len(out.splitlines()) == 387
+
+    def test_classify_text_renders_each_box_of_a_row_once(self, monkeypatch):
+        spec = "RH3(1) x CH3(2) x HH3(1)"
+        rows = {id(row): row for e in classify(parse_product(spec)) for row in e.tableau.rows}
+        distinct_boxes = sum(len(row) for row in rows.values())
+        calls = []
+        real = Box.__str__
+
+        def counting(box):
+            calls.append(box)
+            return real(box)
+
+        monkeypatch.setattr(Box, "__str__", counting)
+        code, out = invoke(["classify", "-m", spec])
+        assert code == 0 and len(out.splitlines()) == 387
+        assert 0 < len(calls) <= distinct_boxes
+        # a copied row renders again, to the same text
+        row = max(rows.values(), key=len)
+        text = str(row)
+        del calls[:]
+        assert str(copy.deepcopy(row)) == text and len(calls) == len(row)
 
 
 class TestSchema:

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import geodiag.lieverify as lieverify_mod
 from geodiag.catalog import TotGeodInclusion, space
+from geodiag.cli import parse_product
 from geodiag.tableaux import (
     AdaptedTableau,
     Box,
@@ -1016,6 +1018,126 @@ class TestModelSizeLimit:
         with pytest.raises(ValueError) as exc:
             verify_classification_entry(point, M)
         assert str(exc.value) == f"{M} needs matrix models of total size {size}; verify builds at most 18"
+
+
+# ---------------------------------------------------------------------------
+# the curvature tensor: planes are measured by contraction, not by brackets
+# ---------------------------------------------------------------------------
+
+
+def built_rows(M):
+    """Every distinct row of ``M``'s classification, built once in its verify memo."""
+    memo = lieverify_mod._VerifyMemo.of(M)
+    rows = {id(row): row for e in classify(M) for row in e.tableau.rows}
+    return [memo.row(row) for row in rows.values()]
+
+
+def direct_curvature(V, X, Y):
+    """The calibrated curvature of planes X[n], Y[n] by the bracket formula itself."""
+    return 4.0 / calibration_constant() * lieverify_mod._sectional_raw(V.ambient, X, Y)
+
+
+def mixed_three_plane_of_cp2():
+    # e_0, J e_0, e_1: the triple bracket [[e_0, J e_0], e_1] lies along J e_1
+    model = ProductModel.single(grassmannian_decomp(1, 2))
+    return SubspaceBasis.orthonormalized(model, model.p_coords[:3])
+
+
+def assert_contraction_is_direct(V, rng):
+    # orthonormal pairs, as the verifier samples: a nearly dependent pair would
+    # make both formulas lose digits to cancellation in |x|^2 |y|^2 - <x, y>^2
+    a, b = rng.standard_normal((2, 5, V.dim))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b -= np.einsum("ij,ij->i", a, b)[:, None] * a
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    X, Y = a @ V.coords, b @ V.coords
+    np.testing.assert_allclose(sectional_curvature(V, X, Y), direct_curvature(V, X, Y), rtol=1e-12, atol=0)
+
+
+class TestCurvatureTensor:
+    @pytest.mark.parametrize("spec", ["CH3(1) x CH3(2)", "RH2(1) x RH4(7)", "CH4(1) x CH4(1) x RH4(1)"])
+    def test_contraction_is_the_direct_formula_on_every_built_row(self, spec):
+        rng = np.random.default_rng(17)
+        bases = [built.basis for built in built_rows(parse_product(spec)) if built.basis.dim >= 2]
+        assert bases
+        for V in bases:
+            assert_contraction_is_direct(V, rng)
+
+    def test_contraction_is_the_direct_formula_off_a_triple_system(self):
+        V = mixed_three_plane_of_cp2()
+        ok, residual = is_lie_triple_system(V)
+        assert not ok and abs(residual - 1.0) <= 1e-12
+        assert_contraction_is_direct(V, np.random.default_rng(18))
+        # with no check run, the basis computes the same tensor itself
+        fresh = mixed_three_plane_of_cp2()
+        assert "_curvature_tensor" not in vars(fresh)
+        np.testing.assert_array_equal(fresh._curvature_tensor, V._curvature_tensor)
+
+    def test_planes_off_the_span_and_dependent_planes_are_rejected(self):
+        V = mixed_three_plane_of_cp2()
+        e0, Je1 = V.coords[0], V.ambient.p_coords[3]
+        with pytest.raises(ValueError, match="^plane vectors must lie in the subspace$"):
+            sectional_curvature(V, e0, Je1)
+        with pytest.raises(ValueError, match="^plane vectors must lie in the subspace$"):
+            sectional_curvature(V, np.array([e0, Je1]), np.array([V.coords[1], V.coords[2]]))
+        with pytest.raises(ValueError, match="^sectional curvature of linearly dependent vectors$"):
+            sectional_curvature(V, e0, -2.0 * e0)
+
+    def test_a_built_product_verifies_again_without_brackets(self, monkeypatch):
+        M = ProductSpace((space("C", 3, 1), space("C", 3, 2), space("R", 3, 1)))
+        calls = Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for owner, attr in [
+                (lieverify_mod, "bracket"),
+                (ProductModel, "_split"),
+                (ProductModel, "J"),
+                (lieverify_mod, "is_lie_triple_system"),
+                (lieverify_mod, "sectional_curvature"),
+            ]:
+                patch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+            orthonormalized = SubspaceBasis.__dict__["orthonormalized"].__func__
+            patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting("orthonormalized", orthonormalized)))
+            entries, first = verify_all(M)
+            cold = dict(calls)
+            calls.clear()
+            _, again = verify_all(M)
+            hot = dict(calls)
+        distinct = {id(row) for e in entries for row in e.tableau.rows}
+        measured = sum(len(e.tableau.rows) for e in entries)
+        assert cold["orthonormalized"] == cold["is_lie_triple_system"] == len(distinct)
+        assert cold["sectional_curvature"] == measured
+        assert hot == {"sectional_curvature": measured}
+        for a, b in zip(first, again):
+            assert a.status == b.status == "pass"
+        # each built row keeps its tensor, not its (pairs * dim, D) brackets
+        checked = 0
+        for _, built in lieverify_mod._VerifyMemo.of(M)._built.values():
+            V = built.basis
+            pairs = V.dim * (V.dim - 1) // 2
+            assert V._curvature_tensor.shape == (pairs, pairs)
+            if V.dim >= 3:
+                held = [a for a in (built.X, built.Y, built.JC, *vars(V).values()) if isinstance(a, np.ndarray)]
+                assert all(len(a) != pairs * V.dim for a in held)
+                checked += 1
+        assert checked
+
+
+class TestAccuracyGates:
+    @pytest.mark.parametrize(
+        "spec", ["CH2(1) x CH2(1)", "CH3(1) x CH3(1)", "CH6(1) x CH6(1)", "CH4(1) x CH4(1) x RH4(1)"]
+    )
+    def test_every_row_measures_its_curvature_within_1e_13(self, spec):
+        _, reports = verify_all(parse_product(spec))
+        assert all(report.status == "pass" for report in reports)
+        errors = [row.curvature_error for report in reports for row in report.rows]
+        assert errors and max(errors) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
