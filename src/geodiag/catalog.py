@@ -79,12 +79,6 @@ class RankOneSpace:
         if self.field is Field.O and self.n > 2:
             raise ValueError("octonionic dimension must be 2 (or 1 before normalization)")
 
-    @property
-    def real_dim(self) -> int:
-        """Real dimension of the underlying manifold."""
-        mult = {Field.R: 1, Field.C: 2, Field.H: 4, Field.O: 8}[self.field]
-        return mult * self.n
-
     def sort_key(self) -> tuple:
         return self._sort_key
 
@@ -96,10 +90,6 @@ class RankOneSpace:
             self.curvature.numerator,
             self.curvature.denominator,
         )
-
-    def rescaled(self, factor: Fraction) -> "RankOneSpace":
-        """The same space with curvature multiplied by ``factor``."""
-        return RankOneSpace(self.field, self.n, self.curvature * Fraction(factor), self.compact_dual)
 
     def __str__(self) -> str:
         tag = "*" if self.compact_dual else ""

@@ -54,8 +54,10 @@ factors overlap has no such total and fails, with a reason naming the
 factor.  Products whose real and complex factors need models of total
 matrix size above ``MAX_MODEL_SIZE`` are refused before any is built.
 
-Quaternionic and octonionic factors have no matrix model here and are
-reported as unsupported rather than approximated.
+Only rows can be unsupported: quaternionic and octonionic factors have no
+matrix model here, and a row meeting one is reported as unsupported rather
+than approximated.  Flat directions are geodesics and need no model; each
+adds a residual of 0.
 """
 
 from __future__ import annotations
@@ -410,15 +412,24 @@ class ProductModel:
         return self._join(parts)
 
 
+class _TripleCheck(NamedTuple):
+    """A basis's worst triple-bracket residual and its curvature tensor ``K``."""
+
+    residual: float
+    K: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """An orthonormal family spanning a candidate Lie triple system.
 
     ``coords`` is a read-only ``(dim, D)`` array holding one coordinate row
-    of ``ambient`` per basis vector.  ``_curvature_tensor`` holds the
-    projections ``<[[e_i, e_j], e_l], e_m>`` (``i < j``, ``l < m``) of the
-    basis's triple brackets, left by :func:`is_lie_triple_system` or
-    computed on first use.  Compared and hashed by identity.
+    of ``ambient`` per basis vector.  ``_triple_check``, made on first use
+    from one pass over the triple brackets, holds their worst residual and
+    the read-only tensor ``K[p, q] = <[[e_i, e_j], e_l], e_m>`` over the
+    pairs ``p = (i < j)``, ``q = (l < m)``: the coefficients are
+    antisymmetric in ``(l, m)``, because ``ad [e_i, e_j]`` is skew for the
+    trace form.  Compared and hashed by identity.
     """
 
     ambient: ProductModel
@@ -448,8 +459,12 @@ class SubspaceBasis:
         return len(self.coords)
 
     @functools.cached_property
-    def _curvature_tensor(self) -> np.ndarray:
-        return _as_curvature_tensor(_worst_residual(_triple_brackets(self), self.coords)[1], self.dim)
+    def _triple_check(self) -> _TripleCheck:
+        worst, TC = _worst_residual(_triple_brackets(self), self.coords)
+        l, m = _pairs(self.dim)
+        K = TC.reshape(-1, self.dim, self.dim)[:, l, m]
+        K.setflags(write=False)
+        return _TripleCheck(worst, K)
 
     def span_residual(self, u: np.ndarray) -> float:
         """Relative distance of a coordinate row from the span."""
@@ -491,30 +506,16 @@ def _triple_brackets(V: SubspaceBasis) -> np.ndarray:
     return model._join(parts).reshape(-1, V.coords.shape[1])
 
 
-def _as_curvature_tensor(TC: np.ndarray, dim: int) -> np.ndarray:
-    """``K[p, q] = <[[e_i, e_j], e_l], e_m>`` over the pairs ``p = (i < j)``, ``q = (l < m)``; read-only.
-
-    ``TC`` holds the coefficients of the triple brackets on the basis.  They
-    are antisymmetric in ``(l, m)``, because ``ad [e_i, e_j]`` is skew for
-    the trace form, so the pairs ``l < m`` carry all of them.
-    """
-    l, m = _pairs(dim)
-    K = TC.reshape(-1, dim, dim)[:, l, m]
-    K.setflags(write=False)
-    return K
-
-
 def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
     """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual).
 
     The residual of a triple bracket is the norm of its component
     orthogonal to ``V`` relative to the bracket's own norm; brackets that
     vanish to arithmetic precision are structural zeros and are skipped.
-    The brackets' coefficients on the basis are kept on ``V`` as its
-    curvature tensor; the brackets themselves are dropped.
+    The check is made once per basis and kept on it with the brackets'
+    coefficients, its curvature tensor; the brackets themselves are dropped.
     """
-    worst, TC = _worst_residual(_triple_brackets(V), V.coords)
-    V.__dict__["_curvature_tensor"] = _as_curvature_tensor(TC, V.dim)
+    worst = V._triple_check.residual
     return worst <= tol, worst
 
 
@@ -543,7 +544,9 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     planes are projected onto the basis once, as coefficient rows ``a, b``,
     and measured by contracting ``V``'s curvature tensor:
     ``<[[x, y], y], x> = -sum w_p K[p, q] w_q`` with
-    ``w_p = a_i b_j - a_j b_i``, exact because x and y lie in V.
+    ``w_p = a_i b_j - a_j b_i``, exact because x and y lie in V.  The plane's
+    area is ``sum w_p^2``, which equals ``|a|^2 |b|^2 - <a, b>^2`` by the
+    Lagrange identity but loses no digits on nearly dependent planes.
     """
     C = V.coords
     X = np.atleast_2d(x)
@@ -556,7 +559,10 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     i, j = _pairs(V.dim)
     O = A[:, :, None] * B[:, None, :]
     W = (O - O.transpose(0, 2, 1))[:, i, j]
-    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._curvature_tensor, W) / _plane_areas(A, B)
+    areas = np.einsum("np,np->n", W, W)
+    if (areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)).any():
+        raise ValueError("sectional curvature of linearly dependent vectors")
+    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas
     return out if x.ndim == 2 else float(out[0])
 
 
@@ -597,10 +603,8 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
         raise ValueError("s must lie in 0..k")
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
-    # the canonical CP^n basis runs e_0, J e_0, e_1, J e_1, ...
     base = block.p_basis
-    conjugated = base * np.tile([1.0, -1.0], n)[:, None, None]
-    raw = model._join([base if b < s else conjugated for b in range(k)])
+    raw = model._join([base if b < s else base.conj() for b in range(k)])
     return SubspaceBasis.orthonormalized(model, raw)
 
 
@@ -694,16 +698,14 @@ def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> 
 class _BuiltRow(NamedTuple):
     """A row's diagonal in the model of its own factors' blocks.
 
-    With its triple residual and deterministic planes ``X[n], Y[n]``:
-    ``(e_a, J e_a)`` for complex rows, all pairs of basis vectors for real
-    ones.  The basis keeps the curvature tensor its triple check left, so
-    measuring a plane brackets nothing.  ``JC`` is ``J`` of every basis row
-    for complex rows (None for real ones): ``J`` is linear, so the partner
-    of a random vector ``g C`` is ``g JC``.
+    With its deterministic planes ``X[n], Y[n]``: ``(e_a, J e_a)`` for
+    complex rows, all pairs of basis vectors for real ones.  The basis keeps
+    its triple check, so measuring a plane brackets nothing.  ``JC`` is
+    ``J`` of every basis row for complex rows (None for real ones): ``J`` is
+    linear, so the partner of a random vector ``g C`` is ``g JC``.
     """
 
     basis: SubspaceBasis
-    residual: float
     X: np.ndarray
     Y: np.ndarray
     JC: np.ndarray | None
@@ -723,16 +725,16 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
         _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
     ]
     V = SubspaceBasis.orthonormalized(model, model._join(parts))
-    _, residual = is_lie_triple_system(V)
+    is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
     row_class = row[0].inclusion.sub
     C = V.coords
     if row_class.field is Field.C:
         # the diagonal is J-invariant; holomorphic planes carry the label
         JC = model.J(C)
         holomorphic = slice(0, 2 * row_class.n, 2)
-        return _BuiltRow(V, residual, C[holomorphic], JC[holomorphic], JC)
+        return _BuiltRow(V, C[holomorphic], JC[holomorphic], JC)
     i, j = _pairs(V.dim)
-    return _BuiltRow(V, residual, C[i], C[j], None)
+    return _BuiltRow(V, C[i], C[j], None)
 
 
 class _VerifyMemo:
@@ -840,37 +842,34 @@ class RowVerification:
 
 @dataclass(frozen=True)
 class EntryVerification:
-    """Full report for one classification entry.
+    """Full report for one classification entry, derived from its rows.
 
     ``reason`` explains a failure of the entry's total: a factor carrying
     two rows or flat directions, or a total residual above the tolerance.
-    Row failures carry their reasons in ``rows``.
+    Row verdicts carry their own reasons in ``rows``.  The entry fails when
+    it has a ``reason`` or a row failed, and is otherwise unsupported when a
+    row is.  Flat directions are never unsupported: they need no model.
     """
 
     entry: ClassifiedSubmanifold
     rows: tuple[RowVerification, ...]
-    flat_dim: int
-    flat_supported: bool
     total_lie_residual: float | None
-    total_lie_ok: bool
-    unsupported: tuple[str, ...]
     reason: str | None = None
 
     @property
     def failed(self) -> bool:
-        return any(r.status == "fail" for r in self.rows) or not self.total_lie_ok
+        return self.reason is not None or any(r.status == "fail" for r in self.rows)
 
     @property
-    def fully_supported(self) -> bool:
-        return not self.unsupported and self.flat_supported
+    def unsupported(self) -> tuple[str, ...]:
+        """``row i: <reason>`` for every unsupported row."""
+        return tuple(f"row {r.row_index}: {r.reason}" for r in self.rows if r.status == "unsupported")
 
     @property
     def status(self) -> str:
         if self.failed:
             return "fail"
-        if not self.fully_supported:
-            return "unsupported"
-        return "pass"
+        return "unsupported" if self.unsupported else "pass"
 
     def to_dict(self) -> dict:
         """The JSON record; a failing entry's record also carries ``reason``."""
@@ -879,8 +878,8 @@ class EntryVerification:
             "status": status,
             "isometry_type": self.entry.isometry_type(),
             "rows": [r.to_dict() for r in self.rows],
-            "flat_dim": self.flat_dim,
-            "flat_supported": self.flat_supported,
+            "flat_dim": self.entry.flat_dim,
+            "flat_supported": True,  # flat directions need no model; kept for readers of the format
             "total_lie_residual": self.total_lie_residual,
             "unsupported": list(self.unsupported),
         }
@@ -904,12 +903,13 @@ def verify_classification_entry(
     (holomorphic planes for complex rows, arbitrary planes for real rows).
     With an ``rng`` a few random planes of each row are sampled on top of
     the deterministic basis planes; a row reports the plane with the
-    largest curvature error.  Rows or flat directions meeting
-    quaternionic or octonionic factors are flagged as unsupported, never
-    skipped silently.  Every row's label in ``semisimple_factors`` must be
-    the row's class with its exact harmonic curvature, and a row that
-    cannot be built or measured (a box outside the matrix models, planes
-    leaving a complex row) fails with the reason instead of raising.
+    largest curvature error.  Every row's label in ``semisimple_factors``
+    must be the row's class with its exact harmonic curvature.  A row
+    meeting a quaternionic or octonionic factor is flagged as unsupported,
+    never skipped silently, or fails when its label is wrong; flat
+    directions need no model.  A row that cannot be built or measured (a
+    box outside the matrix models, planes leaving a complex row) fails with
+    the reason instead of raising.
     Rows are built once per ``M`` and their residuals compared with
     ``lie_tol`` on every call; the random planes are drawn per call.
     The total residual is derived from the block structure: when no factor
@@ -923,30 +923,20 @@ def verify_classification_entry(
         raise ValueError("entry does not belong to the given product space")
 
     memo = _VerifyMemo.of(M)
-    factor_models = memo.factor_models
-    unsupported: list[str] = []
-
-    flat_factors = [i for i in entry.complement_factors if i in factor_models][: entry.flat_dim]
-    flat_supported = len(flat_factors) == entry.flat_dim
-    if not flat_supported:
-        missing = [i for i in entry.complement_factors if i not in factor_models]
-        unsupported.append(
-            "flat part needs unsupported factors " + ", ".join(str(M.factor(i)) for i in missing)
-        )
+    rows = entry.tableau.rows
+    flat_factors = entry.complement_factors[: entry.flat_dim]
 
     row_reports: list[RowVerification] = []
-    for idx, row in enumerate(entry.tableau.rows):
+    for idx, row in enumerate(rows):
         description = str(row)
         exact = memo.exact(row)
         mislabel = _label_mismatch(entry.semisimple_factors[idx], row[0].inclusion.sub, exact)
-        bad = [b for b in row if b.factor not in factor_models]
-        if bad and mislabel:
-            row_reports.append(RowVerification(idx, description, "fail", mislabel))
-            continue
+        bad = [b for b in row if b.factor not in memo.factor_models]
         if bad:
-            reason = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
-            unsupported.append(f"row {idx}: {reason}")
-            row_reports.append(RowVerification(idx, description, "unsupported", reason))
+            missing = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
+            row_reports.append(
+                RowVerification(idx, description, "fail" if mislabel else "unsupported", mislabel or missing)
+            )
             continue
 
         expected = float(exact)
@@ -957,12 +947,11 @@ def verify_classification_entry(
         except ValueError as exc:
             row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
             continue
-        residual = built.residual
-        ok = residual <= lie_tol
+        residual = built.basis._triple_check.residual
         errors = np.abs(measured - expected)
         worst = int(np.argmax(errors))
         error = float(errors[worst])
-        if not ok:
+        if not residual <= lie_tol:
             reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
         elif error > curvature_tol:
             reason = f"curvature off by {error:.3e}"
@@ -976,10 +965,8 @@ def verify_classification_entry(
         )
 
     # disjoint factor blocks: cross brackets vanish and the stacked rows stay orthonormal
-    rows = entry.tableau.rows
-    carried = [b.factor for row in rows for b in row] + flat_factors
-    residuals = [r.lie_residual for r in row_reports if r.lie_residual is not None]
-    residuals += [0.0] * len(flat_factors)
+    carried = [*(b.factor for row in rows for b in row), *flat_factors]
+    residuals = [r.lie_residual for r in row_reports if r.lie_residual is not None] + [0.0] * len(flat_factors)
     disjoint = len(set(carried)) == len(carried)
     total_residual = max(residuals) if disjoint and residuals else None
     if not disjoint:
@@ -992,7 +979,4 @@ def verify_classification_entry(
     else:
         reason = None
 
-    return EntryVerification(
-        entry, tuple(row_reports), entry.flat_dim, flat_supported, total_residual,
-        reason is None, tuple(unsupported), reason,
-    )
+    return EntryVerification(entry, tuple(row_reports), total_residual, reason)

@@ -275,15 +275,12 @@ class TestCommands:
         real = cli_mod.verify_classification_entry
 
         def failing(entry, M, **kw):
-            report = real(entry, M, **kw)
             if not entry.tableau.rows:
-                return report
+                return real(entry, M, **kw)
             bad_row = RowVerification(
                 0, "stub", "fail", "curvature off by 1.0e-02", 0.0, 0.5, 0.51, 1e-2
             )
-            return EntryVerification(
-                entry, (bad_row,), report.flat_dim, True, 0.0, True, ()
-            )
+            return EntryVerification(entry, (bad_row,), 0.0)
 
         monkeypatch.setattr(cli_mod, "verify_classification_entry", failing)
         code, out = invoke(["verify", "-m", "RH2(1)"])
@@ -373,6 +370,19 @@ class TestCommands:
         last = out.splitlines()[-1]
         assert last.startswith("# verified: ") and last.endswith(" unsupported")
         assert " 0 fail, " in last and not last.endswith(" 0 unsupported")
+
+    @pytest.mark.parametrize(
+        "spec, summary",
+        [
+            ("RH2(1) x OH2(1)", "5 pass, 0 fail, 35 unsupported"),
+            ("RH3(1) x CH3(2) x HH3(1)", "51 pass, 0 fail, 336 unsupported"),
+        ],
+    )
+    def test_verify_summary_with_unmodelled_factors(self, spec, summary):
+        # entries whose flat directions alone meet H or O factors pass
+        code, out = invoke(["verify", "-m", spec, "--seed", "0"])
+        assert code == 0
+        assert out.splitlines()[-1] == f"# verified: {summary}"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_verify_rejects_bad_tolerance(self, tol, capsys):

@@ -537,12 +537,13 @@ class TestVerifyClassification:
         bad_row = RowVerification(0, "r", "fail", "curvature off", 0.0, 1.0, 2.0, 1.0)
         unsup_row = RowVerification(0, "r", "unsupported", "no model", None, None, None, None)
 
-        assert EntryVerification(entry, (ok_row,), 0, True, 0.0, True, ()).status == "pass"
-        assert EntryVerification(entry, (bad_row,), 0, True, 0.0, True, ()).status == "fail"
-        report = EntryVerification(entry, (unsup_row,), 0, True, None, True, ("no model",))
+        assert EntryVerification(entry, (ok_row,), 0.0).status == "pass"
+        assert EntryVerification(entry, (bad_row,), 0.0).status == "fail"
+        report = EntryVerification(entry, (unsup_row,), None)
         assert report.status == "unsupported" and not report.failed
+        assert report.unsupported == ("row 0: no model",)
         # a bad total residual fails even when every row is fine
-        assert EntryVerification(entry, (ok_row,), 0, True, 1.0, False, ()).status == "fail"
+        assert EntryVerification(entry, (ok_row,), 1.0, "total too large").status == "fail"
 
     def test_entry_must_belong_to_the_product(self):
         M1 = ProductSpace((space("R", 2, 1), space("R", 2, 1)))
@@ -732,7 +733,7 @@ class TestNegativeControls:
         entry = getattr(self, forge)(entries)
         report = verify_classification_entry(entry, M, rng=np.random.default_rng(6))
         assert report.status == "fail"
-        assert not report.total_lie_ok and report.total_lie_residual is None
+        assert report.reason is not None and report.total_lie_residual is None
         assert [r.status for r in report.rows] == ["ok"] * len(entry.tableau.rows)
         shared = entry.tableau.rows[0][0].factor
         carried = {"rows_sharing_a_factor": "row 0 and row 1"}.get(forge, "row 0 and a flat direction")
@@ -954,7 +955,7 @@ class TestDerivedTotal:
         M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
         entries, reports = verify_all(M)
         for e, report in zip(entries, reports):
-            assert report.status == "pass" and report.total_lie_ok
+            assert report.status == "pass" and report.reason is None
             whole = whole_subspace_residual(M, e)
             if not e.tableau.rows:
                 assert report.total_lie_residual == (0.0 if e.flat_dim else None)
@@ -970,7 +971,7 @@ class TestDerivedTotal:
         entry = dataclasses.replace(entry, flat_dim=1)
         report = verify_classification_entry(entry, M)
         assert [r.status for r in report.rows] == ["fail", "ok"]
-        assert report.status == "fail" and not report.total_lie_ok
+        assert report.status == "fail" and report.reason is not None
         assert report.total_lie_residual == report.rows[0].lie_residual > 1e-9
         assert abs(report.total_lie_residual - whole_subspace_residual(M, entry)) <= 1e-15
         assert report.reason == (
@@ -987,9 +988,50 @@ class TestDerivedTotal:
         label = entry.semisimple_factors[0]
         wrong = dataclasses.replace(entry, semisimple_factors=(space(label.field.value, label.n, 7),))
         report = verify_classification_entry(wrong, M)
-        assert report.status == "fail" and report.total_lie_ok
+        assert report.status == "fail"
         assert report.rows[0].reason.startswith("label ")
         assert report.reason is None and report.to_dict()["reason"] is None
+
+
+class TestFlatDirections:
+    @pytest.mark.parametrize(
+        "spec", ["RH3(1) x CH3(2) x HH3(1)", "RH2(1) x OH2(1)", "OH2(1)", "HH2(1) x HH2(1)"]
+    )
+    def test_verdicts_follow_the_rows_alone(self, spec):
+        M = parse_product(spec)
+        modelled = {i for i in range(1, M.r + 1) if M.factor(i).field.value in "RC"}
+        entries, reports = verify_all(M)
+        flat_on_unmodelled = 0
+        for e, report in zip(entries, reports):
+            on_models = all(b.factor in modelled for row in e.tableau.rows for b in row)
+            assert report.status == ("pass" if on_models else "unsupported"), e.isometry_type()
+            flat = e.complement_factors[: e.flat_dim]
+            flat_on_unmodelled += on_models and any(i not in modelled for i in flat)
+            # only rows are ever unsupported
+            assert report.unsupported == tuple(
+                f"row {r.row_index}: {r.reason}" for r in report.rows if r.status == "unsupported"
+            )
+            record = report.to_dict()
+            assert record["flat_supported"] is True and record["flat_dim"] == e.flat_dim
+        assert flat_on_unmodelled
+
+    def test_a_basis_is_triple_checked_once(self, monkeypatch):
+        calls = Counter()
+        real = lieverify_mod.bracket
+
+        def counting(x, y):
+            calls["bracket"] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(lieverify_mod, "bracket", counting)
+        V = construct_diagonal_cp(3, 1, 2)
+        first = is_lie_triple_system(V)
+        assert calls["bracket"] > 0
+        calls.clear()
+        assert is_lie_triple_system(V) == first
+        assert is_lie_triple_system(V, 0.0) == (first[1] <= 0.0, first[1])
+        sectional_curvature(V, V.coords[0], V.coords[1])
+        assert calls["bracket"] == 0
 
 
 class TestModelSizeLimit:
@@ -1070,8 +1112,23 @@ class TestCurvatureTensor:
         assert_contraction_is_direct(V, np.random.default_rng(18))
         # with no check run, the basis computes the same tensor itself
         fresh = mixed_three_plane_of_cp2()
-        assert "_curvature_tensor" not in vars(fresh)
-        np.testing.assert_array_equal(fresh._curvature_tensor, V._curvature_tensor)
+        assert "_triple_check" not in vars(fresh)
+        np.testing.assert_array_equal(fresh._triple_check.K, V._triple_check.K)
+
+    def test_nearly_dependent_planes_keep_their_digits(self):
+        # x and cos(t) x + sin(t) z span the plane of the orthonormal pair x, z
+        rng = np.random.default_rng(19)
+        bases = [b.basis for b in built_rows(parse_product("CH4(1) x CH4(1) x RH4(1)")) if b.basis.dim >= 2]
+        assert bases
+        t = 1e-4
+        for V in bases:
+            a, b = rng.standard_normal((2, 3, V.dim))
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            b -= np.einsum("ij,ij->i", a, b)[:, None] * a
+            b /= np.linalg.norm(b, axis=1)[:, None]
+            X, Z = a @ V.coords, b @ V.coords
+            tilted = sectional_curvature(V, X, math.cos(t) * X + math.sin(t) * Z)
+            np.testing.assert_allclose(tilted, sectional_curvature(V, X, Z), rtol=1e-11, atol=0)
 
     def test_planes_off_the_span_and_dependent_planes_are_rejected(self):
         V = mixed_three_plane_of_cp2()
@@ -1121,7 +1178,7 @@ class TestCurvatureTensor:
         for _, built in lieverify_mod._VerifyMemo.of(M)._built.values():
             V = built.basis
             pairs = V.dim * (V.dim - 1) // 2
-            assert V._curvature_tensor.shape == (pairs, pairs)
+            assert V._triple_check.K.shape == (pairs, pairs)
             if V.dim >= 3:
                 held = [a for a in (built.X, built.Y, built.JC, *vars(V).values()) if isinstance(a, np.ndarray)]
                 assert all(len(a) != pairs * V.dim for a in held)
