@@ -914,8 +914,9 @@ def verify_classification_entry(
     ``lie_tol`` on every call; the random planes are drawn per call.
     The total residual is derived from the block structure: when no factor
     carries more than one row or flat direction it is the largest residual
-    of the measured rows (0.0 with flat directions only, None for the
-    point); an entry whose factors overlap gets None and fails.  Either
+    of the rows (0.0 with flat directions only).  It is None for the point,
+    for an entry with a row that was not measured (unsupported or not
+    measurable) and for an entry whose factors overlap, which fails.  Either
     failure of the total sets the report's ``reason``.  Products above
     ``MAX_MODEL_SIZE`` raise ValueError before any model is built.
     """
@@ -966,9 +967,9 @@ def verify_classification_entry(
 
     # disjoint factor blocks: cross brackets vanish and the stacked rows stay orthonormal
     carried = [*(b.factor for row in rows for b in row), *flat_factors]
-    residuals = [r.lie_residual for r in row_reports if r.lie_residual is not None] + [0.0] * len(flat_factors)
+    residuals = [r.lie_residual for r in row_reports] + [0.0] * len(flat_factors)
     disjoint = len(set(carried)) == len(carried)
-    total_residual = max(residuals) if disjoint and residuals else None
+    total_residual = max(residuals) if disjoint and residuals and None not in residuals else None
     if not disjoint:
         shared = next(i for i in carried if carried.count(i) > 1)
         on = [f"row {idx}" for idx, row in enumerate(rows) for b in row if b.factor == shared]

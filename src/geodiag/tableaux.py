@@ -15,17 +15,22 @@ which is how it is computed (equivalently ``prod(c') / e_{m-1}(c')`` with
 ``e_{m-1}`` the elementary symmetric polynomial of degree m-1).
 
 A ``Row`` checks its own invariants on construction: its boxes are sorted
-by factor and mutually homothetic, and it carries its sort key and its
-diagonal rank-one space.  An ``AdaptedTableau`` turns plain rows into
-``Row``s, sorts them by the stored keys and rejects a factor shared by two
-boxes, so every tableau is in canonical form however its rows were given.
+by factor and mutually homothetic, and it carries its sort key, its factor
+mask (bit ``f`` set for each factor ``f`` it covers) and its diagonal
+rank-one space.  An ``AdaptedTableau`` turns plain rows into ``Row``s,
+sorts them by the stored keys and rejects a factor shared by two boxes
+(the OR of its rows' masks then has fewer bits than it has boxes), so
+every tableau is in canonical form however its rows were given.
 
 Each ``ProductSpace`` carries a memo, built on first use and dropped with
 the instance: every factor's catalog list, grouped by homothety class, and
 the ``Row``s over every block of factors.  One ``classify`` therefore
 queries the catalog once per factor and computes each row curvature once,
-however many tableaux share the row.  The stream's entries, valid by
-construction, skip validation; entries built any other way are validated.
+however many tableaux share the row.  Tableaux and entries, made once per
+object of the stream, are slotted frozen records with no instance
+dictionary.  The stream's entries, valid by construction, skip validation
+and are filled through their slots; entries built any other way are
+validated.
 
 Enumeration is per labelled factor subset: two tableaux that differ only by
 an ambient isometry permuting isometric factors are still listed separately,
@@ -37,8 +42,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -117,29 +123,41 @@ def _row_key(boxes: Sequence[Box]) -> tuple:
 _factor_of = operator.attrgetter("factor")
 
 
+def _factor_mask(boxes: Iterable[Box]) -> int:
+    mask = 0
+    for box in boxes:
+        mask |= 1 << box.factor
+    return mask
+
+
 class Row(tuple):
     """One tableau row: boxes sorted by factor, mutually homothetic.
 
     Construction sorts the boxes and rejects an empty or non-homothetic
-    row.  The row carries its sort key ``key`` and ``space``, the diagonal
-    rank-one space it spans, and compares and hashes as the plain tuple of
-    its boxes.  Its text, the boxes joined by ``" | "``, is rendered on
-    first use and kept.
+    row and a factor index below 1.  The row carries its sort key ``key``,
+    ``mask`` (bit ``f`` set for each factor ``f`` it covers) and ``space``,
+    the diagonal rank-one space it spans, and compares and hashes as the
+    plain tuple of its boxes.  Its text, the boxes joined by ``" | "``, is
+    rendered on first use and kept.
     """
 
     key: tuple
+    mask: int
     space: RankOneSpace
 
     def __new__(cls, boxes: Iterable[Box]) -> "Row":
         boxes = sorted(boxes, key=_factor_of)
         if not boxes:
             raise ValueError("tableau rows must be non-empty")
+        if boxes[0].factor < 1:
+            raise ValueError(f"factor indices start at 1, got {boxes[0].factor}")
         model = boxes[0].inclusion.sub
         for box in boxes[1:]:
             if not are_homothetic(model, box.inclusion.sub):
                 raise ValueError("row entries must be mutually homothetic")
         row = super().__new__(cls, boxes)
         row.key = _row_key(boxes)
+        row.mask = _factor_mask(boxes)
         curvature = diagonal_curvature([box.inclusion.sub.curvature for box in boxes])
         row.space = RankOneSpace(model.field, model.n, curvature, model.compact_dual)
         return row
@@ -159,6 +177,7 @@ class Row(tuple):
 def _copied_row(boxes: tuple[Box, ...], key: tuple, space: RankOneSpace) -> Row:
     row = tuple.__new__(Row, boxes)
     row.key = key
+    row.mask = _factor_mask(boxes)
     row.space = space
     return row
 
@@ -166,7 +185,7 @@ def _copied_row(boxes: tuple[Box, ...], key: tuple, space: RankOneSpace) -> Row:
 _key_of = operator.attrgetter("key")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptedTableau:
     """A Young tableau adapted to a product space, in canonical form.
 
@@ -174,22 +193,25 @@ class AdaptedTableau:
     by length (descending) and then lexicographically by box content.
     Construction brings the given rows into this form, turning each plain
     row into a validated ``Row``, and rejects a factor index shared by two
-    boxes.
+    boxes: the rows' factor masks, OR-ed together, must have one bit per box.
     """
 
     rows: tuple[Row, ...]
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = [row if type(row) is Row else Row(row) for row in self.rows]
         rows.sort(key=_key_of)
-        factors = [box.factor for row in rows for box in row]
-        box_factors = frozenset(factors)
-        if len(box_factors) != len(factors):
+        mask = boxes = 0
+        for row in rows:
+            mask |= row.mask
+            boxes += len(row)
+        if mask.bit_count() != boxes:
+            factors = [box.factor for row in rows for box in row]
             shared = next(f for f in factors if factors.count(f) > 1)
             raise ValueError(f"factor {shared} appears in more than one box")
         _set(self, "rows", tuple(rows))
         _set(self, "_key", tuple([row.key for row in rows]))
-        _set(self, "_box_factors", box_factors)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Box]]) -> "AdaptedTableau":
@@ -201,7 +223,7 @@ class AdaptedTableau:
         return tuple(len(row) for row in self.rows)
 
     def box_factors(self) -> frozenset[int]:
-        return self._box_factors
+        return frozenset([box.factor for row in self.rows for box in row])
 
     def sort_key(self) -> tuple:
         return self._key
@@ -221,7 +243,7 @@ class AdaptedTableau:
         return "; ".join(str(row) for row in self.rows) or "(empty)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedSubmanifold:
     """Isometry type of one totally geodesic submanifold of a product.
 
@@ -254,14 +276,16 @@ class ClassifiedSubmanifold:
     ) -> "ClassifiedSubmanifold":
         """An entry that is valid by construction, made without validation.
 
-        ``classify`` makes its entries this way: validating every streamed
-        entry measured 8-12% slower on ``count``.
+        ``classify`` makes its entries this way, filling the slots through
+        their descriptors.  Validating every streamed entry, which builds
+        the tableau's box factors anew each time, made ``count`` on three
+        4- and 5-factor products about 20% slower.
         """
-        entry = object.__new__(cls)
-        _set(entry, "semisimple_factors", semisimple_factors)
-        _set(entry, "flat_dim", flat_dim)
-        _set(entry, "tableau", tableau)
-        _set(entry, "complement_factors", complement_factors)
+        entry = _new_entry(cls)
+        _set_semisimple(entry, semisimple_factors)
+        _set_flat_dim(entry, flat_dim)
+        _set_tableau(entry, tableau)
+        _set_complement(entry, complement_factors)
         return entry
 
     @property
@@ -275,20 +299,30 @@ class ClassifiedSubmanifold:
         return " x ".join(parts) if parts else "point"
 
 
+_new_entry = object.__new__
+_set_semisimple = ClassifiedSubmanifold.semisimple_factors.__set__
+_set_flat_dim = ClassifiedSubmanifold.flat_dim.__set__
+_set_tableau = ClassifiedSubmanifold.tableau.__set__
+_set_complement = ClassifiedSubmanifold.complement_factors.__set__
+
+
 def diagonal_curvature(row_curvatures: Sequence[Fraction | int | str]) -> Fraction:
     """Exact curvature of a diagonal assembled from curvatures ``c'_i``.
 
     Returns the harmonic sum ``1 / sum(1/c'_i)``, which equals
     ``prod(c') / e_{m-1}(c')`` with ``e_{m-1}`` the elementary symmetric
     polynomial of degree m-1 in the m inputs.  Symmetric in its arguments;
-    the single-input case returns the input.
+    the single-input case returns the input.  With ``c'_i = p_i / q_i`` and
+    ``L = lcm(p_i)`` the sum is ``sum(q_i * L / p_i) / L``, a sum of
+    integers, so only the result is a ``Fraction``.
     """
-    cs = [Fraction(c) for c in row_curvatures]
+    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in row_curvatures]
     if not cs:
         raise ValueError("need at least one curvature")
-    if any(c <= 0 for c in cs):
+    if any(c.numerator <= 0 for c in cs):
         raise ValueError("curvatures must be positive")
-    return 1 / sum(1 / c for c in cs)
+    lcm = math.lcm(*[c.numerator for c in cs])
+    return Fraction(lcm, sum([c.denominator * (lcm // c.numerator) for c in cs]))
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -349,6 +383,9 @@ class _RowMemo:
         return rows
 
 
+_tableau_key = operator.attrgetter("_key")
+
+
 def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[AdaptedTableau]:
     """All adapted tableaux whose boxes cover exactly ``subset``, each once.
 
@@ -368,7 +405,7 @@ def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[Adapt
             continue
         for combo in itertools.product(*block_rows):
             tableaux.append(AdaptedTableau.from_rows(combo))
-    tableaux.sort(key=AdaptedTableau.sort_key)
+    tableaux.sort(key=_tableau_key)
     return iter(tableaux)
 
 

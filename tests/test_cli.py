@@ -267,6 +267,25 @@ class TestCommands:
             record = json.loads(line)
             assert record["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "product, isometry_type, rows",
+        [
+            # an unsupported row beside a flat direction
+            ("HH2(1) x HH2(1)", "RH2(1) x R^1", ["unsupported"]),
+            # an unsupported row beside a measured row
+            ("RH2(1) x OH2(1)", "RH2(1) x OH2(1)", ["ok", "unsupported"]),
+        ],
+    )
+    def test_verify_json_total_is_null_when_a_row_was_not_measured(self, product, isometry_type, rows):
+        code, out = invoke(["verify", "--json", "-m", product, "--seed", "0"])
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        record = next(r for r in records if r["isometry_type"] == isometry_type)
+        assert [r["status"] for r in record["rows"]] == rows
+        assert record["status"] == "unsupported" and record["total_lie_residual"] is None
+        # entries whose rows were all measured keep their total
+        assert any(r["status"] == "pass" and r["total_lie_residual"] == 0.0 for r in records)
+
     def test_verify_exits_1_when_a_check_fails(self, monkeypatch):
         # no real entry fails, so stub one failing report to pin the exit code
         import geodiag.cli as cli_mod

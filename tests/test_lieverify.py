@@ -579,7 +579,6 @@ def forged_entry(M, rows):
             tuple(Box(i, _unchecked(TotGeodInclusion, sub=sub, ambient=M.factor(i))) for i, sub in row)
             for row in rows
         ),
-        _box_factors=frozenset(covered),
     )
     complement = tuple(i for i in range(1, M.r + 1) if i not in covered)
     return ClassifiedSubmanifold(tuple(row[0][1] for row in rows), 0, tableau, complement)
@@ -977,6 +976,21 @@ class TestDerivedTotal:
         assert report.reason == (
             f"total Lie triple residual {report.total_lie_residual:.3e} exceeds 1.0e-09"
         )
+
+    @pytest.mark.parametrize("product", ["HH2(1) x HH2(1)", "RH2(1) x OH2(1)"])
+    def test_total_is_null_when_a_row_was_not_measured(self, product):
+        M = parse_product(product)
+        entries, reports = verify_all(M)
+        unmeasured = 0
+        for e, report in zip(entries, reports):
+            assert report.reason is None
+            if any(r.lie_residual is None for r in report.rows):
+                unmeasured += 1
+                assert report.status == "unsupported"
+                assert report.total_lie_residual is None, e.isometry_type()
+            elif e.tableau.rows or e.flat_dim:
+                assert report.total_lie_residual is not None, e.isometry_type()
+        assert unmeasured
 
     def test_only_failing_records_carry_a_reason(self):
         M = ProductSpace((space("C", 2, 1), space("R", 3, 1)))

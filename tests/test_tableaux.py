@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -98,6 +99,49 @@ class TestDiagonalCurvature:
         assert got == product_over_elementary_symmetric(cs)
 
 
+def reference_curvature(cs):
+    """``1 / sum(1 / c)`` in ``Fraction`` arithmetic, with the errors of ``diagonal_curvature``."""
+    cs = [Fraction(c) for c in cs]
+    if not cs:
+        raise ValueError("need at least one curvature")
+    if any(c <= 0 for c in cs):
+        raise ValueError("curvatures must be positive")
+    return 1 / sum(1 / c for c in cs)
+
+
+class TestIntegerHarmonicSum:
+    """The integer form of ``diagonal_curvature`` against the plain ``Fraction`` sum."""
+
+    @staticmethod
+    def as_input(c, kind):
+        if kind == "int":
+            return c.numerator
+        return str(c) if kind == "str" else c
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_fraction_reference(self, seed):
+        rnd = random.Random(seed)
+        for _ in range(200):
+            kinds = [rnd.choice(["Fraction", "int", "str"]) for _ in range(rnd.randint(1, 6))]
+            cs = [
+                self.as_input(Fraction(rnd.randint(1, 60), 1 if kind == "int" else rnd.randint(1, 60)), kind)
+                for kind in kinds
+            ]
+            got = diagonal_curvature(cs)
+            assert type(got) is Fraction
+            assert got == reference_curvature(cs), cs
+
+    @pytest.mark.parametrize(
+        "cs",
+        [[], [0], [Fraction(0)], ["0"], [1, 0], [-2], [Fraction(3, 2), Fraction(-1, 3)], ["-1/4", "2"]],
+    )
+    def test_same_errors_as_the_reference(self, cs):
+        with pytest.raises(ValueError) as expected:
+            reference_curvature(cs)
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            diagonal_curvature(cs)
+
+
 class TestEnumeration:
     def test_single_row_diagonal_over_all_three_factors(self):
         M = mixed_product()
@@ -152,6 +196,9 @@ class TestEnumeration:
             build(((r2, box(1, "R", 2, 1, "R", 3, 1)),))
         with pytest.raises(ValueError, match="rows must be non-empty"):
             build(((r2,), ()))
+        for factor in (0, -1):
+            with pytest.raises(ValueError, match=f"factor indices start at 1, got {factor}"):
+                build(((Box(factor, r2.inclusion),),))
 
 
 class TestClassify:
@@ -307,6 +354,52 @@ class TestProductMemo:
         assert t == AdaptedTableau.from_rows([(a, b), [c]])
         assert AdaptedTableau(((c,), (a, b))) == t
         assert AdaptedTableau(((b, a), (c,))) == t
+
+
+class TestCopiesKeepTheirState:
+    """Copies and pickles of rows, tableaux and entries are equal and keep what they carry."""
+
+    ROUND_TRIPS = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    }
+
+    @staticmethod
+    def entries():
+        M = mixed_product(Fraction(5, 3), Fraction(7, 2), Fraction(2))
+        entries = [e for e in classify(M) if len(e.tableau.rows) >= 2 and e.flat_dim]
+        assert entries
+        return entries
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    def test_rows_keep_mask_key_and_space(self, trip):
+        for e in self.entries():
+            for row in e.tableau.rows:
+                assert row.mask == sum(1 << b.factor for b in row)
+                clone = self.ROUND_TRIPS[trip](row)
+                assert type(clone) is tableaux_mod.Row and clone == row
+                assert clone.mask == row.mask and clone.key == row.key and clone.space == row.space
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    def test_tableaux_and_entries_stay_equal(self, trip):
+        for e in self.entries():
+            tableau = self.ROUND_TRIPS[trip](e.tableau)
+            assert tableau == e.tableau and hash(tableau) == hash(e.tableau)
+            assert tableau.sort_key() == e.tableau.sort_key()
+            assert tableau.box_factors() == e.tableau.box_factors()
+            entry = self.ROUND_TRIPS[trip](e)
+            assert entry == e and hash(entry) == hash(e)
+
+    def test_records_stay_frozen_and_validated(self):
+        e = self.entries()[0]
+        with pytest.raises(ValueError, match="flat dimension exceeds"):
+            dataclasses.replace(e, flat_dim=99)
+        for obj, name in ((e.tableau, "rows"), (e.tableau, "_key"), (e, "flat_dim"), (e, "tableau")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        # slotted: no per-instance dictionary
+        assert not hasattr(e, "__dict__") and not hasattr(e.tableau, "__dict__")
 
 
 def random_products(seed, count, max_r=4):
