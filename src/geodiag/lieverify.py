@@ -30,9 +30,12 @@ which block ``b`` of a direct sum with metric weight ``w_b`` contributes
 ``sqrt(w_b)`` times the real and imaginary parts of its flattened matrix.
 The weighted inner product is then the plain dot product, the Gram matrix
 of rows ``C`` is ``C @ C.T``, and a :class:`SubspaceBasis` is one
-``(dim, D)`` array of orthonormal rows.  Triple brackets are batched
-matmuls on each block's ``(dim, N, N)`` stack, and every residual comes
-from one projection ``T - (T C^T) C``.  Coordinate rows are the only vector
+``(dim, D)`` array of orthonormal rows.  Consecutive identical blocks of
+a direct sum form a run, whose coordinates are one ``(..., count, N, N)``
+stack; triple brackets are batched matmuls on each run's
+``(dim, count, N, N)`` stack, so a k-diagonal of one model costs one pass
+whatever k, and every residual comes from one projection
+``T - (T C^T) C``.  Coordinate rows are the only vector
 type: the measurements, :meth:`ProductModel.bracket` and
 :meth:`ProductModel.J` take and return them.  The coefficients ``T C^T``
 of a basis's triple brackets ``[[e_i, e_j], e_l]`` on ``e_m``, over the
@@ -65,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -331,6 +335,22 @@ def calibration_constant() -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Run(NamedTuple):
+    """Consecutive identical blocks of a product model, coordinates ``lo:hi``.
+
+    ``roots`` holds the square root of each coordinate's block weight, or
+    the one root of a lone block as a float, which numpy applies faster
+    than an array; either scales the run's coordinates ``(..., hi - lo)``
+    in one broadcast.
+    """
+
+    block: CartanDecomp
+    lo: int
+    hi: int
+    count: int
+    roots: np.ndarray | float
+
+
 @dataclass(frozen=True, eq=False)
 class ProductModel:
     """An orthogonal direct sum of compact models with metric weights.
@@ -341,6 +361,12 @@ class ProductModel:
     product (see the module docstring).  A weight ``w`` scales the block
     metric by ``w`` and therefore its curvatures by ``1/w``.  Compared and
     hashed by identity, like its blocks.
+
+    Consecutive identical blocks (the same object; models come from
+    ``lru_cache``) form a run, whatever their weights.  ``_split`` and
+    ``_join`` convert between coordinates and one ``(..., count, N, N)``
+    matrix stack per run, and every blockwise operation is one batched
+    matmul per run, the run's block axis one more batch axis.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -363,22 +389,48 @@ class ProductModel:
         """Start of each block's coordinates, then the coordinate dimension D."""
         return tuple(itertools.accumulate((2 * b.N * b.N for b in self.blocks), initial=0))
 
+    @functools.cached_property
+    def _runs(self) -> tuple[_Run, ...]:
+        """The maximal runs of consecutive identical blocks, in order."""
+        runs, lo = [], 0
+        for block, group in itertools.groupby(zip(self.blocks, self.weights), key=operator.itemgetter(0)):
+            roots = [math.sqrt(w) for _, w in group]
+            count, size = len(roots), 2 * block.N * block.N
+            roots = roots[0] if count == 1 else np.repeat(roots, size)
+            runs.append(_Run(block, lo, lo + count * size, count, roots))
+            lo += count * size
+        return tuple(runs)
+
     def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Coordinates ``(..., D)`` of blockwise matrix stacks ``(..., N_b, N_b)``."""
-        lead = np.shape(parts[0])[:-2]
-        out = np.empty((*lead, self._offsets[-1]))
-        for w, p, lo, hi in zip(self.weights, parts, self._offsets, self._offsets[1:]):
-            flat = np.ascontiguousarray(p, dtype=complex).view(np.float64).reshape(*lead, hi - lo)
-            np.multiply(flat, math.sqrt(w), out=out[..., lo:hi])
+        """Coordinates ``(..., D)`` of one matrix stack ``(..., count, N, N)`` per run."""
+        lead = np.shape(parts[0])[:-3]
+        out = np.empty((*lead, self._runs[-1].hi))
+        for r, p in zip(self._runs, parts):
+            flat = np.ascontiguousarray(p, dtype=complex).view(np.float64).reshape(*lead, r.hi - r.lo)
+            np.multiply(flat, r.roots, out=out[..., r.lo : r.hi])
         return out
 
     def _split(self, C: np.ndarray) -> list[np.ndarray]:
-        """Blockwise matrix stacks ``(..., N_b, N_b)`` of coordinates ``(..., D)``."""
+        """One matrix stack ``(..., count, N, N)`` per run of coordinates ``(..., D)``."""
         lead = C.shape[:-1]
         return [
-            np.ascontiguousarray(C[..., lo:hi] / math.sqrt(w)).view(complex).reshape(*lead, b.N, b.N)
-            for b, w, lo, hi in zip(self.blocks, self.weights, self._offsets, self._offsets[1:])
+            (C[..., r.lo : r.hi] / r.roots).view(complex).reshape(*lead, r.count, r.block.N, r.block.N)
+            for r in self._runs
         ]
+
+    def _per_run(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """One stack ``(..., count, N, N)`` per run of one matrix stack ``(..., N, N)`` per block.
+
+        A lone block's stack is a view of its part.
+        """
+        stacks, b = [], 0
+        for r in self._runs:
+            if r.count == 1:
+                stacks.append(parts[b][..., None, :, :])
+            else:
+                stacks.append(np.stack(parts[b : b + r.count], axis=-3))
+            b += r.count
+        return stacks
 
     @functools.cached_property
     def p_coords(self) -> np.ndarray:
@@ -398,13 +450,15 @@ class ProductModel:
     def J(self, C: np.ndarray) -> np.ndarray:
         """Blockwise complex structure on coordinates ``(..., D)``.
 
-        Components on blocks without a complex structure must vanish.
+        Components on blocks without a complex structure must vanish, each
+        block's on its own.
         """
         parts = []
-        for block, a in zip(self.blocks, self._split(C)):
-            g = block.J_generator
+        for r, a in zip(self._runs, self._split(C)):
+            g = r.block.J_generator
             if g is None:
-                if np.linalg.norm(a) > TOL_ARITHMETIC:
+                mass = np.linalg.norm(np.moveaxis(a, -3, 0).reshape(r.count, -1), axis=1)
+                if np.any(mass > TOL_ARITHMETIC):
                     raise ValueError("element has mass on a block with no complex structure")
                 parts.append(np.zeros_like(a))
             else:
@@ -477,13 +531,17 @@ class SubspaceBasis:
         return coeffs @ self.coords
 
     def conjugated(self, gs: Sequence[Matrix]) -> "SubspaceBasis":
-        """Transport basis and ambient by one unitary per block."""
-        ambient = ProductModel(
-            tuple(b.conjugated(g) for b, g in zip(self.ambient.blocks, gs)),
-            self.ambient.weights,
-        )
-        parts = [g @ a @ g.conj().T for g, a in zip(gs, self.ambient._split(self.coords))]
-        return SubspaceBasis(ambient, ambient._join(parts))
+        """Transport basis and ambient by one unitary per block.
+
+        The transported blocks are distinct, but the coordinate layout is
+        that of the old model, so the old model's runs join the images.
+        """
+        model = self.ambient
+        ambient = ProductModel(tuple(b.conjugated(g) for b, g in zip(model.blocks, gs)), model.weights)
+        parts = [
+            G @ A @ G.conj().swapaxes(-1, -2) for G, A in zip(model._per_run(gs), model._split(self.coords))
+        ]
+        return SubspaceBasis(ambient, model._join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +552,18 @@ class SubspaceBasis:
 def _triple_brackets(V: SubspaceBasis) -> np.ndarray:
     """Coordinate rows of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
 
-    Per block, all ``[X_i, X_j]`` and then all ``[[X_i, X_j], X_l]`` are
-    batched matmuls on the ``(dim, N, N)`` stack of the basis.
+    Per run of identical blocks, all ``[X_i, X_j]`` and then all
+    ``[[X_i, X_j], X_l]`` are batched matmuls on the ``(dim, count, N, N)``
+    stack of the basis, the run's block axis one more batch axis.
     """
     model = V.ambient
     i, j = _pairs(V.dim)
     parts = []
     for X in model._split(V.coords):
         B = bracket(X[i], X[j])[:, None]
-        parts.append(B @ X - X @ B)
+        T = B @ X
+        T -= X @ B
+        parts.append(T)
     return model._join(parts).reshape(-1, V.coords.shape[1])
 
 
@@ -603,9 +664,10 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
         raise ValueError("s must lie in 0..k")
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
-    base = block.p_basis
-    raw = model._join([base if b < s else base.conj() for b in range(k)])
-    return SubspaceBasis.orthonormalized(model, raw)
+    raw = np.empty((block.p_dim, k, block.N, block.N), dtype=complex)
+    raw[:, :s] = block.p_basis[:, None]
+    raw[:, s:] = block.p_basis.conj()[:, None]
+    return SubspaceBasis.orthonormalized(model, model._join([raw]))
 
 
 def construct_grassmannian_product(
@@ -724,7 +786,7 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     parts = [
         _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
     ]
-    V = SubspaceBasis.orthonormalized(model, model._join(parts))
+    V = SubspaceBasis.orthonormalized(model, model._join(model._per_run(parts)))
     is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
     row_class = row[0].inclusion.sub
     C = V.coords

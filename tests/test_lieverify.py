@@ -22,6 +22,7 @@ from geodiag.tableaux import (
     diagonal_curvature,
 )
 from geodiag.lieverify import (
+    TOL_ARITHMETIC,
     ProductModel,
     SubspaceBasis,
     bracket,
@@ -1300,13 +1301,33 @@ def close(a, b, rel=1e-12):
 MODEL_CHOICES = [("G", 1, 1), ("G", 1, 2), ("G", 2, 2), ("G", 1, 3), ("S", 2), ("S", 3)]
 
 
+def model_of(choice):
+    return grassmannian_decomp(choice[1], choice[2]) if choice[0] == "G" else sphere_decomp(choice[1])
+
+
+@st.composite
+def random_block_lists(draw):
+    """1-3 blocks drawn freely, or with one block repeated 2-5 times in a row, or A, B, A.
+
+    Equal choices give the same cached model object, so a repeated block is
+    a run of identical blocks and A, B, A holds A twice, apart.
+    """
+    chosen = draw(st.lists(st.sampled_from(MODEL_CHOICES), min_size=1, max_size=3))
+    layout = draw(st.sampled_from(["free", "run", "apart"]))
+    if layout == "run":
+        at = draw(st.integers(0, len(chosen) - 1))
+        chosen[at : at + 1] = [chosen[at]] * draw(st.integers(2, 5))
+    elif layout == "apart":
+        a, b = draw(st.lists(st.sampled_from(MODEL_CHOICES), min_size=2, max_size=2, unique=True))
+        chosen = [a, b, a]
+    return [model_of(c) for c in chosen]
+
+
 @st.composite
 def random_subspaces(draw):
-    chosen = draw(st.lists(st.sampled_from(MODEL_CHOICES), min_size=1, max_size=3))
-    blocks = tuple(
-        grassmannian_decomp(c[1], c[2]) if c[0] == "G" else sphere_decomp(c[1]) for c in chosen
-    )
-    weights = tuple(draw(st.floats(0.25, 4.0)) for _ in blocks)
+    blocks = tuple(draw(random_block_lists()))
+    # pairwise different weights, so a run of identical blocks carries several
+    weights = tuple(draw(st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks), unique=True)))
     model = ProductModel(blocks, weights)
     basis = model.p_coords
     dim = draw(st.integers(1, min(4, len(basis))))
@@ -1321,7 +1342,7 @@ def random_subspaces(draw):
 
 
 class TestAgreesWithPerMatrixReference:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(random_subspaces())
     def test_gram_triples_curvature_and_angle(self, case):
         V, rng = case
@@ -1342,3 +1363,72 @@ class TestAgreesWithPerMatrixReference:
             v = V.random_unit_vector(rng)
             expected = ref_kahler_angle(weights, generators, vectors, ref_matrices(blocks, weights, v))
             assert close(kahler_angle_of(V, v), expected)
+
+
+# ---------------------------------------------------------------------------
+# runs of identical blocks
+# ---------------------------------------------------------------------------
+
+
+class TestRuns:
+    def test_consecutive_identical_blocks_form_one_run(self):
+        A, B = grassmannian_decomp(1, 2), sphere_decomp(3)
+        model = ProductModel((A, A, A, B, A), (1.0, 2.0, 0.5, 1.0, 3.0))
+        runs = model._runs
+        assert [(r.block, r.count) for r in runs] == [(A, 3), (B, 1), (A, 1)]
+        assert [(r.lo, r.hi) for r in runs] == [(0, 54), (54, 86), (86, 104)]
+        np.testing.assert_array_equal(runs[0].roots, np.repeat(np.sqrt([1.0, 2.0, 0.5]), 18))
+        # an equal but distinct model is another block
+        other = A.conjugated(np.eye(3))
+        assert [r.count for r in ProductModel((A, other), (1.0, 1.0))._runs] == [1, 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_block_lists(), st.integers(0, 2**32 - 1))
+    def test_split_and_join_agree_with_per_block_matrices(self, blocks, seed):
+        rng = np.random.default_rng(seed)
+        weights = tuple(rng.uniform(0.25, 4.0, len(blocks)))
+        model = ProductModel(tuple(blocks), weights)
+        C = rng.standard_normal((2, 3, model._offsets[-1]))
+        stacks = model._split(C)
+        assert [s.shape for s in stacks] == [(2, 3, r.count, r.block.N, r.block.N) for r in model._runs]
+        per_block = [m for s in stacks for m in np.moveaxis(s, -3, 0)]
+        for n, _ in np.ndenumerate(C[..., 0]):
+            for mine, ref in zip(per_block, ref_matrices(blocks, weights, C[n])):
+                np.testing.assert_allclose(mine[n], ref, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(model._join(stacks), C, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(model._join(model._per_run(per_block)), model._join(stacks))
+
+    def test_per_block_loops_stay_out_of_the_diagonal_check(self, monkeypatch):
+        """Checking a k-diagonal and sampling its angle takes as many passes for k = 24 as for k = 1."""
+        counts = {}
+        for k in (1, 24):
+            calls = Counter()
+
+            def counting(key, fn):
+                def wrapper(*args, **kwargs):
+                    calls[key] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lieverify_mod, "bracket", counting("bracket", lieverify_mod.bracket))
+                patch.setattr(ProductModel, "_split", counting("_split", ProductModel._split))
+                V = construct_diagonal_cp(k, k // 3, 3)
+                assert is_lie_triple_system(V)[0]
+                kahler_angle_of(V, V.random_unit_vector(np.random.default_rng(k)))
+            counts[k] = dict(calls)
+        assert counts[1] == counts[24]
+        assert counts[1]["bracket"] and counts[1]["_split"]
+
+    def test_J_checks_the_mass_of_every_block_on_its_own(self):
+        S, G = sphere_decomp(2), grassmannian_decomp(1, 2)
+        model = ProductModel((S, S, G), (1.0, 1.0, 1.0))
+        P = model.p_coords  # two rows per sphere block, then four for the complex one
+        first, second, complex_row = P[0], P[2], P[4]
+        for v in (first, second, complex_row + first, np.stack([complex_row, second])):
+            with pytest.raises(ValueError, match="^element has mass on a block with no complex structure$"):
+                model.J(v)
+        np.testing.assert_allclose(model.J(complex_row), P[5], rtol=0, atol=1e-15)
+        # below the tolerance on each sphere block, above it summed over the run
+        crumbs = complex_row + 0.8 * TOL_ARITHMETIC * (first + second)
+        np.testing.assert_allclose(model.J(crumbs), P[5], rtol=0, atol=1e-15)
