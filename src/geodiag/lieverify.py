@@ -14,53 +14,26 @@ Conventions, fixed here once:
 * Curvature: in these variables compact-type sectional curvature is
   ``-<[[X, Y], Y], X> / (<X,X><Y,Y> - <X,Y>^2)``, a non-negative number
   (it equals ``|[X, Y]|^2`` over the same denominator).  Reported values
-  are rescaled so the ``su(2)`` projective-line model reads exactly 4;
-  totally real planes of ``CP^n`` then read 1, spheres ``so(m+1)`` read 1,
-  matching the curvature labels used by the exact classification at c = 1.
-  The raw pre-rescaling value of the ``su(2)`` model is exposed as
-  :func:`calibration_constant`.
+  are rescaled by ``4 / calibration_constant()``, the raw value of the
+  ``su(2)`` projective-line model; totally real planes of ``CP^n`` then
+  read 1, spheres ``so(m+1)`` read 1, matching the curvature labels used by
+  the exact classification at c = 1.  The projective line itself reads 4
+  to within 2e-15, not exactly: the anchor is taken with the bracket
+  formula above, while planes are measured by contracting a basis's
+  curvature tensor (:func:`sectional_curvature`), which rounds differently.
 * Conjugation ``Theta`` is entrywise complex conjugation; on the canonical
   ``CP^n`` basis it fixes the real directions ``e_i`` and negates ``J e_i``.
 * Tolerances: arithmetic identities 1e-12, structural residuals 1e-10,
   constructive checks 1e-9; residuals are relative to the norm of the
   quantity tested.
 
-Representation: subspaces and measurements work in real coordinates, in
-which block ``b`` of a direct sum with metric weight ``w_b`` contributes
-``sqrt(w_b)`` times the real and imaginary parts of its flattened matrix.
-The weighted inner product is then the plain dot product, the Gram matrix
-of rows ``C`` is ``C @ C.T``, and a :class:`SubspaceBasis` is one
-``(dim, D)`` array of orthonormal rows.  Consecutive identical blocks of
-a direct sum form a run, whose coordinates are one ``(..., count, N, N)``
-stack; triple brackets are batched matmuls on each run's
-``(dim, count, N, N)`` stack, so a k-diagonal of one model costs one pass
-whatever k, and every residual comes from one projection
-``T - (T C^T) C``.  Coordinate rows are the only vector
-type: the measurements, :meth:`ProductModel.bracket` and
-:meth:`ProductModel.J` take and return them.  The coefficients ``T C^T``
-of a basis's triple brackets ``[[e_i, e_j], e_l]`` on ``e_m``, over the
-pairs ``i < j`` and ``l < m``, are its curvature tensor ``K``, which the
-basis keeps (not the brackets): a plane of the span is measured by
-projecting it onto the basis and contracting its coefficients with ``K``,
-with no bracket taken.
-
-Entry verification builds and checks each distinct tableau row once per
-product, in the sum of its own factors' blocks, and keeps it on the
-``ProductSpace`` with its curvature tensor, its ``J``-images and its exact
-diagonal curvature; every entry still samples its own random planes per
-row, measures them by contracting the row's tensor, and checks its
-labels.  No entry is orthonormalized or bracketed as a whole: its rows
-and flat directions sit on pairwise disjoint factors, so its subspace is
-an orthogonal direct sum whose cross brackets vanish, and its total
-triple residual is the largest row residual.  An entry whose
-factors overlap has no such total and fails, with a reason naming the
-factor.  Products whose real and complex factors need models of total
-matrix size above ``MAX_MODEL_SIZE`` are refused before any is built.
-
-Only rows can be unsupported: quaternionic and octonionic factors have no
-matrix model here, and a row meeting one is reported as unsupported rather
-than approximated.  Flat directions are geodesics and need no model; each
-adds a residual of 0.
+Vectors are real coordinate rows, the only vector type: block ``b`` of a
+direct sum with metric weight ``w_b`` contributes ``sqrt(w_b)`` times the
+real and imaginary parts of its flattened matrix, so the weighted inner
+product is the plain dot product and a :class:`SubspaceBasis` is one
+``(dim, D)`` array of orthonormal rows.  Quaternionic and octonionic
+factors have no matrix model here; rows meeting one are reported as
+unsupported rather than approximated.
 """
 
 from __future__ import annotations
@@ -113,15 +86,6 @@ def check_element(x: Matrix, tol: float = TOL_ARITHMETIC) -> None:
         raise ValueError("matrix is not skew-Hermitian")
     if np.any(np.abs(np.trace(x, axis1=-2, axis2=-1)) > tol * scale):
         raise ValueError("matrix is not traceless")
-
-
-def random_special_unitary(dim: int, rng: np.random.Generator) -> Matrix:
-    """Haar-ish random element of SU(dim) via QR of a complex Gaussian."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    det = np.linalg.det(q)
-    return q * det ** (-1.0 / dim)
 
 
 def _generators(N: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -184,18 +148,6 @@ class CartanDecomp:
     @property
     def p_dim(self) -> int:
         return len(self.p_basis)
-
-    def conjugated(self, g: Matrix) -> "CartanDecomp":
-        """The same decomposition transported by a unitary ``g``."""
-        conj = lambda m: g @ m @ g.conj().T
-        return CartanDecomp(
-            self.N,
-            self.kind,
-            self.block_shape,
-            conj(self.k_basis),
-            conj(self.p_basis),
-            None if self.J_generator is None else conj(self.J_generator),
-        )
 
 
 def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
@@ -305,29 +257,17 @@ def sphere_decomp(m: int) -> CartanDecomp:
     return CartanDecomp(N, "sphere", (1, m), k_basis, p_basis, None)
 
 
-def bracket_relation_residuals(decomp: CartanDecomp) -> dict[str, float]:
-    """Relative residuals of [k,k] in k, [k,p] in p and [p,p] in k."""
-
-    K, P = decomp.k_basis, decomp.p_basis
-    (ki, kj), (pi, pj) = _pairs(len(K)), _pairs(len(P))
-    kp = K[:, None] @ P - P @ K[:, None]
-    return {
-        "kk_in_k": _worst_residual(_flat(bracket(K[ki], K[kj])), _flat(K))[0],
-        "kp_in_p": _worst_residual(_flat(kp), _flat(P))[0],
-        "pp_in_k": _worst_residual(_flat(bracket(P[pi], P[pj])), _flat(K))[0],
-    }
-
-
 @functools.lru_cache(maxsize=1)
 def calibration_constant() -> float:
     """Raw sectional curvature of the ``su(2)`` projective-line model.
 
-    All reported curvatures are rescaled by ``4 / calibration_constant()``,
+    Taken by the bracket formula on the model's two ``p`` generators.  All
+    reported curvatures are rescaled by ``4 / calibration_constant()``,
     anchoring the projective line at 4.
     """
-    model = ProductModel.single(grassmannian_decomp(1, 1))
-    P = model.p_coords
-    return float(_sectional_raw(model, P[:1], P[1:])[0])
+    x, y = grassmannian_decomp(1, 1).p_basis
+    area = np.vdot(x, x).real * np.vdot(y, y).real - np.vdot(x, y).real ** 2
+    return float(-np.vdot(bracket(bracket(x, y), y), x).real / area)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +383,6 @@ class ProductModel:
         rows.setflags(write=False)
         return rows
 
-    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Blockwise commutator of coordinates ``(..., D)``."""
-        return self._join([bracket(a, b) for a, b in zip(self._split(X), self._split(Y))])
-
     def J(self, C: np.ndarray) -> np.ndarray:
         """Blockwise complex structure on coordinates ``(..., D)``.
 
@@ -530,19 +466,6 @@ class SubspaceBasis:
         coeffs /= math.sqrt(coeffs @ coeffs)
         return coeffs @ self.coords
 
-    def conjugated(self, gs: Sequence[Matrix]) -> "SubspaceBasis":
-        """Transport basis and ambient by one unitary per block.
-
-        The transported blocks are distinct, but the coordinate layout is
-        that of the old model, so the old model's runs join the images.
-        """
-        model = self.ambient
-        ambient = ProductModel(tuple(b.conjugated(g) for b, g in zip(model.blocks, gs)), model.weights)
-        parts = [
-            G @ A @ G.conj().swapaxes(-1, -2) for G, A in zip(model._per_run(gs), model._split(self.coords))
-        ]
-        return SubspaceBasis(ambient, model._join(parts))
-
 
 # ---------------------------------------------------------------------------
 # measurements
@@ -578,22 +501,6 @@ def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tup
     """
     worst = V._triple_check.residual
     return worst <= tol, worst
-
-
-def _sectional_raw(model: ProductModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Uncalibrated curvature of the planes spanned by coordinate rows X[n], Y[n]."""
-    T = model._join([bracket(bracket(x, y), y) for x, y in zip(model._split(X), model._split(Y))])
-    return -np.einsum("ij,ij->i", T, X) / _plane_areas(X, Y)
-
-
-def _plane_areas(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``|x|^2 |y|^2 - <x, y>^2`` per row pair; raises for linearly dependent pairs."""
-    xxyy = np.einsum("ij,ij->i", X, X) * np.einsum("ij,ij->i", Y, Y)
-    xy = np.einsum("ij,ij->i", X, Y)
-    den = xxyy - xy * xy
-    if (den <= 1e-12 * np.maximum(xxyy, 1e-300)).any():
-        raise ValueError("sectional curvature of linearly dependent vectors")
-    return den
 
 
 def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):

@@ -26,6 +26,7 @@ from geodiag.lieverify import (
 )
 from geodiag.tableaux import ProductSpace, classify, diagonal_curvature
 
+from lieverify_support import model_bracket
 from oracles import brute_force_count
 
 
@@ -157,7 +158,7 @@ def test_criterion_6_grassmannian_embedding_lemma():
                         for j in range(i + 1, k):
                             for a in range(offsets[i], offsets[i + 1]):
                                 for b in range(offsets[j], offsets[j + 1]):
-                                    br = V.ambient.bracket(V.coords[a], V.coords[b])
+                                    br = model_bracket(V.ambient, V.coords[a], V.coords[b])
                                     worst_comm = max(worst_comm, float(np.linalg.norm(br)))
         assert worst_triple <= 1e-10
         assert worst_j <= 1e-10
