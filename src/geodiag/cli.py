@@ -382,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("angles", help="Kahler angles of k-diagonal projective subspaces")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="emit a (k, s, cosine) CSV")
-    p.add_argument("--json", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--table", action="store_true", help="emit a (k, s, cosine) CSV")
+    form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("realize", help="realize a rational cosine as a Kahler angle")

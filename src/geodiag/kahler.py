@@ -183,19 +183,19 @@ def approximate_angle(
     target_radians: float,
     epsilon: float,
     m: int = 1,
-    max_convergents: int = 512,
 ) -> AngleRealization:
     """A realization whose angle lies within ``epsilon`` of the target.
 
     Walks the continued-fraction convergents of ``cos(target)`` in order of
     increasing denominator and returns the first realization meeting the
     tolerance, keeping the diagonal count small.  The final convergent
-    reproduces the float cosine exactly, so the search is finite, and
-    ``max_convergents`` caps it.  It fails with
-    :class:`AngleApproximationError` when the cap is reached, or when even
-    the float cosine misses the target: near 0 float cosines resolve angles
-    only in steps of about 1.5e-8 rad (``cos(target)`` rounds to 1.0 below
-    about 1.05e-8 rad), so a smaller ``epsilon`` may be out of reach there.
+    reproduces the float cosine exactly, so the search is finite: a float
+    cosine in ``[cos(pi/2), 1]`` is ``p/q`` with ``q <= 2^106``, so by
+    Lame's bound the walk ends within 155 convergents.  It fails with
+    :class:`AngleApproximationError` when even the float cosine misses the
+    target: near 0 float cosines resolve angles only in steps of about
+    1.5e-8 rad (``cos(target)`` rounds to 1.0 below about 1.05e-8 rad), so
+    a smaller ``epsilon`` may be out of reach there.
 
     Accuracy near angle 0 is intrinsically expensive: realizable nonzero
     angles scale like ``2/sqrt(k)``, so a target of t radians (with t above
@@ -207,13 +207,11 @@ def approximate_angle(
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon}")
     target = min(max(target_radians, 0.0), HALF_PI)
     x = Fraction(min(max(math.cos(target), 0.0), 1.0))
-    for i, (p, q) in enumerate(_convergents(x)):
-        if i >= max_convergents:
-            break
+    for tried, (p, q) in enumerate(_convergents(x), 1):
         cosine = Fraction(p, q)
         if abs(math.acos(float(cosine)) - target) < epsilon:
             return realize_angle(cosine, m)
     raise AngleApproximationError(
         f"no convergent of the float cosine {float(x)!r} lies within {epsilon}"
-        f" of {target_radians} in at most {max_convergents} steps"
+        f" of {target_radians} (convergents tried: {tried})"
     )

@@ -18,16 +18,18 @@ A ``Row`` checks its own invariants on construction: its boxes are sorted
 by factor and mutually homothetic, and it carries its sort key, its factor
 mask (bit ``f`` set for each factor ``f`` it covers) and its diagonal
 rank-one space.  An ``AdaptedTableau`` turns plain rows into ``Row``s,
-sorts them by the stored keys and rejects a factor shared by two boxes
+sorts them by their keys and rejects a factor shared by two boxes
 (the OR of its rows' masks then has fewer bits than it has boxes), so
 every tableau is in canonical form however its rows were given.
 
 Each ``ProductSpace`` carries a memo, built on first use and dropped with
-the instance: every factor's catalog list, grouped by homothety class, and
-the ``Row``s over every block of factors.  One ``classify`` therefore
-queries the catalog once per factor and computes each row curvature once,
-however many tableaux share the row.  Tableaux and entries, made once per
-object of the stream, are slotted frozen records with no instance
+the instance: every factor's catalog list, grouped by homothety class, one
+key-sorted list of the ``Row``s over every block of factors, and per
+factor subset the row tuples of its tableaux, built in canonical order
+with no sort (see ``_RowMemo``).  One ``classify`` therefore queries
+the catalog once per factor and computes each row curvature once, however
+many tableaux share the row.  Tableaux and entries, made one at a time as
+the stream is read, are slotted frozen records with no instance
 dictionary.  The stream's entries, valid by construction, skip validation
 and are filled through their slots; entries built any other way are
 validated.
@@ -40,11 +42,12 @@ merged (they may be non-congruent).  Everything here is exact; no floats.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -98,7 +101,7 @@ class ProductSpace:
 
     @functools.cached_property
     def _memo(self) -> "_RowMemo":
-        """Catalog classes and rows of this product, built on first use."""
+        """Catalog classes, rows and tableaux of this product, built on first use."""
         return _RowMemo(self)
 
     def __str__(self) -> str:
@@ -197,7 +200,6 @@ class AdaptedTableau:
     """
 
     rows: tuple[Row, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = [row if type(row) is Row else Row(row) for row in self.rows]
@@ -211,7 +213,6 @@ class AdaptedTableau:
             shared = next(f for f in factors if factors.count(f) > 1)
             raise ValueError(f"factor {shared} appears in more than one box")
         _set(self, "rows", tuple(rows))
-        _set(self, "_key", tuple([row.key for row in rows]))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Box]]) -> "AdaptedTableau":
@@ -226,7 +227,7 @@ class AdaptedTableau:
         return frozenset([box.factor for row in self.rows for box in row])
 
     def sort_key(self) -> tuple:
-        return self._key
+        return tuple([row.key for row in self.rows])
 
     def is_adapted_to(self, M: ProductSpace) -> bool:
         """Check that every box inclusion targets the factor it indexes."""
@@ -325,37 +326,26 @@ def diagonal_curvature(row_curvatures: Sequence[Fraction | int | str]) -> Fracti
     return Fraction(lcm, sum([c.denominator * (lcm // c.numerator) for c in cs]))
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    """All partitions of ``items`` into unordered non-empty blocks.
-
-    Deterministic: blocks keep the input order of their elements and the
-    stream order depends only on the input order.
-    """
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        yield [(first,)] + partition
-        for i in range(len(partition)):
-            augmented = list(partition)
-            augmented[i] = (first, *augmented[i])
-            yield augmented
+def _least_key(rows: tuple[Row, ...]) -> tuple:
+    return rows[0].key
 
 
 class _RowMemo:
-    """Catalog classes and admissible rows of one product, each built once.
+    """Catalog classes, admissible rows and tableaux of one product, each built once.
 
     A row picks, for each factor in its block, one totally geodesic class
-    (proper or the factor itself), all sharing one homothety type.  Each
-    row is made once as a ``Row``, so tableaux and entries read its sort
-    key and diagonal space from the row itself.
+    (proper or the factor itself), all sharing one homothety type.  Every
+    row over every block is made once as a ``Row``, so tableaux and entries
+    read its sort key and diagonal space from the row itself.  A tableau is
+    its least row followed by a tableau of the remaining factors whose rows
+    all sort after that row, so each factor mask's tableaux are built once,
+    already in canonical order, from the lists of smaller masks.
     """
 
     def __init__(self, M: ProductSpace):
         self._factors = M.factors
         self._classes: dict[int, dict[tuple[int, int], list[Box]]] = {}
-        self._rows: dict[tuple[int, ...], list[Row]] = {}
+        self._tableaux: dict[int, list[tuple[Row, ...]]] = {}
 
     def classes(self, i: int) -> dict[tuple[int, int], list[Box]]:
         """Boxes of factor i by homothety class ``(field order, n)``, sorted by subspace."""
@@ -368,45 +358,52 @@ class _RowMemo:
             self._classes[i] = groups
         return groups
 
-    def rows(self, block: tuple[int, ...]) -> list[Row]:
-        """Every admissible row covering exactly the factors in ``block``."""
-        rows = self._rows.get(block)
-        if rows is None:
-            groups = [self.classes(i) for i in sorted(block)]
-            common = set(groups[0]).intersection(*groups[1:])
-            rows = [
-                Row(boxes)
-                for cls in sorted(common)
-                for boxes in itertools.product(*(g[cls] for g in groups))
-            ]
-            self._rows[block] = rows
+    @functools.cached_property
+    def rows(self) -> list[Row]:
+        """Every admissible row over every block of factors, sorted by ``Row.key``."""
+        indices = range(1, len(self._factors) + 1)
+        rows: list[Row] = []
+        for size in indices:
+            for block in itertools.combinations(indices, size):
+                groups = [self.classes(i) for i in block]
+                common = set(groups[0]).intersection(*groups[1:])
+                # each block's rows are made in key order: the sort merges sorted runs
+                for cls in sorted(common):
+                    rows.extend(map(Row, itertools.product(*(g[cls] for g in groups))))
+        rows.sort(key=_key_of)
         return rows
 
-
-_tableau_key = operator.attrgetter("_key")
+    def tableaux(self, mask: int) -> list[tuple[Row, ...]]:
+        """Row tuples of the tableaux covering exactly ``mask``, in canonical order."""
+        found = self._tableaux.get(mask)
+        if found is None:
+            found = []
+            for row in self.rows:
+                if row.mask == mask:
+                    found.append((row,))
+                elif row.mask & mask == row.mask:
+                    tails = self.tableaux(mask ^ row.mask)
+                    start = bisect.bisect_right(tails, row.key, key=_least_key)
+                    found.extend([(row, *tail) for tail in tails[start:]])
+            self._tableaux[mask] = found
+        return found
 
 
 def enumerate_tableaux(M: ProductSpace, subset: Iterable[int]) -> Iterator[AdaptedTableau]:
     """All adapted tableaux whose boxes cover exactly ``subset``, each once.
 
     The subset is given by 1-based factor indices.  The stream is finite,
-    duplicate-free and sorted in canonical tableau order.
+    duplicate-free and in canonical tableau order; the subset is checked
+    at the call, and each tableau is made as the stream is read.
     """
     indices = tuple(sorted(set(subset)))
     if not indices:
         raise ValueError("subset of factors must be non-empty")
+    mask = 0
     for i in indices:
         M.factor(i)  # range check
-    memo = M._memo
-    tableaux: list[AdaptedTableau] = []
-    for partition in _set_partitions(indices):
-        block_rows = [memo.rows(block) for block in partition]
-        if any(not rows for rows in block_rows):
-            continue
-        for combo in itertools.product(*block_rows):
-            tableaux.append(AdaptedTableau.from_rows(combo))
-    tableaux.sort(key=_tableau_key)
-    return iter(tableaux)
+        mask |= 1 << i
+    return (AdaptedTableau.from_rows(rows) for rows in M._memo.tableaux(mask))
 
 
 def classify(M: ProductSpace) -> Iterator[ClassifiedSubmanifold]:

@@ -71,20 +71,23 @@ def _rows_in_block(factors: list[Triple], block: tuple[int, ...]) -> int:
     return total
 
 
+def tableau_count(factors: list[Triple], subset: tuple[int, ...]) -> int:
+    """Number of adapted tableaux covering exactly the given factor indices."""
+    total = 0
+    for partition in set_partitions(subset):
+        prod = 1
+        for block in partition:
+            prod *= _rows_in_block(factors, block)
+        total += prod
+    return total
+
+
 def brute_force_count(factors: list[Triple]) -> int:
     """Count (tableau, flat dimension) pairs by direct enumeration."""
     r = len(factors)
     total = 0
     for size in range(r + 1):
         for subset in combinations(range(r), size):
-            if size == 0:
-                n_tableaux = 1
-            else:
-                n_tableaux = 0
-                for partition in set_partitions(subset):
-                    prod = 1
-                    for block in partition:
-                        prod *= _rows_in_block(factors, block)
-                    n_tableaux += prod
-            total += n_tableaux * (r - size + 1)
+            # the empty subset has one tableau, the empty one
+            total += tableau_count(factors, subset) * (r - size + 1)
     return total

@@ -227,6 +227,10 @@ class TestCommands:
         "argv, message",
         [
             (["realize", "--q", "-1/2"], "error: argument --q: expected one argument"),
+            (
+                ["angles", "--k", "3", "--table", "--json"],
+                "error: argument --json: not allowed with argument --table",
+            ),
             (["nonsense"], "error: argument command: invalid choice: 'nonsense'"),
             (["count"], "error: the following arguments are required: -m/--product"),
             (["realize", "--q=-1/2"], "error: cosine must lie in [0, 1], got -1/2"),

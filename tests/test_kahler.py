@@ -1,10 +1,13 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from geodiag.kahler import (
+    HALF_PI,
     AngleApproximationError,
     AngleRealization,
     ExactAngle,
@@ -12,6 +15,7 @@ from geodiag.kahler import (
     angles_in_product,
     approximate_angle,
     grassmannian_product_embeddings,
+    _convergents,
     realize_angle,
 )
 
@@ -181,9 +185,26 @@ class TestApproximateAngle:
         with pytest.raises(AngleApproximationError):
             approximate_angle(1e-9, 1e-12, 1)
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(AngleApproximationError):
-            approximate_angle(math.pi / 4, 1e-9, 1, max_convergents=2)
+    def test_exhausted_walk_names_what_it_tried(self):
+        # epsilon below every reachable error: all 36 convergents of cos(0.5) miss
+        message = (
+            f"no convergent of the float cosine {math.cos(0.5)!r} lies within 1e-300"
+            " of 0.5 (convergents tried: 36)"
+        )
+        with pytest.raises(AngleApproximationError, match=f"^{re.escape(message)}$"):
+            approximate_angle(0.5, 1e-300, 1)
+
+    def test_walks_are_short(self):
+        # a float cosine in [cos(pi/2), 1] has denominator at most 2^106, so
+        # Lame's bound ends its continued fraction within 155 convergents
+        rnd = random.Random(5)
+        targets = [HALF_PI, math.nextafter(HALF_PI, 0), 1e-8]
+        targets += [rnd.uniform(0, HALF_PI) for _ in range(2000)]
+        for target in targets:
+            cosine = Fraction(math.cos(target))
+            walk = list(_convergents(cosine))
+            assert len(walk) <= 160, target
+            assert Fraction(*walk[-1]) == cosine
 
 
 class TestExactAngleType:

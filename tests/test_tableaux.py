@@ -30,7 +30,7 @@ from geodiag.tableaux import (
     enumerate_tableaux,
 )
 
-from oracles import brute_force_count
+from oracles import brute_force_count, tableau_count
 
 
 def mixed_product(c1=1, c2=2, c3=1):
@@ -53,6 +53,19 @@ def product_over_elementary_symmetric(cs):
             term *= c
         e += term
     return prod / e
+
+
+def random_products(seed, count, max_r=4):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        r = rnd.randint(1, max_r)
+        factors = []
+        for _ in range(r):
+            field = rnd.choice(["R", "C", "H", "O"])
+            n = 2 if field == "O" else rnd.randint(2, 4)
+            c = Fraction(rnd.randint(1, 8), rnd.randint(1, 8))
+            factors.append(space(field, n, c))
+        yield ProductSpace(tuple(factors))
 
 
 class TestDiagonalCurvature:
@@ -177,13 +190,36 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_tableaux(mixed_product(), set()))
 
-    def test_stream_is_duplicate_free_and_canonical(self):
-        M = mixed_product()
-        for subset in ({1}, {1, 2}, {2, 3}, {1, 2, 3}):
-            ts = list(enumerate_tableaux(M, subset))
-            keys = [t.sort_key() for t in ts]
-            assert len(set(keys)) == len(keys)
-            assert keys == sorted(keys)
+    @pytest.mark.parametrize("subset, index", [({9}, 9), ({3, 9, 7}, 3), ({0}, 0)])
+    def test_rejects_out_of_range_factors_at_the_call(self, subset, index):
+        M = ProductSpace((space("R", 3, 1), space("C", 3, 2)))
+        with pytest.raises(ValueError, match=rf"^factor index {index} out of range 1\.\.2$"):
+            enumerate_tableaux(M, subset)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            *random_products(seed=17, count=8, max_r=4),
+            ProductSpace(
+                (
+                    space("R", 2, 1),
+                    space("C", 2, 2),
+                    space("H", 2, Fraction(1, 2)),
+                    space("R", 3, 3),
+                    space("R", 2, Fraction(1, 4)),
+                )
+            ),
+        ],
+        ids=str,
+    )
+    def test_stream_is_duplicate_free_and_canonical(self, M):
+        factors = [(f.field.value, f.n, f.curvature) for f in M.factors]
+        for size in range(1, M.r + 1):
+            for subset in itertools.combinations(range(1, M.r + 1), size):
+                keys = [t.sort_key() for t in enumerate_tableaux(M, subset)]
+                assert len(set(keys)) == len(keys)
+                assert keys == sorted(keys)
+                assert len(keys) == tableau_count(factors, tuple(i - 1 for i in subset))
 
     @pytest.mark.parametrize("build", [AdaptedTableau, AdaptedTableau.from_rows])
     def test_rows_validated(self, build):
@@ -395,24 +431,11 @@ class TestCopiesKeepTheirState:
         e = self.entries()[0]
         with pytest.raises(ValueError, match="flat dimension exceeds"):
             dataclasses.replace(e, flat_dim=99)
-        for obj, name in ((e.tableau, "rows"), (e.tableau, "_key"), (e, "flat_dim"), (e, "tableau")):
+        for obj, name in ((e.tableau, "rows"), (e, "flat_dim"), (e, "tableau")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, getattr(obj, name))
         # slotted: no per-instance dictionary
         assert not hasattr(e, "__dict__") and not hasattr(e.tableau, "__dict__")
-
-
-def random_products(seed, count, max_r=4):
-    rnd = random.Random(seed)
-    for _ in range(count):
-        r = rnd.randint(1, max_r)
-        factors = []
-        for _ in range(r):
-            field = rnd.choice(["R", "C", "H", "O"])
-            n = 2 if field == "O" else rnd.randint(2, 4)
-            c = Fraction(rnd.randint(1, 8), rnd.randint(1, 8))
-            factors.append(space(field, n, c))
-        yield ProductSpace(tuple(factors))
 
 
 class TestTrustedConstruction:
@@ -441,13 +464,13 @@ class TestTrustedConstruction:
 
     def test_memo_rows_sharing_a_factor_raise(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
-        single, pair = M._memo.rows((1,))[0], M._memo.rows((1, 2))[0]
+        single, pair = (next(r for r in M._memo.rows if r.mask == mask) for mask in (0b10, 0b110))
         with pytest.raises(ValueError, match="factor 1 appears in more than one box"):
             AdaptedTableau.from_rows([single, pair])
 
     def test_memo_row_with_a_plain_row_is_validated(self):
         M = mixed_product()
-        memo_row = M._memo.rows((1,))[0]
+        memo_row = next(r for r in M._memo.rows if r.mask == 0b10)
         c2 = box(2, "C", 2, 2, "C", 3, 2)
         h2 = box(3, "H", 2, 1, "H", 3, 1)
         with pytest.raises(ValueError, match="mutually homothetic"):
