@@ -71,7 +71,8 @@ class RankOneSpace:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "curvature", Fraction(self.curvature))
+        if type(self.curvature) is not Fraction:
+            object.__setattr__(self, "curvature", Fraction(self.curvature))
         if self.curvature <= 0:
             raise ValueError(f"curvature must be positive, got {self.curvature}")
         if self.field is Field.R and self.n < 2:

@@ -315,6 +315,8 @@ def _cmd_verify(args, out) -> int:
             for r in report.rows:
                 if r.status == "unsupported":
                     print(f"             row {r.row_index}: unsupported ({r.reason})", file=out)
+                elif r.lie_residual is None:  # failed before it was measured
+                    print(f"             row {r.row_index}: fail: {r.reason}", file=out)
                 else:
                     failure = f"  fail: {r.reason}" if r.status == "fail" else ""
                     print(

@@ -106,12 +106,13 @@ def angles_in_product(k: int) -> list[ExactAngle]:
     """Kahler angles of the k-diagonal projective subspaces, deduplicated.
 
     Returns the cosines ``|2s - k| / k`` for s = 0..k as exact angles,
-    sorted by cosine.  Symmetric under s <-> k - s.
+    sorted by cosine.  Symmetric under s <-> k - s, so the numerators
+    ``|2s - k|`` are the integers from ``k % 2`` to ``k`` of the parity of
+    ``k``, each once and already ascending.  Linear in k.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    cosines = {Fraction(abs(2 * s - k), k) for s in range(k + 1)}
-    return [ExactAngle.from_cosine(q) for q in sorted(cosines)]
+    return [ExactAngle.from_cosine(Fraction(j, k)) for j in range(k % 2, k + 1, 2)]
 
 
 def realize_angle(q: Fraction | int | str, m: int) -> AngleRealization:

@@ -17,10 +17,11 @@ which is how it is computed (equivalently ``prod(c') / e_{m-1}(c')`` with
 A ``Row`` checks its own invariants on construction: its boxes are sorted
 by factor and mutually homothetic, and it carries its sort key, its factor
 mask (bit ``f`` set for each factor ``f`` it covers) and its diagonal
-rank-one space.  An ``AdaptedTableau`` turns plain rows into ``Row``s,
-sorts them by their keys and rejects a factor shared by two boxes
-(the OR of its rows' masks then has fewer bits than it has boxes), so
-every tableau is in canonical form however its rows were given.
+rank-one space; a one-box row's diagonal is its box's own class.  An
+``AdaptedTableau`` turns plain rows into ``Row``s, sorts them by their
+keys and rejects a factor shared by two boxes (the OR of its rows' masks
+then has fewer bits than it has boxes), so every tableau is in canonical
+form however its rows were given.
 
 Each ``ProductSpace`` carries a memo, built on first use and dropped with
 the instance: every factor's catalog list, grouped by homothety class, one
@@ -30,9 +31,10 @@ with no sort (see ``_RowMemo``).  One ``classify`` therefore queries
 the catalog once per factor and computes each row curvature once, however
 many tableaux share the row.  Tableaux and entries, made one at a time as
 the stream is read, are slotted frozen records with no instance
-dictionary.  The stream's entries, valid by construction, skip validation
-and are filled through their slots; entries built any other way are
-validated.
+dictionary.  The stream's tableaux and entries, valid by construction,
+skip validation and are filled through their slots: the memo hands out its
+row tuples as ``_Canonical`` tuples, which ``AdaptedTableau.from_rows``
+takes as they are.  Tableaux and entries built any other way are validated.
 
 Enumeration is per labelled factor subset: two tableaux that differ only by
 an ambient isometry permuting isometric factors are still listed separately,
@@ -61,7 +63,8 @@ from .catalog import (
 
 Partition = tuple[int, ...]
 
-# sets the fields of a frozen instance that skips validation, as __init__ would
+# make a frozen instance that skips validation, and set its fields as __init__ would
+_new = object.__new__
 _set = object.__setattr__
 
 
@@ -139,9 +142,9 @@ class Row(tuple):
     Construction sorts the boxes and rejects an empty or non-homothetic
     row and a factor index below 1.  The row carries its sort key ``key``,
     ``mask`` (bit ``f`` set for each factor ``f`` it covers) and ``space``,
-    the diagonal rank-one space it spans, and compares and hashes as the
-    plain tuple of its boxes.  Its text, the boxes joined by ``" | "``, is
-    rendered on first use and kept.
+    the diagonal rank-one space it spans (a lone box's own class), and
+    compares and hashes as the plain tuple of its boxes.  Its text, the
+    boxes joined by ``" | "``, is rendered on first use and kept.
     """
 
     key: tuple
@@ -162,7 +165,10 @@ class Row(tuple):
         row.key = _row_key(boxes)
         row.mask = _factor_mask(boxes)
         curvature = diagonal_curvature([box.inclusion.sub.curvature for box in boxes])
-        row.space = RankOneSpace(model.field, model.n, curvature, model.compact_dual)
+        if len(boxes) == 1:  # the diagonal of one box is its own class
+            row.space = model
+        else:
+            row.space = RankOneSpace(model.field, model.n, curvature, model.compact_dual)
         return row
 
     @functools.cached_property
@@ -216,7 +222,18 @@ class AdaptedTableau:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Box]]) -> "AdaptedTableau":
-        """The canonical-form tableau with the given rows, in any order."""
+        """The canonical-form tableau with the given rows, in any order.
+
+        Row tuples handed out by a product's memo are canonical by
+        construction (see ``_RowMemo``) and are taken as they are, their
+        slot filled through its descriptor; any other rows are validated
+        by ``__post_init__``.  Validating the memo's tuples again made
+        ``from_rows`` about six times slower per tableau.
+        """
+        if type(rows) is _Canonical:
+            tableau = _new(cls)
+            _set_rows(tableau, rows)
+            return tableau
         return cls(tuple(rows))
 
     @property
@@ -242,6 +259,9 @@ class AdaptedTableau:
 
     def __str__(self) -> str:
         return "; ".join(str(row) for row in self.rows) or "(empty)"
+
+
+_set_rows = AdaptedTableau.rows.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +302,7 @@ class ClassifiedSubmanifold:
         the tableau's box factors anew each time, made ``count`` on three
         4- and 5-factor products about 20% slower.
         """
-        entry = _new_entry(cls)
+        entry = _new(cls)
         _set_semisimple(entry, semisimple_factors)
         _set_flat_dim(entry, flat_dim)
         _set_tableau(entry, tableau)
@@ -300,7 +320,6 @@ class ClassifiedSubmanifold:
         return " x ".join(parts) if parts else "point"
 
 
-_new_entry = object.__new__
 _set_semisimple = ClassifiedSubmanifold.semisimple_factors.__set__
 _set_flat_dim = ClassifiedSubmanifold.flat_dim.__set__
 _set_tableau = ClassifiedSubmanifold.tableau.__set__
@@ -322,8 +341,20 @@ def diagonal_curvature(row_curvatures: Sequence[Fraction | int | str]) -> Fracti
         raise ValueError("need at least one curvature")
     if any(c.numerator <= 0 for c in cs):
         raise ValueError("curvatures must be positive")
+    if len(cs) == 1 and type(cs[0]) is Fraction:
+        return cs[0]
     lcm = math.lcm(*[c.numerator for c in cs])
     return Fraction(lcm, sum([c.denominator * (lcm // c.numerator) for c in cs]))
+
+
+class _Canonical(tuple):
+    """Rows of one tableau in canonical form, as ``_RowMemo.tableaux`` makes them.
+
+    Made nowhere else: ``AdaptedTableau.from_rows`` takes these rows
+    without validating them again.
+    """
+
+    __slots__ = ()
 
 
 def _least_key(rows: tuple[Row, ...]) -> tuple:
@@ -339,13 +370,16 @@ class _RowMemo:
     read its sort key and diagonal space from the row itself.  A tableau is
     its least row followed by a tableau of the remaining factors whose rows
     all sort after that row, so each factor mask's tableaux are built once,
-    already in canonical order, from the lists of smaller masks.
+    already in canonical order, from the lists of smaller masks.  Each is a
+    ``_Canonical`` tuple: its rows are memo ``Row``s in key order on
+    disjoint factors (the tail covers ``mask ^ row.mask``), so
+    ``AdaptedTableau.from_rows`` has nothing left to check.
     """
 
     def __init__(self, M: ProductSpace):
         self._factors = M.factors
         self._classes: dict[int, dict[tuple[int, int], list[Box]]] = {}
-        self._tableaux: dict[int, list[tuple[Row, ...]]] = {}
+        self._tableaux: dict[int, list[_Canonical]] = {}
 
     def classes(self, i: int) -> dict[tuple[int, int], list[Box]]:
         """Boxes of factor i by homothety class ``(field order, n)``, sorted by subspace."""
@@ -373,18 +407,18 @@ class _RowMemo:
         rows.sort(key=_key_of)
         return rows
 
-    def tableaux(self, mask: int) -> list[tuple[Row, ...]]:
+    def tableaux(self, mask: int) -> list[_Canonical]:
         """Row tuples of the tableaux covering exactly ``mask``, in canonical order."""
         found = self._tableaux.get(mask)
         if found is None:
             found = []
             for row in self.rows:
                 if row.mask == mask:
-                    found.append((row,))
+                    found.append(_Canonical((row,)))
                 elif row.mask & mask == row.mask:
                     tails = self.tableaux(mask ^ row.mask)
                     start = bisect.bisect_right(tails, row.key, key=_least_key)
-                    found.extend([(row, *tail) for tail in tails[start:]])
+                    found.extend([_Canonical((row,) + tail) for tail in tails[start:]])
             self._tableaux[mask] = found
         return found
 

@@ -330,6 +330,39 @@ class TestCommands:
         assert "fail: label RH2(7) differs from the row's diagonal RH2(1/2)" in out
         assert out.splitlines()[-1] == "# verified: 8 pass, 1 fail, 0 unsupported"
 
+    def test_verify_text_names_rows_that_failed_unmeasured(self, monkeypatch):
+        import dataclasses
+
+        import geodiag.cli as cli_mod
+        import geodiag.lieverify as lieverify_mod
+
+        real_images, real_classify = lieverify_mod._box_images, cli_mod.classify
+
+        def no_images_on_n3(sub, factor, block):
+            if factor.n == 3:
+                raise ValueError("no images here")
+            return real_images(sub, factor, block)
+
+        def relabelled(M):
+            for e in real_classify(M):
+                if e.tableau.shape == (1,):
+                    e = dataclasses.replace(e, semisimple_factors=(space("R", 2, 7),))
+                yield e
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lieverify_mod, "_box_images", no_images_on_n3)
+            code, out = invoke(["verify", "-m", "CH3(1)", "--seed", "0"])
+        assert code == 1
+        assert "             row 0: fail: not measurable: no images here\n" in out
+        assert out.splitlines()[-1] == "# verified: 2 pass, 5 fail, 0 unsupported"
+
+        # a mislabelled row on a factor without a model is not measured either
+        monkeypatch.setattr(cli_mod, "classify", relabelled)
+        code, out = invoke(["verify", "-m", "HH2(1)", "--seed", "0"])
+        assert code == 1
+        assert "             row 0: fail: label RH2(7) differs from the row's diagonal HH2(1)\n" in out
+        assert "None" not in out and out.splitlines()[-1].startswith("# verified: ")
+
     @staticmethod
     def flat_direction_on_the_row_factor(real):
         """``classify`` with each one-row, flat-dimension-1 entry's flat direction on its row's factor."""

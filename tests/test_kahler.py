@@ -53,6 +53,13 @@ class TestAnglesInProduct:
     def test_monotone_refinement(self, k, c):
         assert cosines(k) <= cosines(c * k)
 
+    def test_equals_the_sorted_set_of_every_s(self):
+        for k in range(1, 201):
+            expected = sorted({Fraction(abs(2 * s - k), k) for s in range(k + 1)})
+            angles = angles_in_product(k)
+            assert [a.cosine for a in angles] == expected
+            assert angles == [ExactAngle.from_cosine(q) for q in expected]
+
     def test_radians_consistent_with_cosine(self):
         for a in angles_in_product(7):
             assert abs(math.cos(a.radians) - float(a.cosine)) <= 1e-12

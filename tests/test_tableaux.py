@@ -439,7 +439,43 @@ class TestCopiesKeepTheirState:
 
 
 class TestTrustedConstruction:
-    """Every tableau is built by one validating path; only the stream's entries skip validation."""
+    """The stream's tableaux and entries skip validation; any other rows are validated."""
+
+    @pytest.mark.parametrize(
+        "M", [*random_products(seed=31, count=10, max_r=4), mixed_product()], ids=str
+    )
+    def test_memo_tableaux_equal_validated_rebuilds(self, M):
+        for size in range(1, M.r + 1):
+            for subset in itertools.combinations(range(1, M.r + 1), size):
+                for t in enumerate_tableaux(M, subset):
+                    rows = t.rows
+                    rebuilt = AdaptedTableau(tuple(map(tuple, rows)))
+                    assert rebuilt == t and rebuilt.rows == rows
+                    assert rebuilt.sort_key() == t.sort_key()
+                    assert rebuilt.box_factors() == t.box_factors() == set(subset)
+                    # reversed rows are validated and brought back into canonical order
+                    assert AdaptedTableau.from_rows(reversed(rows)) == t
+                    assert AdaptedTableau.from_rows(rows[::-1]) == t
+                    assert AdaptedTableau(rows[::-1]).rows == rows
+
+    def test_stream_tableaux_are_not_validated_again(self, monkeypatch):
+        M = mixed_product()
+        validated = []
+        post_init = AdaptedTableau.__post_init__
+
+        def counting(tableau):
+            validated.append(tableau.rows)
+            post_init(tableau)
+
+        monkeypatch.setattr(AdaptedTableau, "__post_init__", counting)
+        entries = list(classify(M))
+        # only the empty tableau of the purely flat entries is built by the constructor
+        assert validated == [()]
+        assert len({e.tableau for e in entries}) > 100
+        memo_rows = M._memo.tableaux(0b1110)[-1]
+        assert AdaptedTableau(memo_rows).rows == memo_rows
+        assert type(AdaptedTableau(memo_rows).rows) is tuple
+        assert validated[-1] is memo_rows
 
     @pytest.mark.parametrize("M", list(random_products(seed=23, count=8, max_r=3)), ids=str)
     def test_stream_equals_validated_rebuilds(self, M):
