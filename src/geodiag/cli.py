@@ -252,12 +252,16 @@ def _cmd_tableaux(args, out) -> int:
 
 def _cmd_angles(args, out) -> int:
     k = args.k
-    angles = angles_in_product(k)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     if args.table:
+        # every s, straight from k: the deduplicated angles are not needed
         print("k,s,cosine", file=out)
         for s in range(k + 1):
             print(f"{k},{s},{Fraction(abs(2 * s - k), k)}", file=out)
-    elif args.json:
+        return 0
+    angles = angles_in_product(k)
+    if args.json:
         record = {
             "k": k,
             "cosines": [str(a.cosine) for a in angles],

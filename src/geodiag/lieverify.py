@@ -149,6 +149,28 @@ class CartanDecomp:
     def p_dim(self) -> int:
         return len(self.p_basis)
 
+    @functools.cached_property
+    def ad_J(self) -> np.ndarray | None:
+        """The real ``(2N^2, 2N^2)`` matrix of ``ad(J)`` on unweighted coordinates; None without J.
+
+        ``C @ ad_J`` applies ``ad(J)`` to coordinate rows ``C``.  It is ``K^T``,
+        ``K`` the complex matrix of ``A -> gA - Ag`` on row-major entries, with
+        each entry ``z`` written as the real block ``[[Re z, Im z], [-Im z, Re z]]``.
+        Built on first use; read-only.
+        """
+        g = self.J_generator
+        if g is None:
+            return None
+        one = np.eye(self.N)
+        Kt = (np.kron(g, one) - np.kron(one, g.T)).T
+        ad = np.empty((len(Kt), 2, len(Kt), 2))
+        ad[:, 0, :, 0] = ad[:, 1, :, 1] = Kt.real
+        ad[:, 0, :, 1] = Kt.imag
+        ad[:, 1, :, 0] = -Kt.imag
+        ad = ad.reshape(2 * len(Kt), -1)
+        ad.setflags(write=False)
+        return ad
+
 
 def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
     """Unweighted real coordinates of a family of N x N complex matrices."""
@@ -305,8 +327,8 @@ class ProductModel:
     Consecutive identical blocks (the same object; models come from
     ``lru_cache``) form a run, whatever their weights.  ``_split`` and
     ``_join`` convert between coordinates and one ``(..., count, N, N)``
-    matrix stack per run, and every blockwise operation is one batched
-    matmul per run, the run's block axis one more batch axis.
+    matrix stack per run.  The blockwise maps, :meth:`J` and the triple
+    brackets, cost one or two matmuls per block, batched over the run.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -386,20 +408,24 @@ class ProductModel:
     def J(self, C: np.ndarray) -> np.ndarray:
         """Blockwise complex structure on coordinates ``(..., D)``.
 
-        Components on blocks without a complex structure must vanish, each
-        block's on its own.
+        One real matmul per run by the block's :attr:`CartanDecomp.ad_J`:
+        ``ad(J)`` is linear, so the weights' roots cancel.  Components on
+        blocks without a complex structure must vanish, each block's
+        unweighted mass on its own.
         """
-        parts = []
-        for r, a in zip(self._runs, self._split(C)):
-            g = r.block.J_generator
-            if g is None:
-                mass = np.linalg.norm(np.moveaxis(a, -3, 0).reshape(r.count, -1), axis=1)
+        lead = C.shape[:-1]
+        out = np.empty(C.shape)
+        for r in self._runs:
+            a, ad = C[..., r.lo : r.hi], r.block.ad_J
+            if ad is None:
+                blocks = (a / r.roots).reshape(*lead, r.count, -1)
+                mass = np.linalg.norm(np.moveaxis(blocks, -2, 0).reshape(r.count, -1), axis=1)
                 if np.any(mass > TOL_ARITHMETIC):
                     raise ValueError("element has mass on a block with no complex structure")
-                parts.append(np.zeros_like(a))
+                out[..., r.lo : r.hi] = 0.0
             else:
-                parts.append(g @ a - a @ g)
-        return self._join(parts)
+                out[..., r.lo : r.hi] = (a.reshape(-1, len(ad)) @ ad).reshape(*lead, -1)
+        return out
 
 
 class _TripleCheck(NamedTuple):
@@ -475,19 +501,33 @@ class SubspaceBasis:
 def _triple_brackets(V: SubspaceBasis) -> np.ndarray:
     """Coordinate rows of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
 
-    Per run of identical blocks, all ``[X_i, X_j]`` and then all
-    ``[[X_i, X_j], X_l]`` are batched matmuls on the ``(dim, count, N, N)``
-    stack of the basis, the run's block axis one more batch axis.
+    Per run of identical blocks, after the pair brackets ``B_p = [X_i, X_j]``,
+    all ``B_p X_l`` of a block are one ``(P N x N) @ (N x dim N)`` product and
+    all ``X_l B_p`` one ``(dim N x N) @ (N x P N)``, batched over the run.  The
+    first is copied into the ``(P, dim, D)`` output and dropped before the
+    second is made and subtracted in place, so at most one product is alive
+    next to the output; the roots of the weights scale the difference, as
+    in ``_join``.
     """
     model = V.ambient
-    i, j = _pairs(V.dim)
-    parts = []
-    for X in model._split(V.coords):
-        B = bracket(X[i], X[j])[:, None]
-        T = B @ X
-        T -= X @ B
-        parts.append(T)
-    return model._join(parts).reshape(-1, V.coords.shape[1])
+    d = V.dim
+    i, j = _pairs(d)
+    P = len(i)
+    out = np.empty((P, d, V.coords.shape[1]))
+    for r, X in zip(model._runs, model._split(V.coords)):
+        c, N = r.count, r.block.N
+        B = bracket(X[i], X[j])  # (P, count, N, N), X being (dim, count, N, N)
+        T = out[..., r.lo : r.hi].view(complex).reshape(P, d, c, N, N)
+        BX = B.swapaxes(0, 1).reshape(c, P * N, N) @ X.transpose(1, 2, 0, 3).reshape(c, N, d * N)
+        T[...] = BX.reshape(c, P, N, d, N).transpose(1, 3, 0, 2, 4)
+        del BX
+        B = B.transpose(1, 2, 0, 3).reshape(c, N, P * N)  # rebound: the first layout is dropped
+        XB = X.swapaxes(0, 1).reshape(c, d * N, N) @ B
+        T -= XB.reshape(c, d, N, P, N).transpose(3, 1, 0, 2, 4)
+        del XB
+        scaled = out[..., r.lo : r.hi]
+        scaled *= r.roots
+    return out.reshape(-1, V.coords.shape[1])
 
 
 def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
@@ -806,7 +846,12 @@ class RowVerification:
     planes: int | None = None
 
     def to_dict(self) -> dict:
-        return {"row": self.row_index, **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+        return dict(zip(_ROW_KEYS, _row_values(self)))
+
+
+# a row record's keys, ``row_index`` written as "row", and its values in order
+_ROW_KEYS = ("row", *(f.name for f in fields(RowVerification)[1:]))
+_row_values = operator.attrgetter(*(f.name for f in fields(RowVerification)))
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,22 @@ class TestCommands:
         record = json.loads(out)
         assert record["cosines"] == ["1/5", "3/5", "1"]
 
+    def test_angles_table_does_not_build_the_angle_list(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("the CSV table must not build the deduplicated angles")
+
+        monkeypatch.setattr("geodiag.cli.angles_in_product", refuse)
+        code, out = invoke(["angles", "--k", "4", "--table"])
+        assert code == 0
+        assert out.splitlines() == ["k,s,cosine", "4,0,1", "4,1,1/2", "4,2,0", "4,3,1/2", "4,4,1"]
+
+    @pytest.mark.parametrize("form", [[], ["--json"], ["--table"]])
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_angles_reject_k_below_one_in_every_form(self, form, k, capsys):
+        code, out = invoke(["angles", "--k", k, *form])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: k must be a positive integer\n"
+
     def test_tableaux_requires_subset(self):
         code, out = invoke(["tableaux", "-m", "RH3(1) x CH3(2)", "--subset", "1,2"])
         assert code == 0

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -1445,3 +1446,100 @@ class TestRuns:
         # below the tolerance on each sphere block, above it summed over the run
         crumbs = complex_row + 0.8 * TOL_ARITHMETIC * (first + second)
         np.testing.assert_allclose(model.J(crumbs), P[5], rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the blockwise maps against their per-matrix definitions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_wide_subspaces(draw):
+    """Up to 6 orthonormal rows of ``p`` in a model of ``random_block_lists()``, weights drawn."""
+    blocks = tuple(draw(random_block_lists()))
+    weights = tuple(draw(st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks))))
+    model = ProductModel(blocks, weights)
+    basis = model.p_coords
+    dim = draw(st.integers(1, min(6, len(basis))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SubspaceBasis.orthonormalized(model, rng.standard_normal((dim, len(basis))) @ basis), rng
+
+
+class TestBlockMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(random_wide_subspaces())
+    def test_triple_brackets_are_the_nested_model_brackets(self, case):
+        V, _ = case
+        model, E = V.ambient, V.coords
+        T = lieverify_mod._triple_brackets(V)
+        pairs = [(i, j) for i in range(V.dim) for j in range(i + 1, V.dim)]
+        assert T.shape == (len(pairs) * V.dim, E.shape[1])
+        for p, (i, j) in enumerate(pairs):
+            B = model_bracket(model, E[i], E[j])
+            for l in range(V.dim):
+                expected = model_bracket(model, B, E[l])
+                np.testing.assert_allclose(T[p * V.dim + l], expected, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_wide_subspaces())
+    def test_J_is_the_commutator_with_each_block_generator(self, case):
+        V, rng = case
+        model = V.ambient
+        blocks, weights = model.blocks, model.weights
+        C = rng.standard_normal((2, V.dim, V.coords.shape[1]))
+        # blocks without a complex structure must carry nothing
+        lo = 0
+        for block in blocks:
+            hi = lo + 2 * block.N**2
+            if block.J_generator is None:
+                C[..., lo:hi] = 0.0
+            lo = hi
+        expected = np.zeros_like(C)
+        for n in np.ndindex(C.shape[:-1]):
+            lo = 0
+            for block, w, a in zip(blocks, weights, ref_matrices(blocks, weights, C[n])):
+                hi = lo + 2 * block.N**2
+                g = block.J_generator
+                if g is not None:
+                    expected[n][lo:hi] = math.sqrt(w) * (g @ a - a @ g).view(np.float64).ravel()
+                lo = hi
+        np.testing.assert_allclose(model.J(C), expected, rtol=0, atol=1e-14)
+
+    def test_ad_J_rows_are_the_images_of_the_unit_matrices(self):
+        G = grassmannian_decomp(2, 3)
+        units = np.eye(50).view(complex).reshape(50, 5, 5)
+        for decomp in (G, conjugated_decomp(G, random_special_unitary(5, np.random.default_rng(3)))):
+            g, ad = decomp.J_generator, decomp.ad_J
+            assert ad.shape == (50, 50) and not ad.flags.writeable
+            images = (g @ units - units @ g).view(np.float64).reshape(50, 50)
+            np.testing.assert_allclose(ad, images, rtol=0, atol=1e-15)
+        assert sphere_decomp(3).ad_J is None
+
+    @pytest.mark.parametrize(
+        "blocks, weights",
+        [
+            ((grassmannian_decomp(1, 8),), (4.0,)),  # the full CH8(1) row
+            ((grassmannian_decomp(1, 6),) * 2, (4.0, 16.0)),  # one run of two CH6 blocks
+            ((grassmannian_decomp(1, 4),) * 3, (4.0, 1.0, 16.0)),  # one run of three CH4 blocks
+        ],
+    )
+    def test_triple_brackets_keep_at_most_one_product_next_to_the_output(self, blocks, weights):
+        """Peak traced memory stays within 2.25 times the output: the output and one product.
+
+        Holding both products with the output reads above 3.
+        """
+        model = ProductModel(blocks, weights)
+        V = SubspaceBasis(model, model.p_coords)
+        lieverify_mod._triple_brackets(V)  # warm the cached runs and pair indices
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            T = lieverify_mod._triple_brackets(V)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2.25 * T.nbytes, peak / T.nbytes
