@@ -304,6 +304,8 @@ def _cmd_approximate(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
+    if not math.isfinite(10 * args.tol):
+        raise ValueError(f"--tol must keep the curvature tolerance 10 * tol finite, got {args.tol}")
     M = parse_product(args.product)
     rng = np.random.default_rng(args.seed)
     counts = {"pass": 0, "fail": 0, "unsupported": 0}

@@ -546,15 +546,9 @@ def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tup
 def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     """Calibrated sectional curvature of the plane spanned by rows x, y of V.
 
-    Stacked rows ``(n, D)`` measure n planes at once and return an array of
-    n curvatures.  Positive on these compact models; the scale is fixed by
-    the projective-line anchor (see :func:`calibration_constant`).  The
-    planes are projected onto the basis once, as coefficient rows ``a, b``,
-    and measured by contracting ``V``'s curvature tensor:
-    ``<[[x, y], y], x> = -sum w_p K[p, q] w_q`` with
-    ``w_p = a_i b_j - a_j b_i``, exact because x and y lie in V.  The plane's
-    area is ``sum w_p^2``, which equals ``|a|^2 |b|^2 - <a, b>^2`` by the
-    Lagrange identity but loses no digits on nearly dependent planes.
+    Stacked rows ``(n, D)`` measure n planes at once and return an array of n
+    curvatures, positive on these compact models (scale: :func:`calibration_constant`).
+    The planes are projected onto the basis once and measured by :func:`_plane_curvatures`.
     """
     C = V.coords
     X = np.atleast_2d(x)
@@ -563,15 +557,30 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     coeffs = P @ C.T
     if np.max(_residuals(P, C, coeffs)) > TOL_CONSTRUCTIVE:
         raise ValueError("plane vectors must lie in the subspace")
-    A, B = coeffs[:n], coeffs[n:]
+    out, dependent = _plane_curvatures(V, coeffs[:n], coeffs[n:])
+    if dependent.any():
+        raise ValueError("sectional curvature of linearly dependent vectors")
+    return out if x.ndim == 2 else float(out[0])
+
+
+def _plane_curvatures(V: SubspaceBasis, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calibrated curvatures of the planes spanned by coefficient rows ``A[n], B[n]`` on V's basis.
+
+    Contracts ``V``'s curvature tensor: ``<[[x, y], y], x> = -sum w_p K[p, q] w_q``
+    with ``w_p = a_i b_j - a_j b_i``.  The area ``sum w_p^2`` equals
+    ``|a|^2 |b|^2 - <a, b>^2`` (Lagrange) but keeps its digits on nearly
+    dependent planes.  The rows need not be unit or orthogonal.  Returns the
+    curvatures of the independent planes, in order, and the mask of the
+    dependent ones, of area at most ``1e-12 |a|^2 |b|^2``.
+    """
     i, j = _pairs(V.dim)
     O = A[:, :, None] * B[:, None, :]
     W = (O - O.transpose(0, 2, 1))[:, i, j]
     areas = np.einsum("np,np->n", W, W)
-    if (areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)).any():
-        raise ValueError("sectional curvature of linearly dependent vectors")
-    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas
-    return out if x.ndim == 2 else float(out[0])
+    dependent = areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)
+    if dependent.any():
+        W, areas = W[~dependent], areas[~dependent]
+    return 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas, dependent
 
 
 def kahler_angle_of(V: SubspaceBasis, v: np.ndarray) -> float:
@@ -705,30 +714,25 @@ def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> 
 
 
 class _BuiltRow(NamedTuple):
-    """A row's diagonal in the model of its own factors' blocks.
+    """A row's diagonal in the model of its own factors' blocks, and what every entry reuses.
 
-    With its deterministic planes ``X[n], Y[n]``: ``(e_a, J e_a)`` for
-    complex rows, all pairs of basis vectors for real ones.  The basis keeps
-    its triple check, so measuring a plane brackets nothing.  ``JC`` is
-    ``J`` of every basis row for complex rows (None for real ones): ``J`` is
-    linear, so the partner of a random vector ``g C`` is ``g JC``.
+    The basis keeps its triple check, so measuring a plane brackets nothing.
+    ``basis_curvatures`` are measured once, on ``(e_a, J e_a)`` for complex
+    rows and all pairs of basis vectors for real ones.  ``J[i, k] = <J e_i, e_k>``
+    is the complex structure on the basis (None for real rows): the partner
+    of the vector with coefficients ``g`` has coefficients ``g J``.
     """
 
     basis: SubspaceBasis
-    X: np.ndarray
-    Y: np.ndarray
-    JC: np.ndarray | None
-
-    @property
-    def complex_row(self) -> bool:
-        return self.JC is not None
+    basis_curvatures: np.ndarray
+    J: np.ndarray | None
 
 
 def _build_row(model: ProductModel, row) -> _BuiltRow:
     """Assemble a row's diagonal from its box images, block k holding the row's k-th box.
 
-    Raises ValueError when a box has no matrix model or the images are
-    rank-deficient.
+    Raises ValueError when a box has no matrix model, the images are
+    rank-deficient or a complex row's diagonal is not J-invariant.
     """
     parts = [
         _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
@@ -736,14 +740,20 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     V = SubspaceBasis.orthonormalized(model, model._join(model._per_run(parts)))
     is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
     row_class = row[0].inclusion.sub
-    C = V.coords
+    C, J = V.coords, None
     if row_class.field is Field.C:
-        # the diagonal is J-invariant; holomorphic planes carry the label
+        # the diagonal must be J-invariant; holomorphic planes carry the label
         JC = model.J(C)
-        holomorphic = slice(0, 2 * row_class.n, 2)
-        return _BuiltRow(V, C[holomorphic], JC[holomorphic], JC)
-    i, j = _pairs(V.dim)
-    return _BuiltRow(V, C[i], C[j], None)
+        J = JC @ C.T
+        if np.max(_residuals(JC, C, J)) > TOL_CONSTRUCTIVE:
+            raise ValueError("plane vectors must lie in the subspace")
+        J.setflags(write=False)
+        X, Y = C[0 : 2 * row_class.n : 2], JC[0 : 2 * row_class.n : 2]
+    else:
+        X, Y = C[_pairs(V.dim)]
+    curvatures = sectional_curvature(V, X, Y)
+    curvatures.setflags(write=False)
+    return _BuiltRow(V, curvatures, J)
 
 
 class _VerifyMemo:
@@ -810,25 +820,16 @@ class _VerifyMemo:
         )
 
 
-def _sample_planes(built: _BuiltRow, rng: np.random.Generator | None):
-    """The row's deterministic planes plus, with an ``rng``, a few random ones.
+def _sample_planes(built: _BuiltRow, rng: np.random.Generator) -> np.ndarray:
+    """Calibrated curvatures of a few random planes of the row, in its own coefficients.
 
-    Draws 3 random unit vectors for a complex row and 3 pairs for a real
-    one, in one call and in the order of :meth:`SubspaceBasis.random_unit_vector`.
+    Draws, in one call and in the order of :meth:`SubspaceBasis.random_unit_vector`, 3 rows
+    ``g`` for a complex row, the planes ``(g, g J)``, and 3 pairs for a real one, dropping dependent pairs.
     """
-    V, X, Y = built.basis, built.X, built.Y
-    if rng is None:
-        return X, Y
-    G = rng.standard_normal((3 if built.complex_row else 6, V.dim))
-    G /= _row_norms(G)[:, None]
-    U = G @ V.coords
-    if built.complex_row:
-        return np.concatenate([X, U]), np.concatenate([Y, G @ built.JC])
-    v, w = U[0::2], U[1::2]
-    w = w - np.einsum("ij,ij->i", v, w)[:, None] * v
-    nw = _row_norms(w)
-    keep = nw > 1e-6
-    return np.concatenate([X, v[keep]]), np.concatenate([Y, w[keep] / nw[keep, None]])
+    J = built.J
+    G = rng.standard_normal((6 if J is None else 3, built.basis.dim))
+    A, B = (G[0::2], G[1::2]) if J is None else (G, G @ J)
+    return _plane_curvatures(built.basis, A, B)[0]
 
 
 @dataclass(frozen=True)
@@ -924,8 +925,8 @@ def verify_classification_entry(
     directions need no model.  A row that cannot be built or measured (a
     box outside the matrix models, planes leaving a complex row) fails with
     the reason instead of raising.
-    Rows are built once per ``M`` and their residuals compared with
-    ``lie_tol`` on every call; the random planes are drawn per call.
+    Rows are built and their basis planes measured once per ``M``; their
+    residuals are compared with ``lie_tol`` and random planes drawn per call.
     The total residual is derived from the block structure: when no factor
     carries more than one row or flat direction it is the largest residual
     of the rows (0.0 with flat directions only).  It is None for the point,
@@ -957,18 +958,19 @@ def verify_classification_entry(
         expected = float(exact)
         try:
             built = memo.row(row)
-            X, Y = _sample_planes(built, rng)
-            measured = sectional_curvature(built.basis, X, Y)
         except ValueError as exc:
             row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
             continue
+        measured = built.basis_curvatures
+        if rng is not None:
+            measured = np.concatenate([measured, _sample_planes(built, rng)])
         residual = built.basis._triple_check.residual
         errors = np.abs(measured - expected)
         worst = int(np.argmax(errors))
         error = float(errors[worst])
         if not residual <= lie_tol:
             reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
-        elif error > curvature_tol:
+        elif not error <= curvature_tol:
             reason = f"curvature off by {error:.3e}"
         else:
             reason = mislabel

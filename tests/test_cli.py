@@ -250,6 +250,10 @@ class TestCommands:
             (["nonsense"], "error: argument command: invalid choice: 'nonsense'"),
             (["count"], "error: the following arguments are required: -m/--product"),
             (["realize", "--q=-1/2"], "error: cosine must lie in [0, 1], got -1/2"),
+            (
+                ["verify", "-m", "RH2(1)", "--tol", "1e308"],
+                "error: --tol must keep the curvature tolerance 10 * tol finite, got 1e+308",
+            ),
         ],
     )
     def test_argument_errors_are_one_line(self, argv, message, capsys):

@@ -198,6 +198,12 @@ class TestOrthonormalization:
             SubspaceBasis.orthonormalized(model, raw)
 
 
+def unbuilt_row(V, complex_row):
+    """A built row on any basis, with no basis planes; complex rows carry V's J on its basis."""
+    C = V.coords
+    return lieverify_mod._BuiltRow(V, np.empty(0), V.ambient.J(C) @ C.T if complex_row else None)
+
+
 class TestSampledPlanes:
     def test_random_planes_are_the_per_vector_draws(self):
         M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
@@ -206,11 +212,16 @@ class TestSampledPlanes:
         for e in classify(M):
             for r in e.tableau.rows:
                 rows.setdefault((r[0].inclusion.sub.field.value, len(r)), r)
-        for key in (("R", 2), ("C", 1)):
-            built = memo.row(rows[key])
-            X, Y = lieverify_mod._sample_planes(built, np.random.default_rng(7))
+        # the rows' diagonals have constant (holomorphic) curvature; the full p of
+        # CP^2 and of Gr_2(C^4) do not, so there the draws decide the values
+        spread = [
+            unbuilt_row(full_p_basis(grassmannian_decomp(1, 2)), False),
+            unbuilt_row(full_p_basis(grassmannian_decomp(2, 2)), True),
+        ]
+        for built in [memo.row(rows[("R", 2)]), memo.row(rows[("C", 1)]), *spread]:
+            measured = lieverify_mod._sample_planes(built, np.random.default_rng(7))
             V, rng = built.basis, np.random.default_rng(7)
-            if built.complex_row:
+            if built.J is not None:
                 xs = np.array([V.random_unit_vector(rng) for _ in range(3)])
                 ys = V.ambient.J(xs)
             else:
@@ -220,8 +231,25 @@ class TestSampledPlanes:
                     w = w - (v @ w) * v
                     xs.append(v)
                     ys.append(w / np.linalg.norm(w))
-            np.testing.assert_allclose(X, np.vstack([built.X, xs]), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(Y, np.vstack([built.Y, ys]), rtol=0, atol=1e-14)
+            expected = sectional_curvature(V, np.array(xs), np.array(ys))
+            np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
+        for built in spread:
+            assert np.ptp(lieverify_mod._sample_planes(built, np.random.default_rng(7))) > 0.1
+
+    def test_a_dependent_random_real_pair_is_dropped(self):
+        V = full_p_basis(grassmannian_decomp(1, 2))
+        G = np.random.default_rng(8).standard_normal((6, V.dim))
+        G[1] = -2.0 * G[0]
+
+        class StubRng:
+            def standard_normal(self, shape):
+                assert shape == G.shape
+                return G.copy()
+
+        measured = lieverify_mod._sample_planes(unbuilt_row(V, False), StubRng())
+        expected = sectional_curvature(V, G[2::2] @ V.coords, G[3::2] @ V.coords)
+        assert len(measured) == 2
+        np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
 
 
 class TestModelIdentity:
@@ -751,6 +779,57 @@ class TestNegativeControls:
         assert report.reason == f"factor {shared} carries {carried}"
         assert report.to_dict()["reason"] == report.reason
 
+    def test_j_must_keep_every_vector_of_a_complex_row_inside(self, monkeypatch):
+        # J moves only the odd basis vectors off the row, so every basis plane (e_a, J e_a) stays inside
+        M = ProductSpace((space("C", 2, 1), space("C", 2, 1)))
+        entry = next(
+            e for e in classify(M)
+            if len(e.tableau.rows) == 1 and len(e.tableau.rows[0]) == 2
+            and e.semisimple_factors[0].field.value == "C"
+        )
+        J = ProductModel.J
+
+        def leaky(model, C):
+            out = J(model, C)
+            off = model.p_coords - (model.p_coords @ C.T) @ C
+            out[1::2] += 1e-3 * off[np.argmax(np.linalg.norm(off, axis=1))]
+            return out
+
+        monkeypatch.setattr(ProductModel, "J", leaky)
+        report = verify_classification_entry(entry, M, rng=np.random.default_rng(4))
+        assert report.status == "fail"
+        assert report.rows[0].reason == "not measurable: plane vectors must lie in the subspace"
+
+    def test_a_nan_curvature_fails(self, monkeypatch):
+        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
+        monkeypatch.setattr(lieverify_mod, "calibration_constant", lambda: math.nan)
+        _, reports = verify_all(M)
+        assert any(report.rows for report in reports)
+        for report in reports:
+            assert report.status == ("fail" if report.rows else "pass")
+            for row in report.rows:
+                assert row.status == "fail" and row.reason == "curvature off by nan"
+
+    def test_random_planes_alone_catch_a_wrong_tensor(self):
+        # each row's basis planes keep their right curvatures; only the random planes see K
+        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
+        entries = [e for e in classify(M) if e.tableau.rows]
+        memo = lieverify_mod._VerifyMemo.of(M)
+        for row in {id(row): row for e in entries for row in e.tableau.rows}.values():
+            built = memo.row(row)
+            V = SubspaceBasis(built.basis.ambient, built.basis.coords)
+            check = built.basis._triple_check
+            V.__dict__["_triple_check"] = check._replace(K=1.01 * check.K)
+            memo._built[id(row)] = (row, built._replace(basis=V))
+        for e in entries:
+            assert verify_classification_entry(e, M).status == "pass"
+        rng = np.random.default_rng(9)
+        for e in entries:
+            report = verify_classification_entry(e, M, rng=rng)
+            assert report.status == "fail"
+            for row in report.rows:
+                assert row.status == "fail" and row.reason.startswith("curvature off by"), row.reason
+
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
         for e in classify(M):
@@ -1198,8 +1277,8 @@ class TestCurvatureTensor:
         distinct = {id(row) for e in entries for row in e.tableau.rows}
         measured = sum(len(e.tableau.rows) for e in entries)
         assert cold["orthonormalized"] == cold["is_lie_triple_system"] == len(distinct)
-        assert cold["sectional_curvature"] == measured
-        assert hot == {"sectional_curvature": measured}
+        assert cold["sectional_curvature"] == len(distinct) < measured
+        assert hot == {}
         for a, b in zip(first, again):
             assert a.status == b.status == "pass"
         # each built row keeps its tensor, not its (pairs * dim, D) brackets
@@ -1209,7 +1288,7 @@ class TestCurvatureTensor:
             pairs = V.dim * (V.dim - 1) // 2
             assert V._triple_check.K.shape == (pairs, pairs)
             if V.dim >= 3:
-                held = [a for a in (built.X, built.Y, built.JC, *vars(V).values()) if isinstance(a, np.ndarray)]
+                held = [a for a in (*built, *vars(V).values()) if isinstance(a, np.ndarray)]
                 assert all(len(a) != pairs * V.dim for a in held)
                 checked += 1
         assert checked
