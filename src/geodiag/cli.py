@@ -9,13 +9,14 @@ exact end to end: the JSON records render them as ``"p/q"`` strings,
 never floats.
 
 Commands: ``classify``, ``count``, ``tableaux``, ``angles``, ``realize``,
-``verify``.  Output is deterministic for fixed flags and seed; ``--json``
+``verify``.  Output is deterministic for fixed flags; ``--json``
 switches to JSON lines (one record per line).  The classify record format
 is frozen in ``schema/classified.json`` (tag v1).  ``classify --json``
 splices each line from JSON fragments rendered once per row and once per
 tableau; every line reads as ``classified_record`` renders its entry.  It
 and ``tableaux --json`` render rows with one helper, ``_row_record``.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, NoReturn, Sequence
 
-import numpy as np
-
 from .catalog import Field, RankOneSpace, TotGeodInclusion
 from .kahler import AngleApproximationError, angles_in_product, approximate_angle, realize_angle
 from .lieverify import verify_classification_entry
@@ -45,9 +44,6 @@ from .tableaux import (
     count_classes,
     enumerate_tableaux,
 )
-
-SEED_ENV_VAR = "GEODIAG_SEED"
-
 
 class ProductSpecError(ValueError):
     """Problem with a product-space specification string."""
@@ -307,12 +303,9 @@ def _cmd_verify(args, out) -> int:
     if not math.isfinite(10 * args.tol):
         raise ValueError(f"--tol must keep the curvature tolerance 10 * tol finite, got {args.tol}")
     M = parse_product(args.product)
-    rng = np.random.default_rng(args.seed)
     counts = {"pass": 0, "fail": 0, "unsupported": 0}
     for e in classify(M):
-        report = verify_classification_entry(
-            e, M, lie_tol=args.tol, curvature_tol=10 * args.tol, rng=rng
-        )
+        report = verify_classification_entry(e, M, lie_tol=args.tol, curvature_tol=10 * args.tol)
         counts[report.status] += 1
         if args.json:
             print(_dump(report.to_dict()), file=out)
@@ -344,17 +337,6 @@ def _cmd_verify(args, out) -> int:
     if args.strict and counts["unsupported"]:
         return 1
     return 0
-
-
-def _default_seed() -> int:
-    value = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        seed = int(value)
-    except ValueError:
-        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise ValueError(f"${SEED_ENV_VAR} must not be negative, got {value!r}")
-    return seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -408,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerically verify the classification in compact duals")
     p.add_argument("-m", "--product", required=True)
-    p.add_argument("--seed", type=int, default=None, help=f"rng seed (default ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, help="ignored: verify draws no random numbers; kept for old scripts")
     p.add_argument("--tol", type=float, default=1e-9, help="Lie triple residual tolerance")
     p.add_argument("--strict", action="store_true", help="treat unsupported factors as failure")
     p.add_argument("--json", action="store_true")
@@ -422,11 +404,6 @@ def run(argv: Sequence[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "seed"):
-            if args.seed is None:
-                args.seed = _default_seed()
-            elif args.seed < 0:
-                raise ValueError(f"--seed must not be negative, got {args.seed}")
         return args.func(args, out)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -435,8 +412,19 @@ def run(argv: Sequence[str], out=None) -> int:
         return 2
 
 
+# exit status when the reader closes stdout early, as a shell reports a process killed by SIGPIPE
+EXIT_CLOSED_STDOUT = 128 + 13
+
+
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so that flushing at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

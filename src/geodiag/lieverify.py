@@ -548,7 +548,12 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
 
     Stacked rows ``(n, D)`` measure n planes at once and return an array of n
     curvatures, positive on these compact models (scale: :func:`calibration_constant`).
-    The planes are projected onto the basis once and measured by :func:`_plane_curvatures`.
+    The planes are projected onto the basis once, to coefficient rows ``a, b``,
+    and contract ``V``'s curvature tensor: ``<[[x, y], y], x> = -sum w_p K[p, q] w_q``
+    with ``w_p = a_i b_j - a_j b_i``.  The area ``sum w_p^2`` equals
+    ``|a|^2 |b|^2 - <a, b>^2`` (Lagrange) but keeps its digits on nearly
+    dependent planes; a plane of area at most ``1e-12 |a|^2 |b|^2`` is
+    dependent and raises.
     """
     C = V.coords
     X = np.atleast_2d(x)
@@ -557,30 +562,15 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     coeffs = P @ C.T
     if np.max(_residuals(P, C, coeffs)) > TOL_CONSTRUCTIVE:
         raise ValueError("plane vectors must lie in the subspace")
-    out, dependent = _plane_curvatures(V, coeffs[:n], coeffs[n:])
-    if dependent.any():
-        raise ValueError("sectional curvature of linearly dependent vectors")
-    return out if x.ndim == 2 else float(out[0])
-
-
-def _plane_curvatures(V: SubspaceBasis, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Calibrated curvatures of the planes spanned by coefficient rows ``A[n], B[n]`` on V's basis.
-
-    Contracts ``V``'s curvature tensor: ``<[[x, y], y], x> = -sum w_p K[p, q] w_q``
-    with ``w_p = a_i b_j - a_j b_i``.  The area ``sum w_p^2`` equals
-    ``|a|^2 |b|^2 - <a, b>^2`` (Lagrange) but keeps its digits on nearly
-    dependent planes.  The rows need not be unit or orthogonal.  Returns the
-    curvatures of the independent planes, in order, and the mask of the
-    dependent ones, of area at most ``1e-12 |a|^2 |b|^2``.
-    """
+    A, B = coeffs[:n], coeffs[n:]
     i, j = _pairs(V.dim)
     O = A[:, :, None] * B[:, None, :]
     W = (O - O.transpose(0, 2, 1))[:, i, j]
     areas = np.einsum("np,np->n", W, W)
-    dependent = areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)
-    if dependent.any():
-        W, areas = W[~dependent], areas[~dependent]
-    return 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas, dependent
+    if np.any(areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)):
+        raise ValueError("sectional curvature of linearly dependent vectors")
+    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas
+    return out if x.ndim == 2 else float(out[0])
 
 
 def kahler_angle_of(V: SubspaceBasis, v: np.ndarray) -> float:
@@ -714,23 +704,28 @@ def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> 
 
 
 class _BuiltRow(NamedTuple):
-    """A row's diagonal in the model of its own factors' blocks, and what every entry reuses.
+    """A row's diagonal in the model of its own factors' blocks, and its curvature checks.
 
-    The basis keeps its triple check, so measuring a plane brackets nothing.
-    ``basis_curvatures`` are measured once, on ``(e_a, J e_a)`` for complex
-    rows and all pairs of basis vectors for real ones.  ``J[i, k] = <J e_i, e_k>``
-    is the complex structure on the basis (None for real rows): the partner
-    of the vector with coefficients ``g`` has coefficients ``g J``.
+    ``basis_curvatures`` are measured on ``(e_a, J e_a)`` for complex rows and
+    all pairs of basis vectors for real ones.  ``curvature_bound`` bounds the
+    curvature error of every plane (:func:`_build_row`); NaN when not finite.
     """
 
     basis: SubspaceBasis
     basis_curvatures: np.ndarray
-    J: np.ndarray | None
+    curvature_bound: float
 
 
-def _build_row(model: ProductModel, row) -> _BuiltRow:
+def _build_row(model: ProductModel, row, kappa: float) -> _BuiltRow:
     """Assemble a row's diagonal from its box images, block k holding the row's k-th box.
 
+    The row's calibrated curvature tensor on pairs is compared once with the
+    tensor of its class at curvature ``kappa``: ``kappa I`` for ``RH^m``, and
+    for ``CH^m`` ``kappa/4 (d_il d_jm - d_im d_jl + J_il J_jm - J_im J_jl + 2 J_ij J_lm)``
+    with ``J[i, k] = <J e_i, e_k>`` the complex structure on the row's own
+    basis.  A plane with unit bivector ``w`` has curvature error ``w E w``,
+    so the spectral norm of the symmetric part of the difference ``E``
+    bounds every plane's error.
     Raises ValueError when a box has no matrix model, the images are
     rank-deficient or a complex row's diagonal is not J-invariant.
     """
@@ -740,20 +735,25 @@ def _build_row(model: ProductModel, row) -> _BuiltRow:
     V = SubspaceBasis.orthonormalized(model, model._join(model._per_run(parts)))
     is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
     row_class = row[0].inclusion.sub
-    C, J = V.coords, None
+    C = V.coords
+    i, j = _pairs(V.dim)
     if row_class.field is Field.C:
         # the diagonal must be J-invariant; holomorphic planes carry the label
         JC = model.J(C)
         J = JC @ C.T
         if np.max(_residuals(JC, C, J)) > TOL_CONSTRUCTIVE:
             raise ValueError("plane vectors must lie in the subspace")
-        J.setflags(write=False)
         X, Y = C[0 : 2 * row_class.n : 2], JC[0 : 2 * row_class.n : 2]
+        wedge = J[np.ix_(i, i)] * J[np.ix_(j, j)] - J[np.ix_(i, j)] * J[np.ix_(j, i)]
+        K_model = 0.25 * (np.eye(len(i)) + wedge + 2.0 * np.outer(J[i, j], J[i, j]))
     else:
-        X, Y = C[_pairs(V.dim)]
+        X, Y = C[i], C[j]
+        K_model = np.eye(len(i))
     curvatures = sectional_curvature(V, X, Y)
     curvatures.setflags(write=False)
-    return _BuiltRow(V, curvatures, J)
+    E = 4.0 / calibration_constant() * V._triple_check.K - kappa * K_model
+    bound = float(np.abs(np.linalg.eigvalsh((E + E.T) / 2)).max()) if np.isfinite(E).all() else math.nan
+    return _BuiltRow(V, curvatures, bound)
 
 
 class _VerifyMemo:
@@ -816,20 +816,10 @@ class _VerifyMemo:
     def row(self, row) -> _BuiltRow:
         """The built diagonal of ``row``; raises ValueError when it cannot be built."""
         return self._by_identity(
-            self._built, row, lambda row: _build_row(self.model(tuple(b.factor for b in row)), row)
+            self._built,
+            row,
+            lambda row: _build_row(self.model(tuple(b.factor for b in row)), row, float(self.exact(row))),
         )
-
-
-def _sample_planes(built: _BuiltRow, rng: np.random.Generator) -> np.ndarray:
-    """Calibrated curvatures of a few random planes of the row, in its own coefficients.
-
-    Draws, in one call and in the order of :meth:`SubspaceBasis.random_unit_vector`, 3 rows
-    ``g`` for a complex row, the planes ``(g, g J)``, and 3 pairs for a real one, dropping dependent pairs.
-    """
-    J = built.J
-    G = rng.standard_normal((6 if J is None else 3, built.basis.dim))
-    A, B = (G[0::2], G[1::2]) if J is None else (G, G @ J)
-    return _plane_curvatures(built.basis, A, B)[0]
 
 
 @dataclass(frozen=True)
@@ -842,9 +832,10 @@ class RowVerification:
     reason: str | None
     lie_residual: float | None = None
     curvature_expected: float | None = None
-    curvature_measured: float | None = None  # the plane with the largest error
+    curvature_measured: float | None = None  # the basis plane with the largest error
+    # the larger of the tensor bound over all planes and that basis plane's error
     curvature_error: float | None = None
-    planes: int | None = None
+    planes: int | None = None  # the number of basis planes
 
     def to_dict(self) -> dict:
         return dict(zip(_ROW_KEYS, _row_values(self)))
@@ -908,25 +899,27 @@ def verify_classification_entry(
     M: ProductSpace,
     lie_tol: float = TOL_CONSTRUCTIVE,
     curvature_tol: float = 1e-8,
-    rng: np.random.Generator | None = None,
 ) -> EntryVerification:
     """Rebuild one classification entry in compact duals and measure it.
 
     For every supported row the diagonal Lie triple system is constructed
     explicitly, its triple-bracket residual is checked against ``lie_tol``
-    and its sectional curvature is compared with the exact harmonic value
-    (holomorphic planes for complex rows, arbitrary planes for real rows).
-    With an ``rng`` a few random planes of each row are sampled on top of
-    the deterministic basis planes; a row reports the plane with the
-    largest curvature error.  Every row's label in ``semisimple_factors``
+    and its curvature tensor is compared with the tensor of its class at
+    the exact harmonic curvature.  The spectral norm of the difference
+    bounds the curvature error of every plane of the row; a row reports as
+    ``curvature_error`` the larger of that bound and the worst error of its
+    basis planes (holomorphic planes ``(e_a, J e_a)`` for complex rows, all
+    pairs for real ones), and as ``curvature_measured`` that basis plane's
+    curvature.  No plane is drawn at random, so a report depends on its
+    arguments alone.  Every row's label in ``semisimple_factors``
     must be the row's class with its exact harmonic curvature.  A row
     meeting a quaternionic or octonionic factor is flagged as unsupported,
     never skipped silently, or fails when its label is wrong; flat
     directions need no model.  A row that cannot be built or measured (a
     box outside the matrix models, planes leaving a complex row) fails with
     the reason instead of raising.
-    Rows are built and their basis planes measured once per ``M``; their
-    residuals are compared with ``lie_tol`` and random planes drawn per call.
+    Rows are built, measured and their tensors compared once per ``M``;
+    their residuals and errors are compared with the tolerances per call.
     The total residual is derived from the block structure: when no factor
     carries more than one row or flat direction it is the largest residual
     of the rows (0.0 with flat directions only).  It is None for the point,
@@ -962,12 +955,10 @@ def verify_classification_entry(
             row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
             continue
         measured = built.basis_curvatures
-        if rng is not None:
-            measured = np.concatenate([measured, _sample_planes(built, rng)])
         residual = built.basis._triple_check.residual
         errors = np.abs(measured - expected)
         worst = int(np.argmax(errors))
-        error = float(errors[worst])
+        error = float(np.maximum(errors[worst], built.curvature_bound))  # NaN stays NaN
         if not residual <= lie_tol:
             reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
         elif not error <= curvature_tol:

@@ -2,7 +2,10 @@ import copy
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -30,9 +33,9 @@ from geodiag.tableaux import (
     enumerate_tableaux,
 )
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "schema" / "classified.json").read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schema" / "classified.json").read_text())
+VERIFIED_SCHEMA = json.loads((ROOT / "schema" / "verified.json").read_text())
 
 
 def invoke(argv):
@@ -637,31 +640,57 @@ class TestSchema:
     def test_schema_is_tagged_v1(self):
         assert SCHEMA["version"] == "v1"
 
+    @pytest.mark.parametrize("spec", ["CH2(1) x CH2(1)", "RH3(1) x CH3(2) x HH3(1)"])
+    def test_verify_records_validate(self, spec):
+        _, out = invoke(["verify", "--json", "-m", spec])
+        records = [json.loads(line) for line in out.splitlines()]
+        validator = jsonschema.Draft7Validator(VERIFIED_SCHEMA)
+        for record in records:
+            validator.validate(record)
+        statuses = {row["status"] for record in records for row in record["rows"]}
+        assert statuses == ({"ok", "unsupported"} if "HH3" in spec else {"ok"})
 
-class TestSeedEnvFallback:
-    def test_env_seed_is_used(self, monkeypatch):
-        monkeypatch.setenv("GEODIAG_SEED", "12345")
-        a = invoke(["verify", "-m", "CH2(1)", "--json"])
-        monkeypatch.setenv("GEODIAG_SEED", "12345")
-        b = invoke(["verify", "-m", "CH2(1)", "--json"])
-        assert a == b
+    def test_verify_schema_rejects_a_record_that_breaks_it(self):
+        _, out = invoke(["verify", "--json", "-m", "CH2(1) x CH2(1)"])
+        record = json.loads(out.splitlines()[-1])
+        validator = jsonschema.Draft7Validator(VERIFIED_SCHEMA)
+        broken = [
+            {**record, "status": "fail"},  # a failing record carries a reason
+            {**record, "reason": None},  # a passing one does not
+            {**record, "rows": [{**record["rows"][0], "curvature_error": None}]},
+            {**record, "seed": 0},
+        ]
+        for bad in broken:
+            assert not validator.is_valid(bad), bad
 
-    def test_non_integer_env_seed_is_a_usage_error(self, monkeypatch, capsys):
+    def test_verify_schema_is_tagged_v1(self):
+        assert VERIFIED_SCHEMA["version"] == "v1"
+
+
+class TestSeedIsIgnored:
+    def test_verify_output_is_the_same_for_any_seed(self, monkeypatch):
+        argv = ["verify", "--json", "-m", "CH2(1) x RH3(1/2)"]
+        outputs = [invoke([*argv, "--seed", "0"]), invoke([*argv, "--seed", "7"]), invoke(argv)]
         monkeypatch.setenv("GEODIAG_SEED", "abc")
-        code, out = invoke(["verify", "-m", "RH2(1)"])
-        assert (code, out) == (2, "")
-        err = capsys.readouterr().err
-        assert err == "error: $GEODIAG_SEED must be an integer, got 'abc'\n"
-        # an explicit --seed does not read the variable
-        assert invoke(["verify", "-m", "RH2(1)", "--seed", "3"])[0] == 0
+        outputs.append(invoke(argv))
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert all(out == outputs[0] for out in outputs)
 
-    def test_negative_env_seed_names_the_variable(self, monkeypatch, capsys):
-        monkeypatch.setenv("GEODIAG_SEED", "-1")
-        assert invoke(["verify", "-m", "RH2(1)"]) == (2, "")
-        assert capsys.readouterr().err == "error: $GEODIAG_SEED must not be negative, got '-1'\n"
 
-    def test_negative_seed_flag_names_the_flag(self, monkeypatch, capsys):
-        monkeypatch.setenv("GEODIAG_SEED", "4")
-        assert invoke(["verify", "-m", "RH2(1)", "--seed", "-1"]) == (2, "")
-        assert capsys.readouterr().err == "error: --seed must not be negative, got -1\n"
-        assert invoke(["verify", "-m", "RH2(1)", "--seed", "0"])[0] == 0
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["angles", "--k", "100000"], ["classify", "--json", "-m", "HH4(1) x HH4(1) x CH4(1)"]]
+    )
+    def test_a_reader_that_stops_after_one_line_ends_the_run_quietly(self, argv):
+        # both outputs are far larger than a pipe's buffer, so writing must hit the closed pipe
+        script = "import sys; from geodiag.cli import main; sys.exit(main())"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first.endswith(b"\n") and err == b""

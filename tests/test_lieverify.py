@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import gc
 import math
 import tracemalloc
@@ -196,60 +197,6 @@ class TestOrthonormalization:
         raw = np.random.default_rng(0).standard_normal((D + 1, D))
         with pytest.raises(ValueError, match="rank-deficient"):
             SubspaceBasis.orthonormalized(model, raw)
-
-
-def unbuilt_row(V, complex_row):
-    """A built row on any basis, with no basis planes; complex rows carry V's J on its basis."""
-    C = V.coords
-    return lieverify_mod._BuiltRow(V, np.empty(0), V.ambient.J(C) @ C.T if complex_row else None)
-
-
-class TestSampledPlanes:
-    def test_random_planes_are_the_per_vector_draws(self):
-        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
-        memo = lieverify_mod._VerifyMemo.of(M)
-        rows = {}
-        for e in classify(M):
-            for r in e.tableau.rows:
-                rows.setdefault((r[0].inclusion.sub.field.value, len(r)), r)
-        # the rows' diagonals have constant (holomorphic) curvature; the full p of
-        # CP^2 and of Gr_2(C^4) do not, so there the draws decide the values
-        spread = [
-            unbuilt_row(full_p_basis(grassmannian_decomp(1, 2)), False),
-            unbuilt_row(full_p_basis(grassmannian_decomp(2, 2)), True),
-        ]
-        for built in [memo.row(rows[("R", 2)]), memo.row(rows[("C", 1)]), *spread]:
-            measured = lieverify_mod._sample_planes(built, np.random.default_rng(7))
-            V, rng = built.basis, np.random.default_rng(7)
-            if built.J is not None:
-                xs = np.array([V.random_unit_vector(rng) for _ in range(3)])
-                ys = V.ambient.J(xs)
-            else:
-                xs, ys = [], []
-                for _ in range(3):
-                    v, w = V.random_unit_vector(rng), V.random_unit_vector(rng)
-                    w = w - (v @ w) * v
-                    xs.append(v)
-                    ys.append(w / np.linalg.norm(w))
-            expected = sectional_curvature(V, np.array(xs), np.array(ys))
-            np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
-        for built in spread:
-            assert np.ptp(lieverify_mod._sample_planes(built, np.random.default_rng(7))) > 0.1
-
-    def test_a_dependent_random_real_pair_is_dropped(self):
-        V = full_p_basis(grassmannian_decomp(1, 2))
-        G = np.random.default_rng(8).standard_normal((6, V.dim))
-        G[1] = -2.0 * G[0]
-
-        class StubRng:
-            def standard_normal(self, shape):
-                assert shape == G.shape
-                return G.copy()
-
-        measured = lieverify_mod._sample_planes(unbuilt_row(V, False), StubRng())
-        expected = sectional_curvature(V, G[2::2] @ V.coords, G[3::2] @ V.coords)
-        assert len(measured) == 2
-        np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
 
 
 class TestModelIdentity:
@@ -540,9 +487,8 @@ class TestVerifyClassification:
 
     def test_whole_stream_on_complex_pair_passes(self):
         M = ProductSpace((space("C", 2, 1), space("C", 3, Fraction(1, 2))))
-        rng = np.random.default_rng(1)
         for e in classify(M):
-            report = verify_classification_entry(e, M, rng=rng)
+            report = verify_classification_entry(e, M)
             assert report.status == "pass", (e.isometry_type(), report.to_dict())
 
     def test_mixed_product_verifies_supported_rows(self):
@@ -624,9 +570,22 @@ def forged_entry(M, rows):
     return ClassifiedSubmanifold(tuple(row[0][1] for row in rows), 0, tableau, complement)
 
 
-def assert_reports_worst_plane(row):
+def assert_reports_worst_plane(row, real):
+    """The row reports a basis plane, whose error its ``curvature_error`` bounds.
+
+    On a real row the tensor differs from its class's tensor by a multiple of
+    the identity, so every plane, the worst basis plane too, is off by the bound.
+    """
     assert row.planes is not None and row.planes >= 1
-    assert abs(abs(row.curvature_measured - row.curvature_expected) - row.curvature_error) <= 1e-15
+    off = abs(row.curvature_measured - row.curvature_expected)
+    assert off <= row.curvature_error + 1e-15
+    if real:
+        assert abs(off - row.curvature_error) <= 1e-15
+
+
+def row_tensor(M, row):
+    """The calibrated curvature tensor on pairs of ``row``'s built basis."""
+    return 4 / calibration_constant() * lieverify_mod._VerifyMemo.of(M).row(row).basis._triple_check.K
 
 
 class TestNegativeControls:
@@ -649,18 +608,21 @@ class TestNegativeControls:
             ),
         ],
     )
-    @pytest.mark.parametrize("seed", [None, 5])
-    def test_curvature_label_off_by_four_fails(self, factors, rows, ratio, seed):
+    def test_curvature_label_off_by_four_fails(self, factors, rows, ratio):
         M = ProductSpace(tuple(factors))
-        rng = None if seed is None else np.random.default_rng(seed)
-        report = verify_classification_entry(forged_entry(M, rows), M, rng=rng)
+        entry = forged_entry(M, rows)
+        report = verify_classification_entry(entry, M)
         assert report.status == "fail"
         row = report.rows[0]
         assert row.status == "fail"
         assert row.reason.startswith("curvature off by"), row.reason
         assert row.lie_residual <= 1e-9
         assert abs(row.curvature_measured * float(ratio) - row.curvature_expected) <= 1e-9
-        assert_reports_worst_plane(row)
+        assert_reports_worst_plane(row, real=rows[0][0][1].field.value == "R")
+        # the row's tensor K has the right shape at the true curvature, so its
+        # class's tensor at the label's curvature is ratio * K, and E = (1 - ratio) K
+        E = (1 - float(ratio)) * row_tensor(M, entry.tableau.rows[0])
+        assert abs(row.curvature_error - np.linalg.norm(E, 2)) <= 1e-14
 
     @pytest.mark.parametrize(
         "factors, rows, broken",
@@ -681,13 +643,14 @@ class TestNegativeControls:
     )
     def test_wrong_homothety_class_fails_with_the_broken_check(self, factors, rows, broken):
         M = ProductSpace(tuple(factors))
-        report = verify_classification_entry(forged_entry(M, rows), M, rng=np.random.default_rng(2))
+        report = verify_classification_entry(forged_entry(M, rows), M)
         assert report.status == "fail"
         row = report.rows[0]
         assert row.status == "fail"
         assert row.reason.startswith(broken), row.reason
         assert (row.lie_residual > 1e-9) == (broken == "Lie triple residual")
-        assert_reports_worst_plane(row)
+        # only the triple system's tensor has its class's shape
+        assert_reports_worst_plane(row, real=broken == "curvature off by")
 
     @pytest.mark.parametrize(
         "factors, label",
@@ -710,11 +673,9 @@ class TestNegativeControls:
             and e.tableau.rows[0][0].inclusion.improper and e.tableau.rows[0][1].inclusion.improper
         )
         diagonal = entry.semisimple_factors[0]
-        assert verify_classification_entry(entry, M, rng=np.random.default_rng(3)).status in (
-            "pass", "unsupported"
-        )
+        assert verify_classification_entry(entry, M).status in ("pass", "unsupported")
         forged = dataclasses.replace(entry, semisimple_factors=(label,))
-        report = verify_classification_entry(forged, M, rng=np.random.default_rng(3))
+        report = verify_classification_entry(forged, M)
         assert report.status == "fail"
         row = report.rows[0]
         assert row.status == "fail"
@@ -733,11 +694,9 @@ class TestNegativeControls:
             ([space("C", 3, 1)], [[(1, space("R", 3, 1))]], "no matrix model for RH3(1) inside CH3(1)"),
         ],
     )
-    @pytest.mark.parametrize("seed", [None, 5])
-    def test_unmeasurable_rows_fail_instead_of_raising(self, factors, rows, message, seed):
+    def test_unmeasurable_rows_fail_instead_of_raising(self, factors, rows, message):
         M = ProductSpace(tuple(factors))
-        rng = None if seed is None else np.random.default_rng(seed)
-        report = verify_classification_entry(forged_entry(M, rows), M, rng=rng)
+        report = verify_classification_entry(forged_entry(M, rows), M)
         assert report.status == "fail"
         row = report.rows[0]
         assert row.status == "fail"
@@ -770,7 +729,7 @@ class TestNegativeControls:
             e for e in classify(M) if all(b.inclusion.improper for row in e.tableau.rows for b in row)
         ]
         entry = getattr(self, forge)(entries)
-        report = verify_classification_entry(entry, M, rng=np.random.default_rng(6))
+        report = verify_classification_entry(entry, M)
         assert report.status == "fail"
         assert report.reason is not None and report.total_lie_residual is None
         assert [r.status for r in report.rows] == ["ok"] * len(entry.tableau.rows)
@@ -796,7 +755,7 @@ class TestNegativeControls:
             return out
 
         monkeypatch.setattr(ProductModel, "J", leaky)
-        report = verify_classification_entry(entry, M, rng=np.random.default_rng(4))
+        report = verify_classification_entry(entry, M)
         assert report.status == "fail"
         assert report.rows[0].reason == "not measurable: plane vectors must lie in the subspace"
 
@@ -810,33 +769,52 @@ class TestNegativeControls:
             for row in report.rows:
                 assert row.status == "fail" and row.reason == "curvature off by nan"
 
-    def test_random_planes_alone_catch_a_wrong_tensor(self):
-        # each row's basis planes keep their right curvatures; only the random planes see K
+    def test_a_scaled_tensor_fails_every_row(self, monkeypatch):
         M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
-        entries = [e for e in classify(M) if e.tableau.rows]
-        memo = lieverify_mod._VerifyMemo.of(M)
-        for row in {id(row): row for e in entries for row in e.tableau.rows}.values():
-            built = memo.row(row)
-            V = SubspaceBasis(built.basis.ambient, built.basis.coords)
-            check = built.basis._triple_check
-            V.__dict__["_triple_check"] = check._replace(K=1.01 * check.K)
-            memo._built[id(row)] = (row, built._replace(basis=V))
-        for e in entries:
-            assert verify_classification_entry(e, M).status == "pass"
-        rng = np.random.default_rng(9)
-        for e in entries:
-            report = verify_classification_entry(e, M, rng=rng)
-            assert report.status == "fail"
+        patch_tensor(monkeypatch, lambda K: 1.01 * K)
+        entries, reports = verify_all(M)
+        assert sum(len(e.tableau.rows) for e in entries)
+        for e, report in zip(entries, reports):
+            assert report.status == ("fail" if e.tableau.rows else "pass")
             for row in report.rows:
                 assert row.status == "fail" and row.reason.startswith("curvature off by"), row.reason
+
+    def test_an_off_diagonal_tensor_entry_fails_its_row(self, monkeypatch):
+        # a basis plane's bivector is one pair, so it reads one diagonal entry K[p, p]
+        delta = 1e-3  # on the calibrated tensor
+
+        def perturbed(K):
+            if len(K) < 2:
+                return K
+            K = K.copy()
+            K[0, 1] += delta * calibration_constant() / 4
+            K[1, 0] += delta * calibration_constant() / 4
+            return K
+
+        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
+        patch_tensor(monkeypatch, perturbed)
+        entries, reports = verify_all(M)
+        memo = lieverify_mod._VerifyMemo.of(M)
+        seen = Counter()
+        for e, report in zip(entries, reports):
+            for row, r in zip(e.tableau.rows, report.rows):
+                assert abs(r.curvature_measured - r.curvature_expected) <= 1e-14
+                pairs = len(memo.row(row).basis._triple_check.K)
+                seen[pairs >= 2] += 1
+                if pairs >= 2:
+                    assert r.status == "fail" and r.reason.startswith("curvature off by"), r.reason
+                    assert abs(r.curvature_error - delta) <= 1e-14
+                else:
+                    assert r.status == "ok"
+        assert seen[True] and seen[False]
 
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
         for e in classify(M):
-            report = verify_classification_entry(e, M, rng=np.random.default_rng(4))
+            report = verify_classification_entry(e, M)
             assert report.status == "pass"
             for row, record in zip(report.rows, report.to_dict()["rows"]):
-                assert_reports_worst_plane(row)
+                assert_reports_worst_plane(row, real=True)
                 assert record["planes"] == row.planes
 
     def test_random_three_plane_of_cp3_is_not_a_triple_system(self):
@@ -864,10 +842,22 @@ class TestNegativeControls:
 # ---------------------------------------------------------------------------
 
 
-def verify_all(M, seed=11, **kw):
-    rng = np.random.default_rng(seed)
+def patch_tensor(monkeypatch, change):
+    """Make every basis triple-checked from now on hold ``change(K)`` as its curvature tensor."""
+    check = SubspaceBasis._triple_check.func
+
+    def changed(V):
+        result = check(V)
+        return result._replace(K=change(result.K))
+
+    prop = functools.cached_property(changed)
+    prop.__set_name__(SubspaceBasis, "_triple_check")
+    monkeypatch.setattr(SubspaceBasis, "_triple_check", prop)
+
+
+def verify_all(M, **kw):
     entries = list(classify(M))
-    return entries, [verify_classification_entry(e, M, rng=rng, **kw) for e in entries]
+    return entries, [verify_classification_entry(e, M, **kw) for e in entries]
 
 
 def assert_same_report(a, b):
@@ -948,12 +938,11 @@ class TestRowMemo:
     )
     def test_memo_agrees_with_fresh_rows(self, factors):
         M = ProductSpace(tuple(space(f, n, c) for f, n, c in factors))
-        hot, cold = np.random.default_rng(21), np.random.default_rng(21)
         for e in classify(M):
             clone = copy.deepcopy(e)
             assert all(a is not b for a, b in zip(e.tableau.rows, clone.tableau.rows))
-            memo = verify_classification_entry(e, M, rng=hot)
-            fresh = verify_classification_entry(clone, M, rng=cold)
+            memo = verify_classification_entry(e, M)
+            fresh = verify_classification_entry(clone, M)
             assert memo.status == "pass"
             assert_same_report(memo, fresh)
 
@@ -975,7 +964,7 @@ class TestRowMemo:
 
         with monkeypatch.context() as patch:
             patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting))
-            report = verify_classification_entry(forged, M, rng=np.random.default_rng(3))
+            report = verify_classification_entry(forged, M)
         assert built == []  # the row came from the memo
         row = report.rows[0]
         assert report.status == "fail" and row.status == "fail"
@@ -1303,6 +1292,11 @@ class TestAccuracyGates:
         assert all(report.status == "pass" for report in reports)
         errors = [row.curvature_error for report in reports for row in report.rows]
         assert errors and max(errors) <= 1e-13
+
+    @pytest.mark.parametrize("spec", ["CH3(1) x CH3(2) x RH3(1)", "CH4(1) x RH4(1/2)"])
+    def test_every_row_tensor_is_its_class_tensor_within_1e_14(self, spec):
+        bounds = [built.curvature_bound for built in built_rows(parse_product(spec))]
+        assert bounds and max(bounds) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
