@@ -676,13 +676,27 @@ class TestSeedIsIgnored:
         assert outputs[0][0] == 0 and outputs[0][1]
         assert all(out == outputs[0] for out in outputs)
 
+    def test_a_negative_seed_is_accepted(self):
+        argv = ["verify", "--json", "-m", "RH3(1) x CH2(1)"]
+        assert invoke([*argv, "--seed", "-1"]) == invoke(argv)
+        assert invoke(argv)[0] == 0
+
+    def test_a_non_integer_seed_is_still_a_usage_error(self, capsys):
+        assert invoke(["verify", "-m", "RH2(1)", "--seed", "x"]) == (2, "")
+        assert capsys.readouterr().err == "error: argument --seed: invalid int value: 'x'\n"
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize(
-        "argv", [["angles", "--k", "100000"], ["classify", "--json", "-m", "HH4(1) x HH4(1) x CH4(1)"]]
+        "argv",
+        [
+            ["angles", "--k", "100000"],
+            ["classify", "--json", "-m", "HH4(1) x HH4(1) x CH4(1)"],
+            ["verify", "--json", "-m", "CH3(1) x CH3(1) x CH3(1)"],
+        ],
     )
     def test_a_reader_that_stops_after_one_line_ends_the_run_quietly(self, argv):
-        # both outputs are far larger than a pipe's buffer, so writing must hit the closed pipe
+        # each output is far larger than a pipe's buffer, so writing must hit the closed pipe
         script = "import sys; from geodiag.cli import main; sys.exit(main())"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.Popen(

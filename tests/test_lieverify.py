@@ -782,17 +782,8 @@ class TestNegativeControls:
     def test_an_off_diagonal_tensor_entry_fails_its_row(self, monkeypatch):
         # a basis plane's bivector is one pair, so it reads one diagonal entry K[p, p]
         delta = 1e-3  # on the calibrated tensor
-
-        def perturbed(K):
-            if len(K) < 2:
-                return K
-            K = K.copy()
-            K[0, 1] += delta * calibration_constant() / 4
-            K[1, 0] += delta * calibration_constant() / 4
-            return K
-
         M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
-        patch_tensor(monkeypatch, perturbed)
+        patch_tensor(monkeypatch, lambda K: off_diagonal_changed(K, delta))
         entries, reports = verify_all(M)
         memo = lieverify_mod._VerifyMemo.of(M)
         seen = Counter()
@@ -807,6 +798,50 @@ class TestNegativeControls:
                 else:
                     assert r.status == "ok"
         assert seen[True] and seen[False]
+
+    def test_a_nan_tensor_entry_fails_without_raising(self, monkeypatch):
+        # one NaN entry makes E not finite, on which eigvalsh would raise
+        def with_nan(K):
+            K = K.copy()
+            K[-1, -1] = math.nan
+            return K
+
+        M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
+        patch_tensor(monkeypatch, with_nan)
+        entries, reports = verify_all(M)
+        assert any(e.tableau.rows for e in entries)
+        for e, report in zip(entries, reports):
+            assert report.status == ("fail" if e.tableau.rows else "pass")
+            for row in report.rows:
+                assert row.status == "fail" and row.reason == "curvature off by nan", row.reason
+                assert math.isnan(row.curvature_error)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3], ids=["as-built", "off-diagonal"])
+    def test_the_bound_covers_random_planes(self, monkeypatch, delta):
+        # orthonormal x, y span a plane of curvature kappa/4 (1 + 3 <x, J y>^2) in
+        # CH^m of holomorphic curvature kappa, and of curvature kappa in RH^m
+        if delta:
+            patch_tensor(monkeypatch, lambda K: off_diagonal_changed(K, delta))
+        M = ProductSpace((space("C", 3, 1), space("C", 3, 2), space("R", 3, 1)))
+        memo = lieverify_mod._VerifyMemo.of(M)
+        rng = np.random.default_rng(0)
+        bounds = []
+        for row in {id(row): row for e in classify(M) for row in e.tableau.rows}.values():
+            built, kappa = memo.row(row), float(memo.exact(row))
+            V = built.basis
+            xs = np.array([V.random_unit_vector(rng) for _ in range(8)])
+            ys = np.array([V.random_unit_vector(rng) for _ in range(8)])
+            ys -= np.einsum("ni,ni->n", xs, ys)[:, None] * xs
+            ys /= np.linalg.norm(ys, axis=1)[:, None]
+            if row[0].inclusion.sub.field.value == "C":
+                model = kappa / 4 * (1 + 3 * np.einsum("ni,ni->n", xs, V.ambient.J(ys)) ** 2)
+            else:
+                model = np.full(len(xs), kappa)
+            off = np.abs(sectional_curvature(V, xs, ys) - model)
+            assert np.max(off) <= built.curvature_bound + 1e-14
+            bounds.append(built.curvature_bound)
+        assert bounds and max(bounds) <= delta + 1e-14
+        assert max(bounds) >= delta - 1e-14
 
     def test_passing_rows_report_their_worst_plane(self):
         M = ProductSpace((space("R", 3, 1), space("R", 3, 2)))
@@ -853,6 +888,16 @@ def patch_tensor(monkeypatch, change):
     prop = functools.cached_property(changed)
     prop.__set_name__(SubspaceBasis, "_triple_check")
     monkeypatch.setattr(SubspaceBasis, "_triple_check", prop)
+
+
+def off_diagonal_changed(K, delta):
+    """``K`` with ``delta`` added to the calibrated entries ``K[0, 1]`` and ``K[1, 0]``."""
+    if len(K) < 2:
+        return K
+    K = K.copy()
+    K[0, 1] += delta * calibration_constant() / 4
+    K[1, 0] += delta * calibration_constant() / 4
+    return K
 
 
 def verify_all(M, **kw):
