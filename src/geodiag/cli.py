@@ -168,7 +168,8 @@ def classified_from_record(record: dict, M: ProductSpace) -> ClassifiedSubmanifo
 
 
 def _dump(record: object) -> str:
-    return json.dumps(record, separators=(",", ":"), sort_keys=False)
+    """One JSON line; a float that is not finite raises ValueError, as JSON has no NaN."""
+    return json.dumps(record, separators=(",", ":"), sort_keys=False, allow_nan=False)
 
 
 def _write_classified(entries: Iterable[ClassifiedSubmanifold], out) -> None:

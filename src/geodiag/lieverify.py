@@ -34,6 +34,10 @@ product is the plain dot product and a :class:`SubspaceBasis` is one
 ``(dim, D)`` array of orthonormal rows.  Quaternionic and octonionic
 factors have no matrix model here; rows meeting one are reported as
 unsupported rather than approximated.
+
+Triple brackets are taken in p-coordinates, the coefficients on the blocks'
+``p`` bases, by contracting each block's bracket tensor ``<[[P_a, P_b], P_c], P_d>``,
+built once: no ``N x N`` matrix product is taken per basis.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ TOL_CONSTRUCTIVE = 1e-9
 
 # Largest sum of the factors' matrix sizes ``N`` (``n + 1`` for RH^n and CH^n)
 # that entry verification builds models for.  A row's triple check holds
-# about dim^3 * N^2 floats, so the worst case, a full CH^17 row, peaks near
-# 0.3 GiB.
+# about dim^3 * q / 2 floats (q = dim p of a block), a few times that while
+# it contracts: a full CH^17 row (dim = q = 34) traces about 25 MiB.
 MAX_MODEL_SIZE = 18
 
 Matrix = np.ndarray
@@ -170,6 +174,27 @@ class CartanDecomp:
         ad = ad.reshape(2 * len(Kt), -1)
         ad.setflags(write=False)
         return ad
+
+    @functools.cached_property
+    def triple_tensor(self) -> np.ndarray:
+        """The read-only ``(q^2, q^2)`` tensor ``R[(a, b), (c, d)] = <[[P_a, P_b], P_c], P_d>``, q = p_dim.
+
+        The Gram matrix ``<[P_a, P_b], [P_c, P_d]>`` of the pair brackets, by ad-invariance.  Built
+        on first use, after checking ``[p, p]`` inside ``k`` and ``[k, p]`` inside ``p``, so that
+        triple brackets of ``p`` stay in ``p``; a model failing either raises ValueError.
+        """
+        P, K = self.p_basis, self.k_basis
+        i, j = _pairs(len(P))
+        G = _flat(P[:, None] @ P - P @ P[:, None])  # row a q + b: [P_a, P_b]
+        if _worst_residual(G[i * len(P) + j], _orthonormal_rows(_flat(K)))[0] > TOL_STRUCTURAL:
+            raise ValueError("[p, p] does not lie in k")
+        for lo in range(0, len(K), 16):  # in chunks: CH^17 has 289 x 34 of these brackets
+            k = K[lo : lo + 16, None]
+            if _worst_residual(_flat(k @ P - P @ k), _flat(P))[0] > TOL_STRUCTURAL:
+                raise ValueError("[k, p] does not lie in p")
+        R = G @ G.T
+        R.setflags(write=False)
+        return R
 
 
 def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
@@ -303,7 +328,7 @@ class _Run(NamedTuple):
     ``roots`` holds the square root of each coordinate's block weight, or
     the one root of a lone block as a float, which numpy applies faster
     than an array; either scales the run's coordinates ``(..., hi - lo)``
-    in one broadcast.
+    in one broadcast.  Its ``p_coords`` rows start at ``p_lo``; ``inv_w`` is ``1/w`` per block.
     """
 
     block: CartanDecomp
@@ -311,6 +336,8 @@ class _Run(NamedTuple):
     hi: int
     count: int
     roots: np.ndarray | float
+    p_lo: int
+    inv_w: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +352,9 @@ class ProductModel:
     hashed by identity, like its blocks.
 
     Consecutive identical blocks (the same object; models come from
-    ``lru_cache``) form a run, whatever their weights.  ``_split`` and
-    ``_join`` convert between coordinates and one ``(..., count, N, N)``
-    matrix stack per run.  The blockwise maps, :meth:`J` and the triple
-    brackets, cost one or two matmuls per block, batched over the run.
+    ``lru_cache``) form a run, whatever their weights.  ``_join`` converts
+    one ``(..., count, N, N)`` matrix stack per run into coordinates.  The
+    blockwise maps, :meth:`J` and :meth:`triples`, are batched over each run.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -354,13 +380,14 @@ class ProductModel:
     @functools.cached_property
     def _runs(self) -> tuple[_Run, ...]:
         """The maximal runs of consecutive identical blocks, in order."""
-        runs, lo = [], 0
+        runs, lo, p_lo = [], 0, 0
         for block, group in itertools.groupby(zip(self.blocks, self.weights), key=operator.itemgetter(0)):
-            roots = [math.sqrt(w) for _, w in group]
-            count, size = len(roots), 2 * block.N * block.N
-            roots = roots[0] if count == 1 else np.repeat(roots, size)
-            runs.append(_Run(block, lo, lo + count * size, count, roots))
-            lo += count * size
+            weights = [w for _, w in group]
+            count, size = len(weights), 2 * block.N * block.N
+            roots = math.sqrt(weights[0]) if count == 1 else np.repeat(np.sqrt(weights), size)
+            inv_w = 1.0 / np.array(weights).reshape(-1, 1, 1, 1)
+            runs.append(_Run(block, lo, lo + count * size, count, roots, p_lo, inv_w))
+            lo, p_lo = lo + count * size, p_lo + count * block.p_dim
         return tuple(runs)
 
     def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -371,14 +398,6 @@ class ProductModel:
             flat = np.ascontiguousarray(p, dtype=complex).view(np.float64).reshape(*lead, r.hi - r.lo)
             np.multiply(flat, r.roots, out=out[..., r.lo : r.hi])
         return out
-
-    def _split(self, C: np.ndarray) -> list[np.ndarray]:
-        """One matrix stack ``(..., count, N, N)`` per run of coordinates ``(..., D)``."""
-        lead = C.shape[:-1]
-        return [
-            (C[..., r.lo : r.hi] / r.roots).view(complex).reshape(*lead, r.count, r.block.N, r.block.N)
-            for r in self._runs
-        ]
 
     def _per_run(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
         """One stack ``(..., count, N, N)`` per run of one matrix stack ``(..., N, N)`` per block.
@@ -404,6 +423,28 @@ class ProductModel:
             r += block.p_dim
         rows.setflags(write=False)
         return rows
+
+    def triples(self, Cp: np.ndarray) -> np.ndarray:
+        """p-coordinates of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
+
+        ``Cp`` holds rows ``e @ p_coords.T``, ``sqrt(w)`` times each block's
+        coefficients.  Per run, batched over its blocks, the block's
+        :attr:`CartanDecomp.triple_tensor` is contracted one index at a time;
+        ``1/w`` leaves one root of three.
+        """
+        dim = len(Cp)
+        i, j = _pairs(dim)
+        out = np.empty((len(i), dim, Cp.shape[1]))
+        for r in self._runs:
+            q, p_hi = r.block.p_dim, r.p_lo + r.count * r.block.p_dim
+            A = Cp[:, r.p_lo : p_hi].reshape(dim, r.count, q).swapaxes(0, 1)  # (count, dim, q)
+            AR = (A.reshape(-1, q) @ r.block.triple_tensor.reshape(q, -1)).reshape(r.count, dim, q, q * q)
+            B = A[:, None] @ AR  # B[:, i, j, c q + d] = <[[x_i, x_j], P_c], P_d>
+            del AR  # dim q^3 floats, as many as B: on a full CH^17 row 10 MiB each
+            T = A[:, None] @ B[:, i, j].reshape(r.count, len(i), q, q)  # (count, pairs, dim, q)
+            T *= r.inv_w
+            out[..., r.p_lo : p_hi] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, p_hi - r.p_lo)
+        return out.reshape(-1, Cp.shape[1])
 
     def J(self, C: np.ndarray) -> np.ndarray:
         """Blockwise complex structure on coordinates ``(..., D)``.
@@ -476,7 +517,8 @@ class SubspaceBasis:
 
     @functools.cached_property
     def _triple_check(self) -> _TripleCheck:
-        worst, TC = _worst_residual(_triple_brackets(self), self.coords)
+        Cp = self.coords @ self.ambient.p_coords.T  # orthonormal rows: V lies in p
+        worst, TC = _worst_residual(self.ambient.triples(Cp), Cp)
         l, m = _pairs(self.dim)
         K = TC.reshape(-1, self.dim, self.dim)[:, l, m]
         K.setflags(write=False)
@@ -498,46 +540,13 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-def _triple_brackets(V: SubspaceBasis) -> np.ndarray:
-    """Coordinate rows of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
-
-    Per run of identical blocks, after the pair brackets ``B_p = [X_i, X_j]``,
-    all ``B_p X_l`` of a block are one ``(P N x N) @ (N x dim N)`` product and
-    all ``X_l B_p`` one ``(dim N x N) @ (N x P N)``, batched over the run.  The
-    first is copied into the ``(P, dim, D)`` output and dropped before the
-    second is made and subtracted in place, so at most one product is alive
-    next to the output; the roots of the weights scale the difference, as
-    in ``_join``.
-    """
-    model = V.ambient
-    d = V.dim
-    i, j = _pairs(d)
-    P = len(i)
-    out = np.empty((P, d, V.coords.shape[1]))
-    for r, X in zip(model._runs, model._split(V.coords)):
-        c, N = r.count, r.block.N
-        B = bracket(X[i], X[j])  # (P, count, N, N), X being (dim, count, N, N)
-        T = out[..., r.lo : r.hi].view(complex).reshape(P, d, c, N, N)
-        BX = B.swapaxes(0, 1).reshape(c, P * N, N) @ X.transpose(1, 2, 0, 3).reshape(c, N, d * N)
-        T[...] = BX.reshape(c, P, N, d, N).transpose(1, 3, 0, 2, 4)
-        del BX
-        B = B.transpose(1, 2, 0, 3).reshape(c, N, P * N)  # rebound: the first layout is dropped
-        XB = X.swapaxes(0, 1).reshape(c, d * N, N) @ B
-        T -= XB.reshape(c, d, N, P, N).transpose(3, 1, 0, 2, 4)
-        del XB
-        scaled = out[..., r.lo : r.hi]
-        scaled *= r.roots
-    return out.reshape(-1, V.coords.shape[1])
-
-
 def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
     """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual).
 
     The residual of a triple bracket is the norm of its component
     orthogonal to ``V`` relative to the bracket's own norm; brackets that
     vanish to arithmetic precision are structural zeros and are skipped.
-    The check is made once per basis and kept on it with the brackets'
-    coefficients, its curvature tensor; the brackets themselves are dropped.
+    The check is made once per basis and kept on it with its curvature tensor.
     """
     worst = V._triple_check.residual
     return worst <= tol, worst
@@ -704,16 +713,19 @@ def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> 
 
 
 class _BuiltRow(NamedTuple):
-    """A row's diagonal in the model of its own factors' blocks, and its curvature checks.
+    """A row's diagonal in the model of its own factors' blocks, and its curvature numbers.
 
-    ``basis_curvatures`` are measured on ``(e_a, J e_a)`` for complex rows and
-    all pairs of basis vectors for real ones.  ``curvature_bound`` bounds the
-    curvature error of every plane (:func:`_build_row`); NaN when not finite.
+    Of the ``planes`` basis planes (``(e_a, J e_a)`` for complex rows, all
+    pairs for real ones), ``curvature_measured`` is the one with the largest
+    error; ``curvature_error`` is the larger of that error and ``curvature_bound``,
+    which bounds every plane's (:func:`_build_row`).  Either is NaN when not finite.
     """
 
     basis: SubspaceBasis
-    basis_curvatures: np.ndarray
+    curvature_measured: float
+    curvature_error: float
     curvature_bound: float
+    planes: int
 
 
 def _build_row(model: ProductModel, row, kappa: float) -> _BuiltRow:
@@ -750,10 +762,11 @@ def _build_row(model: ProductModel, row, kappa: float) -> _BuiltRow:
         X, Y = C[i], C[j]
         K_model = np.eye(len(i))
     curvatures = sectional_curvature(V, X, Y)
-    curvatures.setflags(write=False)
+    worst = int(np.argmax(np.abs(curvatures - kappa)))
     E = 4.0 / calibration_constant() * V._triple_check.K - kappa * K_model
     bound = float(np.abs(np.linalg.eigvalsh((E + E.T) / 2)).max()) if np.isfinite(E).all() else math.nan
-    return _BuiltRow(V, curvatures, bound)
+    error = float(np.maximum(abs(curvatures[worst] - kappa), bound))  # NaN stays NaN
+    return _BuiltRow(V, float(curvatures[worst]), error, bound, len(curvatures))
 
 
 class _VerifyMemo:
@@ -838,12 +851,20 @@ class RowVerification:
     planes: int | None = None  # the number of basis planes
 
     def to_dict(self) -> dict:
-        return dict(zip(_ROW_KEYS, _row_values(self)))
+        """The JSON record; a measurement that is not finite is None, as JSON has no NaN."""
+        record = dict(zip(_ROW_KEYS, _row_values(self)))
+        record.update((key, _finite_or_none(record[key])) for key in _MEASURED_KEYS)
+        return record
 
 
 # a row record's keys, ``row_index`` written as "row", and its values in order
 _ROW_KEYS = ("row", *(f.name for f in fields(RowVerification)[1:]))
 _row_values = operator.attrgetter(*(f.name for f in fields(RowVerification)))
+_MEASURED_KEYS = ("lie_residual", "curvature_expected", "curvature_measured", "curvature_error")
+
+
+def _finite_or_none(x: float | None) -> float | None:
+    return x if x is None or math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -878,7 +899,7 @@ class EntryVerification:
         return "unsupported" if self.unsupported else "pass"
 
     def to_dict(self) -> dict:
-        """The JSON record; a failing entry's record also carries ``reason``."""
+        """The JSON record, non-finite measurements None; a failing entry's also carries ``reason``."""
         status = self.status
         record = {
             "status": status,
@@ -886,7 +907,7 @@ class EntryVerification:
             "rows": [r.to_dict() for r in self.rows],
             "flat_dim": self.entry.flat_dim,
             "flat_supported": True,  # flat directions need no model; kept for readers of the format
-            "total_lie_residual": self.total_lie_residual,
+            "total_lie_residual": _finite_or_none(self.total_lie_residual),
             "unsupported": list(self.unsupported),
         }
         if status == "fail":
@@ -902,24 +923,17 @@ def verify_classification_entry(
 ) -> EntryVerification:
     """Rebuild one classification entry in compact duals and measure it.
 
-    For every supported row the diagonal Lie triple system is constructed
-    explicitly, its triple-bracket residual is checked against ``lie_tol``
-    and its curvature tensor is compared with the tensor of its class at
-    the exact harmonic curvature.  The spectral norm of the difference
-    bounds the curvature error of every plane of the row; a row reports as
-    ``curvature_error`` the larger of that bound and the worst error of its
-    basis planes (holomorphic planes ``(e_a, J e_a)`` for complex rows, all
-    pairs for real ones), and as ``curvature_measured`` that basis plane's
-    curvature.  No plane is drawn at random, so a report depends on its
-    arguments alone.  Every row's label in ``semisimple_factors``
-    must be the row's class with its exact harmonic curvature.  A row
-    meeting a quaternionic or octonionic factor is flagged as unsupported,
-    never skipped silently, or fails when its label is wrong; flat
-    directions need no model.  A row that cannot be built or measured (a
-    box outside the matrix models, planes leaving a complex row) fails with
-    the reason instead of raising.
-    Rows are built, measured and their tensors compared once per ``M``;
-    their residuals and errors are compared with the tolerances per call.
+    Every supported row's diagonal Lie triple system is built and measured
+    once per ``M`` (:func:`_build_row`, :class:`_BuiltRow`); its residual
+    and ``curvature_error`` are compared with ``lie_tol`` and
+    ``curvature_tol`` on every call.  No plane is drawn at random, so a
+    report depends on its arguments alone.  Every row's label in
+    ``semisimple_factors`` must be the row's class with its exact harmonic
+    curvature.  A row meeting a quaternionic or octonionic factor is
+    flagged as unsupported, never skipped silently, or fails when its label
+    is wrong; flat directions need no model.  A row that cannot be built or
+    measured (a box outside the matrix models, planes leaving a complex
+    row) fails with the reason instead of raising.
     The total residual is derived from the block structure: when no factor
     carries more than one row or flat direction it is the largest residual
     of the rows (0.0 with flat directions only).  It is None for the point,
@@ -948,27 +962,22 @@ def verify_classification_entry(
             )
             continue
 
-        expected = float(exact)
         try:
             built = memo.row(row)
         except ValueError as exc:
             row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
             continue
-        measured = built.basis_curvatures
         residual = built.basis._triple_check.residual
-        errors = np.abs(measured - expected)
-        worst = int(np.argmax(errors))
-        error = float(np.maximum(errors[worst], built.curvature_bound))  # NaN stays NaN
         if not residual <= lie_tol:
             reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
-        elif not error <= curvature_tol:
-            reason = f"curvature off by {error:.3e}"
+        elif not built.curvature_error <= curvature_tol:
+            reason = f"curvature off by {built.curvature_error:.3e}"
         else:
             reason = mislabel
         row_reports.append(
             RowVerification(
-                idx, description, "ok" if reason is None else "fail", reason, residual, expected,
-                float(measured[worst]), error, len(measured),
+                idx, description, "ok" if reason is None else "fail", reason, residual, float(exact),
+                built.curvature_measured, built.curvature_error, built.planes,
             )
         )
 

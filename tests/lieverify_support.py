@@ -1,5 +1,6 @@
 """Test-only helpers for the verifier: random unitaries, model relations,
-conjugated models and the blockwise commutator of coordinate rows.
+conjugated models, the blockwise commutator of coordinate rows and a
+full-coordinate triple check.
 
 The package does not run these; the tests use them to check the models
 and the invariance of the measurements under isometries.
@@ -61,10 +62,35 @@ def conjugated_basis(V, gs):
     """
     model = V.ambient
     ambient = ProductModel(tuple(conjugated_decomp(b, g) for b, g in zip(model.blocks, gs)), model.weights)
-    parts = [G @ A @ G.conj().swapaxes(-1, -2) for G, A in zip(model._per_run(gs), model._split(V.coords))]
+    parts = [G @ A @ G.conj().swapaxes(-1, -2) for G, A in zip(model._per_run(gs), split(model, V.coords))]
     return SubspaceBasis(ambient, model._join(parts))
+
+
+def split(model, C):
+    """One matrix stack ``(..., count, N, N)`` per run of coordinates ``(..., D)``; inverts ``_join``."""
+    lead = C.shape[:-1]
+    return [
+        (C[..., r.lo : r.hi] / r.roots).view(complex).reshape(*lead, r.count, r.block.N, r.block.N)
+        for r in model._runs
+    ]
 
 
 def model_bracket(model, X, Y):
     """Blockwise commutator of coordinates ``(..., D)``."""
-    return model._join([bracket(a, b) for a, b in zip(model._split(X), model._split(Y))])
+    return model._join([bracket(a, b) for a, b in zip(split(model, X), split(model, Y))])
+
+
+def reference_triple_check(V):
+    """The worst triple residual of ``V`` and its tensor ``K``, from full-coordinate brackets.
+
+    Every ``[[e_i, e_j], e_l]`` is two :func:`model_bracket` calls on the
+    ``D`` coordinates, row ``p dim + l`` for the pair ``p = (i < j)``; the
+    residual and ``K`` are then taken as ``SubspaceBasis`` takes them.
+    """
+    E, d = V.coords, V.dim
+    i, j = _pairs(d)
+    pair_brackets = model_bracket(V.ambient, E[i], E[j])
+    T = model_bracket(V.ambient, np.repeat(pair_brackets, d, axis=0), np.tile(E, (len(i), 1)))
+    worst, TC = _worst_residual(T, E)
+    l, m = _pairs(d)
+    return worst, TC.reshape(-1, d, d)[:, l, m]

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+import geodiag.lieverify as lieverify
 from geodiag.catalog import space
 from geodiag.cli import (
     SpecSemanticError,
@@ -666,6 +668,30 @@ class TestSchema:
     def test_verify_schema_is_tagged_v1(self):
         assert VERIFIED_SCHEMA["version"] == "v1"
 
+    def test_verify_writes_a_nan_measurement_as_null(self, monkeypatch):
+        monkeypatch.setattr(lieverify, "calibration_constant", lambda: math.nan)
+        code, out = invoke(["verify", "--json", "-m", "RH3(1) x CH2(1) x HH2(1)"])
+        assert code == 1
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        records = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+        validator = jsonschema.Draft7Validator(VERIFIED_SCHEMA)
+        for record in records:
+            validator.validate(record)
+        rows = [row for record in records for row in record["rows"] if row["status"] != "unsupported"]
+        assert rows
+        for row in rows:
+            assert row["status"] == "fail" and row["reason"] == "curvature off by nan"
+            assert row["curvature_measured"] is None and row["curvature_error"] is None
+            assert row["curvature_expected"] > 0 and row["lie_residual"] >= 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dump_refuses_a_float_that_is_not_finite(self, value):
+        with pytest.raises(ValueError):
+            _dump({"rows": [{"curvature_error": value}]})
+
 
 class TestSeedIsIgnored:
     def test_verify_output_is_the_same_for_any_seed(self, monkeypatch):
@@ -684,6 +710,24 @@ class TestSeedIsIgnored:
     def test_a_non_integer_seed_is_still_a_usage_error(self, capsys):
         assert invoke(["verify", "-m", "RH2(1)", "--seed", "x"]) == (2, "")
         assert capsys.readouterr().err == "error: argument --seed: invalid int value: 'x'\n"
+
+
+def test_verify_at_the_model_limit_peaks_below_150_mib():
+    """The full CH17 row, the largest the verifier builds, in a fresh process with one BLAS thread."""
+    script = (
+        "import io, resource; from geodiag.cli import run;"
+        " code = run(['verify', '-m', 'CH17(1)'], io.StringIO());"
+        " print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, peak = proc.stdout.split()
+    assert code == "0"
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_mib = int(peak) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mib < 150, peak_mib
 
 
 class TestClosedStdout:

@@ -2,8 +2,8 @@ import copy
 import dataclasses
 import functools
 import gc
+import itertools
 import math
-import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +25,7 @@ from geodiag.tableaux import (
 )
 from geodiag.lieverify import (
     TOL_ARITHMETIC,
+    CartanDecomp,
     ProductModel,
     SubspaceBasis,
     bracket,
@@ -46,6 +47,8 @@ from lieverify_support import (
     conjugated_decomp,
     model_bracket,
     random_special_unitary,
+    reference_triple_check,
+    split,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -588,26 +591,41 @@ def row_tensor(M, row):
     return 4 / calibration_constant() * lieverify_mod._VerifyMemo.of(M).row(row).basis._triple_check.K
 
 
+LABELS_OFF_BY_FOUR = [
+    # label 4x too large: a unit sphere claimed to have curvature 4
+    ([space("R", 2, 1)], [[(1, space("R", 2, 4))]], 4),
+    ([space("R", 2, 1)], [[(1, space("R", 2, Fraction(1, 4)))]], Fraction(1, 4)),
+    (
+        [space("R", 3, 1), space("R", 3, 1)],
+        [[(1, space("R", 3, 4)), (2, space("R", 3, 4))]],
+        4,
+    ),
+    ([space("C", 2, 1)], [[(1, space("C", 2, 4))]], 4),
+    (
+        [space("C", 3, 2), space("C", 2, 2)],
+        [[(1, space("C", 2, Fraction(1, 2))), (2, space("C", 2, Fraction(1, 2)))]],
+        Fraction(1, 4),
+    ),
+]
+
+WRONG_HOMOTHETY_CLASSES = [
+    # S^4 paired with CP^2: equal dimension, not homothetic, no triple system
+    (
+        [space("R", 4, 1), space("C", 2, 1)],
+        [[(1, space("R", 4, 1)), (2, space("C", 2, 1))]],
+        "Lie triple residual",
+    ),
+    # one box rescaled by a homothety: still a triple system, wrong curvature
+    (
+        [space("R", 2, 1), space("R", 2, 1)],
+        [[(1, space("R", 2, 1)), (2, space("R", 2, Fraction(1, 2)))]],
+        "curvature off by",
+    ),
+]
+
+
 class TestNegativeControls:
-    @pytest.mark.parametrize(
-        "factors, rows, ratio",
-        [
-            # label 4x too large: a unit sphere claimed to have curvature 4
-            ([space("R", 2, 1)], [[(1, space("R", 2, 4))]], 4),
-            ([space("R", 2, 1)], [[(1, space("R", 2, Fraction(1, 4)))]], Fraction(1, 4)),
-            (
-                [space("R", 3, 1), space("R", 3, 1)],
-                [[(1, space("R", 3, 4)), (2, space("R", 3, 4))]],
-                4,
-            ),
-            ([space("C", 2, 1)], [[(1, space("C", 2, 4))]], 4),
-            (
-                [space("C", 3, 2), space("C", 2, 2)],
-                [[(1, space("C", 2, Fraction(1, 2))), (2, space("C", 2, Fraction(1, 2)))]],
-                Fraction(1, 4),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("factors, rows, ratio", LABELS_OFF_BY_FOUR)
     def test_curvature_label_off_by_four_fails(self, factors, rows, ratio):
         M = ProductSpace(tuple(factors))
         entry = forged_entry(M, rows)
@@ -624,23 +642,7 @@ class TestNegativeControls:
         E = (1 - float(ratio)) * row_tensor(M, entry.tableau.rows[0])
         assert abs(row.curvature_error - np.linalg.norm(E, 2)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "factors, rows, broken",
-        [
-            # S^4 paired with CP^2: equal dimension, not homothetic, no triple system
-            (
-                [space("R", 4, 1), space("C", 2, 1)],
-                [[(1, space("R", 4, 1)), (2, space("C", 2, 1))]],
-                "Lie triple residual",
-            ),
-            # one box rescaled by a homothety: still a triple system, wrong curvature
-            (
-                [space("R", 2, 1), space("R", 2, 1)],
-                [[(1, space("R", 2, 1)), (2, space("R", 2, Fraction(1, 2)))]],
-                "curvature off by",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("factors, rows, broken", WRONG_HOMOTHETY_CLASSES)
     def test_wrong_homothety_class_fails_with_the_broken_check(self, factors, rows, broken):
         M = ProductSpace(tuple(factors))
         report = verify_classification_entry(forged_entry(M, rows), M)
@@ -1155,23 +1157,22 @@ class TestFlatDirections:
         assert flat_on_unmodelled
 
     def test_a_basis_is_triple_checked_once(self, monkeypatch):
-        calibration_constant()  # cached before counting: its first call takes two brackets
         calls = Counter()
-        real = lieverify_mod.bracket
+        real = ProductModel.triples
 
-        def counting(x, y):
-            calls["bracket"] += 1
-            return real(x, y)
+        def counting(model, Cp):
+            calls["triples"] += 1
+            return real(model, Cp)
 
-        monkeypatch.setattr(lieverify_mod, "bracket", counting)
+        monkeypatch.setattr(ProductModel, "triples", counting)
         V = construct_diagonal_cp(3, 1, 2)
         first = is_lie_triple_system(V)
-        assert calls["bracket"] > 0
+        assert calls["triples"] > 0
         calls.clear()
         assert is_lie_triple_system(V) == first
         assert is_lie_triple_system(V, 0.0) == (first[1] <= 0.0, first[1])
         sectional_curvature(V, V.coords[0], V.coords[1])
-        assert calls["bracket"] == 0
+        assert calls["triples"] == 0
 
 
 class TestModelSizeLimit:
@@ -1295,7 +1296,7 @@ class TestCurvatureTensor:
         with monkeypatch.context() as patch:
             for owner, attr in [
                 (lieverify_mod, "bracket"),
-                (ProductModel, "_split"),
+                (ProductModel, "triples"),
                 (ProductModel, "J"),
                 (lieverify_mod, "is_lie_triple_system"),
                 (lieverify_mod, "sectional_curvature"),
@@ -1521,7 +1522,7 @@ class TestRuns:
         weights = tuple(rng.uniform(0.25, 4.0, len(blocks)))
         model = ProductModel(tuple(blocks), weights)
         C = rng.standard_normal((2, 3, model._offsets[-1]))
-        stacks = model._split(C)
+        stacks = split(model, C)
         assert [s.shape for s in stacks] == [(2, 3, r.count, r.block.N, r.block.N) for r in model._runs]
         per_block = [m for s in stacks for m in np.moveaxis(s, -3, 0)]
         for n, _ in np.ndenumerate(C[..., 0]):
@@ -1531,7 +1532,11 @@ class TestRuns:
         np.testing.assert_array_equal(model._join(model._per_run(per_block)), model._join(stacks))
 
     def test_per_block_loops_stay_out_of_the_diagonal_check(self, monkeypatch):
-        """Checking a k-diagonal and sampling its angle takes as many passes for k = 24 as for k = 1."""
+        """Checking a k-diagonal and sampling its angle takes as many block passes for k = 24 as for k = 1.
+
+        The triple check reads a block's bracket tensor once per pass.
+        """
+        tensor = CartanDecomp.__dict__["triple_tensor"]
         counts = {}
         for k in (1, 24):
             calls = Counter()
@@ -1543,14 +1548,14 @@ class TestRuns:
                 return wrapper
 
             with monkeypatch.context() as patch:
-                patch.setattr(lieverify_mod, "bracket", counting("bracket", lieverify_mod.bracket))
-                patch.setattr(ProductModel, "_split", counting("_split", ProductModel._split))
+                read = counting("triple_tensor", lambda block: tensor.__get__(block, CartanDecomp))
+                patch.setattr(CartanDecomp, "triple_tensor", property(read))
+                patch.setattr(ProductModel, "J", counting("J", ProductModel.J))
                 V = construct_diagonal_cp(k, k // 3, 3)
                 assert is_lie_triple_system(V)[0]
                 kahler_angle_of(V, V.random_unit_vector(np.random.default_rng(k)))
             counts[k] = dict(calls)
-        assert counts[1] == counts[24]
-        assert counts[1]["bracket"] and counts[1]["_split"]
+        assert counts[1] == counts[24] == {"triple_tensor": 1, "J": 1}
 
     def test_J_checks_the_mass_of_every_block_on_its_own(self):
         S, G = sphere_decomp(2), grassmannian_decomp(1, 2)
@@ -1586,10 +1591,10 @@ def random_wide_subspaces(draw):
 class TestBlockMaps:
     @settings(max_examples=60, deadline=None)
     @given(random_wide_subspaces())
-    def test_triple_brackets_are_the_nested_model_brackets(self, case):
+    def test_triples_are_the_nested_model_brackets(self, case):
         V, _ = case
         model, E = V.ambient, V.coords
-        T = lieverify_mod._triple_brackets(V)
+        T = model.triples(E @ model.p_coords.T) @ model.p_coords
         pairs = [(i, j) for i in range(V.dim) for j in range(i + 1, V.dim)]
         assert T.shape == (len(pairs) * V.dim, E.shape[1])
         for p, (i, j) in enumerate(pairs):
@@ -1633,31 +1638,87 @@ class TestBlockMaps:
             np.testing.assert_allclose(ad, images, rtol=0, atol=1e-15)
         assert sphere_decomp(3).ad_J is None
 
+
+# ---------------------------------------------------------------------------
+# the blocks' bracket tensors and the triple check in p-coordinates
+# ---------------------------------------------------------------------------
+
+
+def direct_triple_tensor(decomp):
+    """``<[[P_a, P_b], P_c], P_d>`` by two brackets per triple, shaped ``(q^2, q^2)``."""
+    P = decomp.p_basis
+    q = len(P)
+    R = np.empty((q, q, q, q))
+    for a, b, c in itertools.product(range(q), repeat=3):
+        t = bracket(bracket(P[a], P[b]), P[c])
+        R[a, b, c] = [np.vdot(d, t).real for d in P]
+    return R.reshape(q * q, q * q)
+
+
+def assert_check_is_the_reference(V):
+    """``V``'s p-coordinate residual and tensor ``K`` are the full-coordinate ones within 1e-13."""
+    residual, K = reference_triple_check(V)
+    assert abs(V._triple_check.residual - residual) <= 1e-13
+    np.testing.assert_allclose(V._triple_check.K, K, rtol=0, atol=1e-13)
+    return residual
+
+
+class TestBracketTensor:
+    @pytest.mark.parametrize(
+        "decomp",
+        [sphere_decomp(m) for m in range(2, 6)]
+        + [grassmannian_decomp(1, n) for n in range(1, 6)]
+        + [
+            grassmannian_decomp(2, 2),
+            conjugated_decomp(grassmannian_decomp(2, 2), random_special_unitary(4, np.random.default_rng(5))),
+        ],
+        ids=[f"S{m}" for m in range(2, 6)] + [f"G1,{n}" for n in range(1, 6)] + ["G2,2", "conjugated G2,2"],
+    )
+    def test_the_tensor_is_the_direct_triple_bracket(self, decomp):
+        R = decomp.triple_tensor
+        assert R.shape == (decomp.p_dim**2,) * 2 and not R.flags.writeable
+        np.testing.assert_allclose(R, direct_triple_tensor(decomp), rtol=0, atol=1e-14)
+
+    def test_a_model_whose_triple_brackets_leave_p_is_refused(self):
+        G = grassmannian_decomp(1, 2)
+        # p spanned by e_0, J e_0, e_1 of CP^2: [[e_0, J e_0], e_1] lies along J e_1
+        three = CartanDecomp(G.N, G.kind, G.block_shape, G.k_basis, G.p_basis[:3], None)
+        # k missing all but one generator: [p, p] leaves it
+        thin = CartanDecomp(G.N, G.kind, G.block_shape, G.k_basis[:1], G.p_basis, G.J_generator)
+        refusals = [(three, r"^\[k, p\] does not lie in p$"), (thin, r"^\[p, p\] does not lie in k$")]
+        for forged, message in refusals:
+            model = ProductModel.single(forged)
+            with pytest.raises(ValueError, match=message):
+                is_lie_triple_system(SubspaceBasis(model, model.p_coords))
+            with pytest.raises(ValueError, match=message):
+                forged.triple_tensor  # refused on every use, not only the first
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_wide_subspaces())
+    def test_the_check_is_the_full_coordinate_reference(self, case):
+        assert_check_is_the_reference(case[0])
+
     @pytest.mark.parametrize(
         "blocks, weights",
         [
-            ((grassmannian_decomp(1, 8),), (4.0,)),  # the full CH8(1) row
-            ((grassmannian_decomp(1, 6),) * 2, (4.0, 16.0)),  # one run of two CH6 blocks
-            ((grassmannian_decomp(1, 4),) * 3, (4.0, 1.0, 16.0)),  # one run of three CH4 blocks
+            ((grassmannian_decomp(1, 3),), (1.0,)),
+            ((grassmannian_decomp(2, 2),), (2.0,)),
+            ((grassmannian_decomp(1, 2),) * 3, (4.0, 1.0, 0.5)),
+            ((sphere_decomp(4), grassmannian_decomp(1, 2), sphere_decomp(4)), (1.0, 3.0, 0.25)),
         ],
     )
-    def test_triple_brackets_keep_at_most_one_product_next_to_the_output(self, blocks, weights):
-        """Peak traced memory stays within 2.25 times the output: the output and one product.
-
-        Holding both products with the output reads above 3.
-        """
+    def test_random_bases_off_a_triple_system_match_the_reference(self, blocks, weights):
         model = ProductModel(blocks, weights)
-        V = SubspaceBasis(model, model.p_coords)
-        lieverify_mod._triple_brackets(V)  # warm the cached runs and pair indices
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            T = lieverify_mod._triple_brackets(V)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak <= 2.25 * T.nbytes, peak / T.nbytes
+        rng = np.random.default_rng(23)
+        for dim in (2, 3, 5):
+            raw = rng.standard_normal((dim, len(model.p_coords))) @ model.p_coords
+            V = SubspaceBasis.orthonormalized(model, raw)
+            assert assert_check_is_the_reference(V) > 1e-3
+
+    @pytest.mark.parametrize(
+        "factors, rows", [case[:2] for case in LABELS_OFF_BY_FOUR + WRONG_HOMOTHETY_CLASSES]
+    )
+    def test_forged_rows_match_the_reference(self, factors, rows):
+        M = ProductSpace(tuple(factors))
+        row = forged_entry(M, rows).tableau.rows[0]
+        assert_check_is_the_reference(lieverify_mod._VerifyMemo.of(M).row(row).basis)
