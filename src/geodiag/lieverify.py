@@ -27,17 +27,19 @@ Conventions, fixed here once:
   constructive checks 1e-9; residuals are relative to the norm of the
   quantity tested.
 
-Vectors are real coordinate rows, the only vector type: block ``b`` of a
-direct sum with metric weight ``w_b`` contributes ``sqrt(w_b)`` times the
-real and imaginary parts of its flattened matrix, so the weighted inner
-product is the plain dot product and a :class:`SubspaceBasis` is one
-``(dim, D)`` array of orthonormal rows.  Quaternionic and octonionic
-factors have no matrix model here; rows meeting one are reported as
-unsupported rather than approximated.
+Vectors are weighted p-coordinate rows, the only vector type: block ``b``
+of a direct sum with metric weight ``w_b`` contributes ``sqrt(w_b)`` times
+the coefficients of its matrix on its orthonormal ``p`` basis, so the
+weighted inner product is the plain dot product and a :class:`SubspaceBasis`
+is one ``(dim, sum q_b)`` array of orthonormal rows (``q_b`` = dim ``p`` of
+block b).  Matrices enter only through :meth:`CartanDecomp.coefficients`,
+which refuses a matrix outside ``p``.  Quaternionic and octonionic factors
+have no matrix model here; rows meeting one are reported as unsupported
+rather than approximated.
 
-Triple brackets are taken in p-coordinates, the coefficients on the blocks'
-``p`` bases, by contracting each block's bracket tensor ``<[[P_a, P_b], P_c], P_d>``,
-built once: no ``N x N`` matrix product is taken per basis.
+Triple brackets are contractions of these coordinates with each block's
+bracket tensor ``<[[P_a, P_b], P_c], P_d>``, built once: no ``N x N``
+matrix product is taken per basis.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .catalog import Field, RankOneSpace
-from .tableaux import ClassifiedSubmanifold, ProductSpace, diagonal_curvature
+from .tableaux import ClassifiedSubmanifold, ProductSpace
 
 TOL_ARITHMETIC = 1e-12
 TOL_STRUCTURAL = 1e-10
@@ -153,27 +154,31 @@ class CartanDecomp:
     def p_dim(self) -> int:
         return len(self.p_basis)
 
-    @functools.cached_property
-    def ad_J(self) -> np.ndarray | None:
-        """The real ``(2N^2, 2N^2)`` matrix of ``ad(J)`` on unweighted coordinates; None without J.
+    def coefficients(self, X: np.ndarray) -> np.ndarray:
+        """Coefficients ``(..., q)`` on the ``p`` basis of matrices ``(..., N, N)``, q = p_dim.
 
-        ``C @ ad_J`` applies ``ad(J)`` to coordinate rows ``C``.  It is ``K^T``,
-        ``K`` the complex matrix of ``A -> gA - Ag`` on row-major entries, with
-        each entry ``z`` written as the real block ``[[Re z, Im z], [-Im z, Re z]]``.
-        Built on first use; read-only.
+        Raises ValueError when a matrix is off ``p`` by more than ``TOL_ARITHMETIC``
+        relative to its norm.
+        """
+        F, P = _flat(X), _flat(self.p_basis)
+        coeffs = F @ P.T
+        if np.max(_residuals(F, P, coeffs), initial=0.0) > TOL_ARITHMETIC:
+            raise ValueError("matrix does not lie in p")
+        return coeffs.reshape(*np.shape(X)[:-2], self.p_dim)
+
+    @functools.cached_property
+    def J_p(self) -> np.ndarray | None:
+        """The read-only ``(q, q)`` matrix of ``ad(J)`` on coefficients; None without J.
+
+        Row a holds the coefficients of ``[J, P_a]``, so ``C @ J_p`` applies
+        ``ad(J)`` to coefficient rows ``C``.  Built on first use.
         """
         g = self.J_generator
         if g is None:
             return None
-        one = np.eye(self.N)
-        Kt = (np.kron(g, one) - np.kron(one, g.T)).T
-        ad = np.empty((len(Kt), 2, len(Kt), 2))
-        ad[:, 0, :, 0] = ad[:, 1, :, 1] = Kt.real
-        ad[:, 0, :, 1] = Kt.imag
-        ad[:, 1, :, 0] = -Kt.imag
-        ad = ad.reshape(2 * len(Kt), -1)
-        ad.setflags(write=False)
-        return ad
+        Jp = self.coefficients(g @ self.p_basis - self.p_basis @ g)
+        Jp.setflags(write=False)
+        return Jp
 
     @functools.cached_property
     def triple_tensor(self) -> np.ndarray:
@@ -323,20 +328,15 @@ def calibration_constant() -> float:
 
 
 class _Run(NamedTuple):
-    """Consecutive identical blocks of a product model, coordinates ``lo:hi``.
+    """Consecutive identical blocks of a product model, at coordinates ``span``.
 
-    ``roots`` holds the square root of each coordinate's block weight, or
-    the one root of a lone block as a float, which numpy applies faster
-    than an array; either scales the run's coordinates ``(..., hi - lo)``
-    in one broadcast.  Its ``p_coords`` rows start at ``p_lo``; ``inv_w`` is ``1/w`` per block.
+    The run's coordinates ``(..., span)`` are ``count`` blocks of ``q``
+    coefficients each, q = ``block.p_dim``; ``inv_w`` is ``1/w`` per block.
     """
 
     block: CartanDecomp
-    lo: int
-    hi: int
     count: int
-    roots: np.ndarray | float
-    p_lo: int
+    span: slice
     inv_w: np.ndarray
 
 
@@ -344,17 +344,16 @@ class _Run(NamedTuple):
 class ProductModel:
     """An orthogonal direct sum of compact models with metric weights.
 
-    Vectors are coordinate rows ``(..., D)``: block ``b`` contributes
-    ``sqrt(w_b)`` times the real and imaginary parts of its flattened
-    matrix, so the weighted sum of the blockwise trace forms is the dot
-    product (see the module docstring).  A weight ``w`` scales the block
-    metric by ``w`` and therefore its curvatures by ``1/w``.  Compared and
-    hashed by identity, like its blocks.
+    Vectors are p-coordinate rows ``(..., p_dim)``: block ``b`` contributes
+    ``sqrt(w_b)`` times its coefficients on its ``p`` basis, so the weighted
+    sum of the blockwise trace forms is the dot product (see the module
+    docstring).  A weight ``w`` scales the block metric by ``w`` and
+    therefore its curvatures by ``1/w``.  Compared and hashed by identity,
+    like its blocks.
 
     Consecutive identical blocks (the same object; models come from
-    ``lru_cache``) form a run, whatever their weights.  ``_join`` converts
-    one ``(..., count, N, N)`` matrix stack per run into coordinates.  The
-    blockwise maps, :meth:`J` and :meth:`triples`, are batched over each run.
+    ``lru_cache``) form a run, whatever their weights.  The blockwise maps,
+    :meth:`J` and :meth:`triples`, are batched over each run.
     """
 
     blocks: tuple[CartanDecomp, ...]
@@ -373,99 +372,70 @@ class ProductModel:
         return cls((decomp,), (1.0,))
 
     @functools.cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        """Start of each block's coordinates, then the coordinate dimension D."""
-        return tuple(itertools.accumulate((2 * b.N * b.N for b in self.blocks), initial=0))
-
-    @functools.cached_property
     def _runs(self) -> tuple[_Run, ...]:
         """The maximal runs of consecutive identical blocks, in order."""
-        runs, lo, p_lo = [], 0, 0
+        runs, lo = [], 0
         for block, group in itertools.groupby(zip(self.blocks, self.weights), key=operator.itemgetter(0)):
             weights = [w for _, w in group]
-            count, size = len(weights), 2 * block.N * block.N
-            roots = math.sqrt(weights[0]) if count == 1 else np.repeat(np.sqrt(weights), size)
-            inv_w = 1.0 / np.array(weights).reshape(-1, 1, 1, 1)
-            runs.append(_Run(block, lo, lo + count * size, count, roots, p_lo, inv_w))
-            lo, p_lo = lo + count * size, p_lo + count * block.p_dim
+            hi = lo + len(weights) * block.p_dim
+            runs.append(_Run(block, len(weights), slice(lo, hi), 1.0 / np.array(weights)))
+            lo = hi
         return tuple(runs)
 
-    def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Coordinates ``(..., D)`` of one matrix stack ``(..., count, N, N)`` per run."""
-        lead = np.shape(parts[0])[:-3]
-        out = np.empty((*lead, self._runs[-1].hi))
-        for r, p in zip(self._runs, parts):
-            flat = np.ascontiguousarray(p, dtype=complex).view(np.float64).reshape(*lead, r.hi - r.lo)
-            np.multiply(flat, r.roots, out=out[..., r.lo : r.hi])
-        return out
+    @property
+    def p_dim(self) -> int:
+        """The coordinate dimension, the sum of the blocks' ``p`` dimensions."""
+        return self._runs[-1].span.stop
 
-    def _per_run(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """One stack ``(..., count, N, N)`` per run of one matrix stack ``(..., N, N)`` per block.
+    def coordinates(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates ``(..., p_dim)`` of one matrix stack ``(..., N, N)`` per block.
 
-        A lone block's stack is a view of its part.
+        Raises ValueError when a matrix does not lie in its block's ``p``.
         """
-        stacks, b = [], 0
-        for r in self._runs:
-            if r.count == 1:
-                stacks.append(parts[b][..., None, :, :])
-            else:
-                stacks.append(np.stack(parts[b : b + r.count], axis=-3))
-            b += r.count
-        return stacks
+        return np.concatenate(
+            [math.sqrt(w) * b.coefficients(X) for b, w, X in zip(self.blocks, self.weights, parts)], axis=-1
+        )
 
-    @functools.cached_property
-    def p_coords(self) -> np.ndarray:
-        """Orthonormal coordinate rows spanning ``p``, block by block; built on first use."""
-        rows = np.zeros((sum(b.p_dim for b in self.blocks), self._offsets[-1]))
-        r = 0
-        for block, lo, hi in zip(self.blocks, self._offsets, self._offsets[1:]):
-            rows[r : r + block.p_dim, lo:hi] = _flat(block.p_basis)
-            r += block.p_dim
-        rows.setflags(write=False)
-        return rows
+    def triples(self, C: np.ndarray) -> np.ndarray:
+        """Coordinates of all ``[[e_i, e_j], e_l]`` of rows ``e`` = ``C``.
 
-    def triples(self, Cp: np.ndarray) -> np.ndarray:
-        """p-coordinates of all ``[[e_i, e_j], e_l]``, row ``p dim + l`` for the pair ``p = (i < j)``.
-
-        ``Cp`` holds rows ``e @ p_coords.T``, ``sqrt(w)`` times each block's
-        coefficients.  Per run, batched over its blocks, the block's
+        Row ``p dim + l`` holds the pair ``p = (i < j)``.  Per run, batched over its blocks, the block's
         :attr:`CartanDecomp.triple_tensor` is contracted one index at a time;
         ``1/w`` leaves one root of three.
         """
-        dim = len(Cp)
+        dim = len(C)
         i, j = _pairs(dim)
-        out = np.empty((len(i), dim, Cp.shape[1]))
+        out = np.empty((len(i), dim, C.shape[1]))
         for r in self._runs:
-            q, p_hi = r.block.p_dim, r.p_lo + r.count * r.block.p_dim
-            A = Cp[:, r.p_lo : p_hi].reshape(dim, r.count, q).swapaxes(0, 1)  # (count, dim, q)
+            q = r.block.p_dim
+            A = C[:, r.span].reshape(dim, r.count, q).swapaxes(0, 1)  # (count, dim, q)
             AR = (A.reshape(-1, q) @ r.block.triple_tensor.reshape(q, -1)).reshape(r.count, dim, q, q * q)
             B = A[:, None] @ AR  # B[:, i, j, c q + d] = <[[x_i, x_j], P_c], P_d>
             del AR  # dim q^3 floats, as many as B: on a full CH^17 row 10 MiB each
             T = A[:, None] @ B[:, i, j].reshape(r.count, len(i), q, q)  # (count, pairs, dim, q)
-            T *= r.inv_w
-            out[..., r.p_lo : p_hi] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, p_hi - r.p_lo)
-        return out.reshape(-1, Cp.shape[1])
+            T *= r.inv_w[:, None, None, None]
+            out[..., r.span] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, r.count * q)
+        return out.reshape(-1, C.shape[1])
 
     def J(self, C: np.ndarray) -> np.ndarray:
-        """Blockwise complex structure on coordinates ``(..., D)``.
+        """Blockwise complex structure on coordinates ``(..., p_dim)``.
 
-        One real matmul per run by the block's :attr:`CartanDecomp.ad_J`:
-        ``ad(J)`` is linear, so the weights' roots cancel.  Components on
-        blocks without a complex structure must vanish, each block's
-        unweighted mass on its own.
+        One matmul per run by the block's :attr:`CartanDecomp.J_p`: ``ad(J)``
+        is linear, so the weights' roots cancel.  Components on blocks
+        without a complex structure must vanish, each block's unweighted
+        mass on its own.
         """
-        lead = C.shape[:-1]
         out = np.empty(C.shape)
         for r in self._runs:
-            a, ad = C[..., r.lo : r.hi], r.block.ad_J
-            if ad is None:
-                blocks = (a / r.roots).reshape(*lead, r.count, -1)
-                mass = np.linalg.norm(np.moveaxis(blocks, -2, 0).reshape(r.count, -1), axis=1)
+            a, Jp = C[..., r.span], r.block.J_p
+            if Jp is None:
+                blocks = a.reshape(-1, r.count, r.block.p_dim)
+                mass = np.sqrt(np.einsum("nbq,nbq->b", blocks, blocks) * r.inv_w)
                 if np.any(mass > TOL_ARITHMETIC):
                     raise ValueError("element has mass on a block with no complex structure")
-                out[..., r.lo : r.hi] = 0.0
+                out[..., r.span] = 0.0
             else:
-                out[..., r.lo : r.hi] = (a.reshape(-1, len(ad)) @ ad).reshape(*lead, -1)
+                out[..., r.span] = (a.reshape(-1, len(Jp)) @ Jp).reshape(a.shape)
         return out
 
 
@@ -480,8 +450,8 @@ class _TripleCheck(NamedTuple):
 class SubspaceBasis:
     """An orthonormal family spanning a candidate Lie triple system.
 
-    ``coords`` is a read-only ``(dim, D)`` array holding one coordinate row
-    of ``ambient`` per basis vector.  ``_triple_check``, made on first use
+    ``coords`` is a read-only ``(dim, ambient.p_dim)`` array holding one
+    coordinate row of ``ambient`` per basis vector.  ``_triple_check``, made on first use
     from one pass over the triple brackets, holds their worst residual and
     the read-only tensor ``K[p, q] = <[[e_i, e_j], e_l], e_m>`` over the
     pairs ``p = (i < j)``, ``q = (l < m)``: the coefficients are
@@ -498,10 +468,10 @@ class SubspaceBasis:
         object.__setattr__(self, "coords", C)
         if not len(C):
             raise ValueError("empty subspace basis")
+        if C.ndim != 2 or C.shape[1] != self.ambient.p_dim:
+            raise ValueError(f"subspace basis rows must have width {self.ambient.p_dim}, got shape {C.shape}")
         if np.max(np.abs(C @ C.T - np.eye(len(C)))) > TOL_ARITHMETIC:
             raise ValueError("subspace basis is not orthonormal")
-        if np.max(_residuals(C, self.ambient.p_coords)) > TOL_ARITHMETIC:
-            raise ValueError("subspace basis does not lie in p")
 
     @classmethod
     def orthonormalized(cls, ambient: ProductModel, raw_vectors: np.ndarray) -> "SubspaceBasis":
@@ -517,8 +487,8 @@ class SubspaceBasis:
 
     @functools.cached_property
     def _triple_check(self) -> _TripleCheck:
-        Cp = self.coords @ self.ambient.p_coords.T  # orthonormal rows: V lies in p
-        worst, TC = _worst_residual(self.ambient.triples(Cp), Cp)
+        C = self.coords
+        worst, TC = _worst_residual(self.ambient.triples(C), C)
         l, m = _pairs(self.dim)
         K = TC.reshape(-1, self.dim, self.dim)[:, l, m]
         K.setflags(write=False)
@@ -555,7 +525,7 @@ def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tup
 def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     """Calibrated sectional curvature of the plane spanned by rows x, y of V.
 
-    Stacked rows ``(n, D)`` measure n planes at once and return an array of n
+    Stacked rows ``(n, p_dim)`` measure n planes at once and return an array of n
     curvatures, positive on these compact models (scale: :func:`calibration_constant`).
     The planes are projected onto the basis once, to coefficient rows ``a, b``,
     and contract ``V``'s curvature tensor: ``<[[x, y], y], x> = -sum w_p K[p, q] w_q``
@@ -619,39 +589,8 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
         raise ValueError("s must lie in 0..k")
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
-    raw = np.empty((block.p_dim, k, block.N, block.N), dtype=complex)
-    raw[:, :s] = block.p_basis[:, None]
-    raw[:, s:] = block.p_basis.conj()[:, None]
-    return SubspaceBasis.orthonormalized(model, model._join([raw]))
-
-
-def construct_grassmannian_product(
-    partition: Sequence[int], ambient: CartanDecomp
-) -> SubspaceBasis:
-    """Product of projective spaces along the row blocks of a Grassmannian.
-
-    Part ``n_i`` of the partition occupies the i-th row of the off-diagonal
-    block with ``n_i`` consecutive columns; the span is J-invariant and a
-    Lie triple system, one ``CP^{n_i}`` per row, with pairwise commuting
-    rows.
-    """
-    if ambient.kind != "grassmannian":
-        raise ValueError("ambient must be a Grassmannian model")
-    k, n = ambient.block_shape
-    parts = tuple(int(p) for p in partition)
-    if len(parts) != k or sum(parts) != n or any(p < 1 for p in parts):
-        raise ValueError(f"partition {parts} does not fit block shape ({k}, {n})")
-    if list(parts) != sorted(parts, reverse=True):
-        raise ValueError("partition parts must be weakly decreasing")
-    model = ProductModel.single(ambient)
-    picks: list[int] = []
-    offset = 0
-    for row, part in enumerate(parts):
-        for col in range(offset, offset + part):
-            base = 2 * (row * n + col)
-            picks.extend((base, base + 1))
-        offset += part
-    return SubspaceBasis.orthonormalized(model, model.p_coords[picks])
+    direct, conjugated = np.eye(block.p_dim), block.coefficients(block.p_basis.conj())
+    return SubspaceBasis.orthonormalized(model, np.hstack([direct] * s + [conjugated] * (k - s)))
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +643,10 @@ def _box_images(
     raise ValueError(f"no matrix model for {sub} inside {amb}")
 
 
-def _label_mismatch(label: RankOneSpace, row_class: RankOneSpace, curvature) -> str | None:
+def _label_mismatch(label: RankOneSpace, diagonal: RankOneSpace) -> str | None:
     """Why an entry's label is not the row's diagonal, or None when it is."""
-    if (label.field, label.n, label.curvature) == (row_class.field, row_class.n, curvature):
+    if (label.field, label.n, label.curvature) == (diagonal.field, diagonal.n, diagonal.curvature):
         return None
-    diagonal = RankOneSpace(row_class.field, row_class.n, curvature, label.compact_dual)
     return f"label {label} differs from the row's diagonal {diagonal}"
 
 
@@ -728,25 +666,26 @@ class _BuiltRow(NamedTuple):
     planes: int
 
 
-def _build_row(model: ProductModel, row, kappa: float) -> _BuiltRow:
+def _build_row(model: ProductModel, row) -> _BuiltRow:
     """Assemble a row's diagonal from its box images, block k holding the row's k-th box.
 
     The row's calibrated curvature tensor on pairs is compared once with the
-    tensor of its class at curvature ``kappa``: ``kappa I`` for ``RH^m``, and
+    tensor of its diagonal ``row.space`` at its curvature ``kappa``: ``kappa I`` for ``RH^m``, and
     for ``CH^m`` ``kappa/4 (d_il d_jm - d_im d_jl + J_il J_jm - J_im J_jl + 2 J_ij J_lm)``
     with ``J[i, k] = <J e_i, e_k>`` the complex structure on the row's own
     basis.  A plane with unit bivector ``w`` has curvature error ``w E w``,
     so the spectral norm of the symmetric part of the difference ``E``
     bounds every plane's error.
-    Raises ValueError when a box has no matrix model, the images are
-    rank-deficient or a complex row's diagonal is not J-invariant.
+    Raises ValueError when a box has no matrix model, an image is not in
+    ``p``, the images are rank-deficient or a complex row's diagonal is not
+    J-invariant.
     """
     parts = [
         _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
     ]
-    V = SubspaceBasis.orthonormalized(model, model._join(model._per_run(parts)))
+    V = SubspaceBasis.orthonormalized(model, model.coordinates(parts))
     is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
-    row_class = row[0].inclusion.sub
+    row_class, kappa = row.space, float(row.space.curvature)
     C = V.coords
     i, j = _pairs(V.dim)
     if row_class.field is Field.C:
@@ -799,7 +738,6 @@ class _VerifyMemo:
             )
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
         self._models: dict[tuple[int, ...], ProductModel] = {}
-        self._exact: dict[int, tuple[tuple, Fraction]] = {}
         self._built: dict[int, tuple[tuple, _BuiltRow]] = {}
 
     def model(self, factors: tuple[int, ...]) -> ProductModel:
@@ -810,29 +748,14 @@ class _VerifyMemo:
             self._models[factors] = model
         return model
 
-    @staticmethod
-    def _by_identity(table: dict, row, make):
-        """``table``'s value for ``row``, made by ``make(row)`` and kept on a miss."""
-        hit = table.get(id(row))
-        if hit is not None and hit[0] is row:
-            return hit[1]
-        value = make(row)
-        table[id(row)] = (row, value)
-        return value
-
-    def exact(self, row) -> Fraction:
-        """The exact curvature of ``row``'s diagonal."""
-        return self._by_identity(
-            self._exact, row, lambda row: diagonal_curvature([b.inclusion.sub.curvature for b in row])
-        )
-
     def row(self, row) -> _BuiltRow:
         """The built diagonal of ``row``; raises ValueError when it cannot be built."""
-        return self._by_identity(
-            self._built,
-            row,
-            lambda row: _build_row(self.model(tuple(b.factor for b in row)), row, float(self.exact(row))),
-        )
+        hit = self._built.get(id(row))
+        if hit is not None and hit[0] is row:
+            return hit[1]
+        built = _build_row(self.model(tuple(b.factor for b in row)), row)
+        self._built[id(row)] = (row, built)
+        return built
 
 
 @dataclass(frozen=True)
@@ -952,8 +875,7 @@ def verify_classification_entry(
     row_reports: list[RowVerification] = []
     for idx, row in enumerate(rows):
         description = str(row)
-        exact = memo.exact(row)
-        mislabel = _label_mismatch(entry.semisimple_factors[idx], row[0].inclusion.sub, exact)
+        mislabel = _label_mismatch(entry.semisimple_factors[idx], row.space)
         bad = [b for b in row if b.factor not in memo.factor_models]
         if bad:
             missing = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
@@ -976,8 +898,8 @@ def verify_classification_entry(
             reason = mislabel
         row_reports.append(
             RowVerification(
-                idx, description, "ok" if reason is None else "fail", reason, residual, float(exact),
-                built.curvature_measured, built.curvature_error, built.planes,
+                idx, description, "ok" if reason is None else "fail", reason, residual,
+                float(row.space.curvature), built.curvature_measured, built.curvature_error, built.planes,
             )
         )
 

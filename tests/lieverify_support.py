@@ -1,10 +1,15 @@
 """Test-only helpers for the verifier: random unitaries, model relations,
-conjugated models, the blockwise commutator of coordinate rows and a
-full-coordinate triple check.
+conjugated models, blockwise commutators taken on matrices, a matrix
+triple check and the Grassmannian product construction.
 
 The package does not run these; the tests use them to check the models
-and the invariance of the measurements under isometries.
+and the invariance of the measurements under isometries.  Coordinates are
+turned into matrices here, block by block, so that the brackets below are
+taken on real matrices and do not go through the blocks' bracket tensors.
 """
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -57,40 +62,78 @@ def conjugated_decomp(decomp, g):
 def conjugated_basis(V, gs):
     """Transport basis and ambient by one unitary per block.
 
-    The transported blocks are distinct, but the coordinate layout is that
-    of the old model, so the old model's runs join the images.
+    The basis's matrices are conjugated and projected onto the conjugated
+    blocks' ``p`` bases, whose bracket tensors and complex structures are
+    built again from the conjugated matrices.
     """
     model = V.ambient
     ambient = ProductModel(tuple(conjugated_decomp(b, g) for b, g in zip(model.blocks, gs)), model.weights)
-    parts = [G @ A @ G.conj().swapaxes(-1, -2) for G, A in zip(model._per_run(gs), split(model, V.coords))]
-    return SubspaceBasis(ambient, model._join(parts))
+    parts = [g @ A @ g.conj().T for g, A in zip(gs, split(model, V.coords))]
+    return SubspaceBasis(ambient, ambient.coordinates(parts))
 
 
 def split(model, C):
-    """One matrix stack ``(..., count, N, N)`` per run of coordinates ``(..., D)``; inverts ``_join``."""
-    lead = C.shape[:-1]
-    return [
-        (C[..., r.lo : r.hi] / r.roots).view(complex).reshape(*lead, r.count, r.block.N, r.block.N)
-        for r in model._runs
-    ]
+    """One matrix stack ``(..., N, N)`` per block of coordinates ``(..., p_dim)``; inverts ``coordinates``.
+
+    Block b's coordinates ``C_b`` are ``sqrt(w_b)`` times its coefficients
+    on its ``p`` basis ``P_b``, so its matrices are ``(C_b / sqrt(w_b)) @ P_b``.
+    """
+    out, lo = [], 0
+    for block, w in zip(model.blocks, model.weights):
+        hi = lo + block.p_dim
+        out.append(np.tensordot(C[..., lo:hi] / math.sqrt(w), block.p_basis, axes=1))
+        lo = hi
+    assert lo == C.shape[-1]
+    return out
 
 
 def model_bracket(model, X, Y):
-    """Blockwise commutator of coordinates ``(..., D)``."""
-    return model._join([bracket(a, b) for a, b in zip(split(model, X), split(model, Y))])
+    """Blockwise commutators of coordinates ``(..., p_dim)``: one matrix stack per block, in ``k``."""
+    return [bracket(a, b) for a, b in zip(split(model, X), split(model, Y))]
+
+
+def model_triple(model, X, Y, Z):
+    """Coordinates of ``[[X, Y], Z]``, bracketed as matrices and projected back onto ``p``."""
+    return model.coordinates([bracket(b, c) for b, c in zip(model_bracket(model, X, Y), split(model, Z))])
 
 
 def reference_triple_check(V):
-    """The worst triple residual of ``V`` and its tensor ``K``, from full-coordinate brackets.
+    """The worst triple residual of ``V`` and its tensor ``K``, from matrix brackets.
 
-    Every ``[[e_i, e_j], e_l]`` is two :func:`model_bracket` calls on the
-    ``D`` coordinates, row ``p dim + l`` for the pair ``p = (i < j)``; the
-    residual and ``K`` are then taken as ``SubspaceBasis`` takes them.
+    Every ``[[e_i, e_j], e_l]`` is two commutators per block of the basis's
+    matrices, row ``p dim + l`` for the pair ``p = (i < j)``; the residual
+    and ``K`` are then taken as ``SubspaceBasis`` takes them.
     """
     E, d = V.coords, V.dim
     i, j = _pairs(d)
-    pair_brackets = model_bracket(V.ambient, E[i], E[j])
-    T = model_bracket(V.ambient, np.repeat(pair_brackets, d, axis=0), np.tile(E, (len(i), 1)))
+    T = model_triple(V.ambient, np.repeat(E[i], d, axis=0), np.repeat(E[j], d, axis=0), np.tile(E, (len(i), 1)))
     worst, TC = _worst_residual(T, E)
     l, m = _pairs(d)
     return worst, TC.reshape(-1, d, d)[:, l, m]
+
+
+def construct_grassmannian_product(partition: Sequence[int], ambient: CartanDecomp) -> SubspaceBasis:
+    """Product of projective spaces along the row blocks of a Grassmannian.
+
+    Part ``n_i`` of the partition occupies the i-th row of the off-diagonal
+    block with ``n_i`` consecutive columns; the span is J-invariant and a
+    Lie triple system, one ``CP^{n_i}`` per row, with pairwise commuting
+    rows.
+    """
+    if ambient.kind != "grassmannian":
+        raise ValueError("ambient must be a Grassmannian model")
+    k, n = ambient.block_shape
+    parts = tuple(int(p) for p in partition)
+    if len(parts) != k or sum(parts) != n or any(p < 1 for p in parts):
+        raise ValueError(f"partition {parts} does not fit block shape ({k}, {n})")
+    if list(parts) != sorted(parts, reverse=True):
+        raise ValueError("partition parts must be weakly decreasing")
+    model = ProductModel.single(ambient)
+    picks: list[int] = []
+    offset = 0
+    for row, part in enumerate(parts):
+        for col in range(offset, offset + part):
+            base = 2 * (row * n + col)
+            picks.extend((base, base + 1))
+        offset += part
+    return SubspaceBasis.orthonormalized(model, np.eye(model.p_dim)[picks])

@@ -18,7 +18,6 @@ from geodiag.lieverify import (
     ProductModel,
     SubspaceBasis,
     construct_diagonal_cp,
-    construct_grassmannian_product,
     grassmannian_decomp,
     is_lie_triple_system,
     kahler_angle_of,
@@ -26,7 +25,7 @@ from geodiag.lieverify import (
 )
 from geodiag.tableaux import ProductSpace, classify, diagonal_curvature
 
-from lieverify_support import model_bracket
+from lieverify_support import construct_grassmannian_product, model_bracket
 from oracles import brute_force_count
 
 
@@ -172,7 +171,7 @@ def test_criterion_6_grassmannian_embedding_lemma():
 def test_criterion_7_diagonal_curvature_duality():
     with timed(5.0) as t:
         cp1 = ProductModel.single(grassmannian_decomp(1, 1))
-        full = SubspaceBasis(cp1, cp1.p_coords)
+        full = SubspaceBasis(cp1, np.eye(cp1.p_dim))
         calibration = sectional_curvature(full, full.coords[0], full.coords[1])
 
         diag2 = construct_diagonal_cp(2, 2, 1)

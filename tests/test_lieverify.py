@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geodiag.lieverify as lieverify_mod
-from geodiag.catalog import TotGeodInclusion, space
+from geodiag.catalog import RankOneSpace, TotGeodInclusion, space
 from geodiag.cli import parse_product
 from geodiag.tableaux import (
     AdaptedTableau,
     Box,
     ClassifiedSubmanifold,
     ProductSpace,
+    Row,
     classify,
     diagonal_curvature,
 )
@@ -32,7 +33,6 @@ from geodiag.lieverify import (
     calibration_constant,
     check_element,
     construct_diagonal_cp,
-    construct_grassmannian_product,
     grassmannian_decomp,
     is_lie_triple_system,
     kahler_angle_of,
@@ -45,7 +45,9 @@ from lieverify_support import (
     bracket_relation_residuals,
     conjugated_basis,
     conjugated_decomp,
+    construct_grassmannian_product,
     model_bracket,
+    model_triple,
     random_special_unitary,
     reference_triple_check,
     split,
@@ -56,9 +58,14 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def p_rows(model):
+    """The coordinate rows of the model's ``p`` basis vectors, block by block."""
+    return np.eye(model.p_dim)
+
+
 def full_p_basis(decomp):
     model = ProductModel.single(decomp)
-    return SubspaceBasis(model, model.p_coords)
+    return SubspaceBasis(model, p_rows(model))
 
 
 class TestBracket:
@@ -164,7 +171,7 @@ class TestOrthonormalization:
     def test_random_family_matches_classical_gram_schmidt(self, seed, dim):
         model = ProductModel((grassmannian_decomp(1, 3), sphere_decomp(4)), (1.0, 0.5))
         rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((dim, len(model.p_coords))) @ model.p_coords
+        raw = rng.standard_normal((dim, model.p_dim))
         V = SubspaceBasis.orthonormalized(model, raw)
         np.testing.assert_allclose(V.coords, classical_gram_schmidt(raw), rtol=0, atol=1e-12)
         assert V.coords.flags.c_contiguous
@@ -180,7 +187,7 @@ class TestOrthonormalization:
     )
     def test_basis_aligned_family_matches_classical_gram_schmidt(self, coefficients):
         model = ProductModel.single(grassmannian_decomp(1, 3))
-        raw = coefficients @ model.p_coords
+        raw = coefficients @ p_rows(model)
         V = SubspaceBasis.orthonormalized(model, raw)
         np.testing.assert_allclose(V.coords, classical_gram_schmidt(raw), rtol=0, atol=1e-12)
         assert V.coords.flags.c_contiguous
@@ -196,7 +203,7 @@ class TestOrthonormalization:
 
     def test_more_rows_than_coordinates_raise(self):
         model = ProductModel.single(sphere_decomp(2))
-        D = model.p_coords.shape[1]
+        D = model.p_dim
         raw = np.random.default_rng(0).standard_normal((D + 1, D))
         with pytest.raises(ValueError, match="rank-deficient"):
             SubspaceBasis.orthonormalized(model, raw)
@@ -208,12 +215,32 @@ class TestModelIdentity:
         copy_ = conjugated_decomp(d, np.eye(3))
         model, other = ProductModel.single(d), ProductModel.single(d)
         V = full_p_basis(d)
-        W = SubspaceBasis(model, model.p_coords)
+        W = SubspaceBasis(model, p_rows(model))
         for a, b in ((d, copy_), (model, other), (V, W)):
             assert a == a and b == b
             assert a != b
             assert hash(a) == hash(a) and len({a, b}) == 2
         assert grassmannian_decomp(1, 2) == d
+
+
+class TestWhereMatricesEnter:
+    def test_coefficients_refuse_a_matrix_off_p(self):
+        G = grassmannian_decomp(1, 2)
+        off = G.p_basis[0] + 1e-9 * G.k_basis[0]
+        with pytest.raises(ValueError, match="^matrix does not lie in p$"):
+            G.coefficients(np.stack([G.p_basis[1], off]))
+        with pytest.raises(ValueError, match="^matrix does not lie in p$"):
+            G.coefficients(G.k_basis[0])
+        nearly = G.p_basis[1] + 1e-14 * G.k_basis[0]
+        np.testing.assert_allclose(G.coefficients(nearly), np.eye(4)[1], rtol=0, atol=1e-13)
+
+    def test_a_basis_of_the_wrong_width_raises(self):
+        model = ProductModel((grassmannian_decomp(1, 2), sphere_decomp(3)), (1.0, 2.0))
+        assert model.p_dim == 7
+        for rows in (np.eye(8)[:2], np.eye(6)[:2], np.eye(7)[0], np.eye(7)[:2, :, None]):
+            with pytest.raises(ValueError, match="^subspace basis rows must have width 7, got shape"):
+                SubspaceBasis(model, rows)
+        assert SubspaceBasis(model, np.eye(7)[:2]).dim == 2
 
 
 class TestLieTripleSystem:
@@ -225,7 +252,7 @@ class TestLieTripleSystem:
     def test_single_vector_is_a_triple_system(self):
         d = grassmannian_decomp(2, 2)
         model = ProductModel.single(d)
-        V = SubspaceBasis.orthonormalized(model, model.p_coords[:1])
+        V = SubspaceBasis.orthonormalized(model, p_rows(model)[:1])
         ok, residual = is_lie_triple_system(V)
         assert ok and residual == 0.0
 
@@ -234,7 +261,7 @@ class TestLieTripleSystem:
         d = grassmannian_decomp(2, 2)
         model = ProductModel.single(d)
         rng = np.random.default_rng(0)
-        basis = model.p_coords
+        basis = p_rows(model)
         W = SubspaceBasis.orthonormalized(model, rng.standard_normal((2, len(basis))) @ basis)
         ok, residual = is_lie_triple_system(W, 1e-9)
         assert not ok
@@ -243,7 +270,7 @@ class TestLieTripleSystem:
     def test_degenerate_family_rejected(self):
         d = grassmannian_decomp(1, 2)
         model = ProductModel.single(d)
-        v = model.p_coords[0]
+        v = p_rows(model)[0]
         with pytest.raises(ValueError):
             SubspaceBasis.orthonormalized(model, np.array([v, 2.0 * v]))
 
@@ -263,9 +290,9 @@ class TestSectionalCurvature:
         d = grassmannian_decomp(1, 3)
         V = full_p_basis(d)
         model = V.ambient
-        x = model.p_coords[0]
+        x = p_rows(model)[0]
         hol = sectional_curvature(V, x, model.J(x))
-        real = sectional_curvature(V, x, model.p_coords[2])
+        real = sectional_curvature(V, x, p_rows(model)[2])
         assert abs(hol / real - 4.0) <= 1e-10
         assert abs(hol - 4.0) <= 1e-12
         assert abs(real - 1.0) <= 1e-12
@@ -312,7 +339,7 @@ class TestKahlerAngle:
     def test_totally_real_plane(self):
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
-        V = SubspaceBasis.orthonormalized(model, model.p_coords[[0, 2]])
+        V = SubspaceBasis.orthonormalized(model, p_rows(model)[[0, 2]])
         assert abs(kahler_angle_of(V, V.coords[0]) - math.pi / 2) <= 1e-12
 
     def test_three_diagonal_with_one_conjugation(self):
@@ -555,6 +582,19 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def forged_row(boxes):
+    """A ``Row`` of ``boxes`` made without checking that they are homothetic.
+
+    Its diagonal space is the first box's class at the boxes' harmonic
+    curvature, as ``Row`` makes it.
+    """
+    row = tuple.__new__(Row, boxes)
+    first = boxes[0].inclusion.sub
+    curvature = diagonal_curvature([b.inclusion.sub.curvature for b in boxes])
+    row.space = RankOneSpace(first.field, first.n, curvature, first.compact_dual)
+    return row
+
+
 def forged_entry(M, rows):
     """An entry whose rows hold ``(factor, sub)`` pairs the catalog may refuse.
 
@@ -565,7 +605,7 @@ def forged_entry(M, rows):
     tableau = _unchecked(
         AdaptedTableau,
         rows=tuple(
-            tuple(Box(i, _unchecked(TotGeodInclusion, sub=sub, ambient=M.factor(i))) for i, sub in row)
+            forged_row([Box(i, _unchecked(TotGeodInclusion, sub=sub, ambient=M.factor(i))) for i, sub in row])
             for row in rows
         ),
     )
@@ -711,7 +751,7 @@ class TestNegativeControls:
         first, second = entry.tableau.rows
         tableau = AdaptedTableau(entry.tableau.rows)
         # bypasses tableau validation: both rows on the first row's factor
-        object.__setattr__(tableau, "rows", (first, (Box(first[0].factor, second[0].inclusion),)))
+        object.__setattr__(tableau, "rows", (first, Row([Box(first[0].factor, second[0].inclusion)])))
         return dataclasses.replace(entry, tableau=tableau)
 
     @staticmethod
@@ -740,6 +780,16 @@ class TestNegativeControls:
         assert report.reason == f"factor {shared} carries {carried}"
         assert report.to_dict()["reason"] == report.reason
 
+    def test_a_box_image_off_p_fails_its_row_instead_of_raising(self, monkeypatch):
+        # every box maps onto an element of k: each row is refused where its matrices enter
+        monkeypatch.setattr(lieverify_mod, "_box_images", lambda sub, factor, block: block.k_basis[:1])
+        _, reports = verify_all(ProductSpace((space("C", 2, 1), space("R", 3, 1))))
+        rows = [row for report in reports for row in report.rows]
+        assert rows
+        for row in rows:
+            assert row.status == "fail" and row.reason == "not measurable: matrix does not lie in p"
+            assert row.lie_residual is None and row.planes is None
+
     def test_j_must_keep_every_vector_of_a_complex_row_inside(self, monkeypatch):
         # J moves only the odd basis vectors off the row, so every basis plane (e_a, J e_a) stays inside
         M = ProductSpace((space("C", 2, 1), space("C", 2, 1)))
@@ -752,7 +802,7 @@ class TestNegativeControls:
 
         def leaky(model, C):
             out = J(model, C)
-            off = model.p_coords - (model.p_coords @ C.T) @ C
+            off = p_rows(model) - (p_rows(model) @ C.T) @ C
             out[1::2] += 1e-3 * off[np.argmax(np.linalg.norm(off, axis=1))]
             return out
 
@@ -829,7 +879,7 @@ class TestNegativeControls:
         rng = np.random.default_rng(0)
         bounds = []
         for row in {id(row): row for e in classify(M) for row in e.tableau.rows}.values():
-            built, kappa = memo.row(row), float(memo.exact(row))
+            built, kappa = memo.row(row), float(row.space.curvature)
             V = built.basis
             xs = np.array([V.random_unit_vector(rng) for _ in range(8)])
             ys = np.array([V.random_unit_vector(rng) for _ in range(8)])
@@ -858,7 +908,7 @@ class TestNegativeControls:
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
         rng = np.random.default_rng(13)
-        basis = model.p_coords
+        basis = p_rows(model)
         V = SubspaceBasis.orthonormalized(model, rng.standard_normal((3, len(basis))) @ basis)
         ok, residual = is_lie_triple_system(V, 1e-9)
         assert not ok
@@ -867,7 +917,7 @@ class TestNegativeControls:
     def test_rank_deficient_family_still_raises(self):
         d = grassmannian_decomp(1, 3)
         model = ProductModel.single(d)
-        a, b = model.p_coords[0], model.p_coords[3]
+        a, b = p_rows(model)[0], p_rows(model)[3]
         with pytest.raises(ValueError):
             SubspaceBasis.orthonormalized(model, np.array([a, b, a - 2.0 * b]))
         with pytest.raises(ValueError):
@@ -1052,18 +1102,17 @@ def whole_subspace_residual(M, entry):
     """
     memo = lieverify_mod._VerifyMemo.of(M)
     model = memo.model(tuple(range(1, M.r + 1)))
-    starts = model._offsets
+    starts = np.cumsum([0] + [b.p_dim for b in model.blocks])
     vectors = []
     for row in entry.tableau.rows:
         basis = memo.row(row).basis
-        own = basis.ambient._offsets
+        own = np.cumsum([0] + [b.p_dim for b in basis.ambient.blocks])
         for c in basis.coords:
-            u = np.zeros(starts[-1])
+            u = np.zeros(model.p_dim)
             for k, box in enumerate(row):
                 u[starts[box.factor - 1] : starts[box.factor]] = c[own[k] : own[k + 1]]
             vectors.append(u)
-    first_p = np.cumsum([0] + [b.p_dim for b in model.blocks])
-    vectors += [model.p_coords[first_p[i - 1]] for i in entry.complement_factors[: entry.flat_dim]]
+    vectors += [p_rows(model)[starts[i - 1]] for i in entry.complement_factors[: entry.flat_dim]]
     if not vectors:
         return None
     return is_lie_triple_system(SubspaceBasis.orthonormalized(model, np.array(vectors)))[1]
@@ -1225,7 +1274,7 @@ def direct_curvature(V, X, Y):
 def mixed_three_plane_of_cp2():
     # e_0, J e_0, e_1: the triple bracket [[e_0, J e_0], e_1] lies along J e_1
     model = ProductModel.single(grassmannian_decomp(1, 2))
-    return SubspaceBasis.orthonormalized(model, model.p_coords[:3])
+    return SubspaceBasis.orthonormalized(model, p_rows(model)[:3])
 
 
 def assert_contraction_is_direct(V, rng):
@@ -1275,7 +1324,7 @@ class TestCurvatureTensor:
 
     def test_planes_off_the_span_and_dependent_planes_are_rejected(self):
         V = mixed_three_plane_of_cp2()
-        e0, Je1 = V.coords[0], V.ambient.p_coords[3]
+        e0, Je1 = V.coords[0], p_rows(V.ambient)[3]
         with pytest.raises(ValueError, match="^plane vectors must lie in the subspace$"):
             sectional_curvature(V, e0, Je1)
         with pytest.raises(ValueError, match="^plane vectors must lie in the subspace$"):
@@ -1357,13 +1406,13 @@ class TestAccuracyGates:
 def ref_matrices(blocks, weights, c):
     """One matrix per block of the coordinate row ``c``.
 
-    Block b holds ``2 N_b^2`` coordinates: ``sqrt(w_b)`` times the
-    interleaved real and imaginary parts of its row-major matrix.
+    Block b holds ``q_b`` = dim ``p`` coordinates: ``sqrt(w_b)`` times the
+    coefficients of its matrix on its ``p`` basis.
     """
     out, lo = [], 0
     for block, w in zip(blocks, weights):
-        hi = lo + 2 * block.N**2
-        out.append((c[lo:hi] / math.sqrt(w)).view(complex).reshape(block.N, block.N))
+        hi = lo + block.p_dim
+        out.append(sum(x / math.sqrt(w) * P for x, P in zip(c[lo:hi], block.p_basis)))
         lo = hi
     assert lo == len(c)
     return tuple(out)
@@ -1462,7 +1511,7 @@ def random_subspaces(draw):
     # pairwise different weights, so a run of identical blocks carries several
     weights = tuple(draw(st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks), unique=True)))
     model = ProductModel(blocks, weights)
-    basis = model.p_coords
+    basis = p_rows(model)
     dim = draw(st.integers(1, min(4, len(basis))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -1509,27 +1558,26 @@ class TestRuns:
         model = ProductModel((A, A, A, B, A), (1.0, 2.0, 0.5, 1.0, 3.0))
         runs = model._runs
         assert [(r.block, r.count) for r in runs] == [(A, 3), (B, 1), (A, 1)]
-        assert [(r.lo, r.hi) for r in runs] == [(0, 54), (54, 86), (86, 104)]
-        np.testing.assert_array_equal(runs[0].roots, np.repeat(np.sqrt([1.0, 2.0, 0.5]), 18))
+        assert [r.span for r in runs] == [slice(0, 12), slice(12, 15), slice(15, 19)]
+        assert model.p_dim == 19
+        np.testing.assert_array_equal(runs[0].inv_w, [1.0, 0.5, 2.0])
         # an equal but distinct model is another block
         other = conjugated_decomp(A, np.eye(3))
         assert [r.count for r in ProductModel((A, other), (1.0, 1.0))._runs] == [1, 1]
 
     @settings(max_examples=30, deadline=None)
     @given(random_block_lists(), st.integers(0, 2**32 - 1))
-    def test_split_and_join_agree_with_per_block_matrices(self, blocks, seed):
+    def test_coordinates_round_trip_through_per_block_matrices(self, blocks, seed):
         rng = np.random.default_rng(seed)
         weights = tuple(rng.uniform(0.25, 4.0, len(blocks)))
         model = ProductModel(tuple(blocks), weights)
-        C = rng.standard_normal((2, 3, model._offsets[-1]))
+        C = rng.standard_normal((2, 3, model.p_dim))
         stacks = split(model, C)
-        assert [s.shape for s in stacks] == [(2, 3, r.count, r.block.N, r.block.N) for r in model._runs]
-        per_block = [m for s in stacks for m in np.moveaxis(s, -3, 0)]
+        assert [s.shape for s in stacks] == [(2, 3, b.N, b.N) for b in blocks]
         for n, _ in np.ndenumerate(C[..., 0]):
-            for mine, ref in zip(per_block, ref_matrices(blocks, weights, C[n])):
+            for mine, ref in zip(stacks, ref_matrices(blocks, weights, C[n])):
                 np.testing.assert_allclose(mine[n], ref, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(model._join(stacks), C, rtol=1e-15, atol=0)
-        np.testing.assert_array_equal(model._join(model._per_run(per_block)), model._join(stacks))
+        np.testing.assert_allclose(model.coordinates(stacks), C, rtol=0, atol=1e-14)
 
     def test_per_block_loops_stay_out_of_the_diagonal_check(self, monkeypatch):
         """Checking a k-diagonal and sampling its angle takes as many block passes for k = 24 as for k = 1.
@@ -1560,7 +1608,7 @@ class TestRuns:
     def test_J_checks_the_mass_of_every_block_on_its_own(self):
         S, G = sphere_decomp(2), grassmannian_decomp(1, 2)
         model = ProductModel((S, S, G), (1.0, 1.0, 1.0))
-        P = model.p_coords  # two rows per sphere block, then four for the complex one
+        P = p_rows(model)  # two rows per sphere block, then four for the complex one
         first, second, complex_row = P[0], P[2], P[4]
         for v in (first, second, complex_row + first, np.stack([complex_row, second])):
             with pytest.raises(ValueError, match="^element has mass on a block with no complex structure$"):
@@ -1582,7 +1630,7 @@ def random_wide_subspaces(draw):
     blocks = tuple(draw(random_block_lists()))
     weights = tuple(draw(st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks))))
     model = ProductModel(blocks, weights)
-    basis = model.p_coords
+    basis = p_rows(model)
     dim = draw(st.integers(1, min(6, len(basis))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return SubspaceBasis.orthonormalized(model, rng.standard_normal((dim, len(basis))) @ basis), rng
@@ -1594,13 +1642,12 @@ class TestBlockMaps:
     def test_triples_are_the_nested_model_brackets(self, case):
         V, _ = case
         model, E = V.ambient, V.coords
-        T = model.triples(E @ model.p_coords.T) @ model.p_coords
+        T = model.triples(E)
         pairs = [(i, j) for i in range(V.dim) for j in range(i + 1, V.dim)]
         assert T.shape == (len(pairs) * V.dim, E.shape[1])
         for p, (i, j) in enumerate(pairs):
-            B = model_bracket(model, E[i], E[j])
             for l in range(V.dim):
-                expected = model_bracket(model, B, E[l])
+                expected = model_triple(model, E[i], E[j], E[l])
                 np.testing.assert_allclose(T[p * V.dim + l], expected, rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -1613,7 +1660,7 @@ class TestBlockMaps:
         # blocks without a complex structure must carry nothing
         lo = 0
         for block in blocks:
-            hi = lo + 2 * block.N**2
+            hi = lo + block.p_dim
             if block.J_generator is None:
                 C[..., lo:hi] = 0.0
             lo = hi
@@ -1621,22 +1668,25 @@ class TestBlockMaps:
         for n in np.ndindex(C.shape[:-1]):
             lo = 0
             for block, w, a in zip(blocks, weights, ref_matrices(blocks, weights, C[n])):
-                hi = lo + 2 * block.N**2
+                hi = lo + block.p_dim
                 g = block.J_generator
                 if g is not None:
-                    expected[n][lo:hi] = math.sqrt(w) * (g @ a - a @ g).view(np.float64).ravel()
+                    expected[n][lo:hi] = [math.sqrt(w) * np.vdot(P, g @ a - a @ g).real for P in block.p_basis]
                 lo = hi
         np.testing.assert_allclose(model.J(C), expected, rtol=0, atol=1e-14)
 
-    def test_ad_J_rows_are_the_images_of_the_unit_matrices(self):
+    def test_J_p_rows_are_the_coefficients_of_the_images_of_the_basis(self):
         G = grassmannian_decomp(2, 3)
-        units = np.eye(50).view(complex).reshape(50, 5, 5)
         for decomp in (G, conjugated_decomp(G, random_special_unitary(5, np.random.default_rng(3)))):
-            g, ad = decomp.J_generator, decomp.ad_J
-            assert ad.shape == (50, 50) and not ad.flags.writeable
-            images = (g @ units - units @ g).view(np.float64).reshape(50, 50)
-            np.testing.assert_allclose(ad, images, rtol=0, atol=1e-15)
-        assert sphere_decomp(3).ad_J is None
+            g, P, Jp = decomp.J_generator, decomp.p_basis, decomp.J_p
+            assert Jp.shape == (12, 12) and not Jp.flags.writeable
+            images = g @ P - P @ g
+            expected = np.array([[np.vdot(b, image).real for b in P] for image in images])
+            np.testing.assert_allclose(Jp, expected, rtol=0, atol=1e-15)
+            # the images lie in p, where J squares to minus the identity
+            np.testing.assert_allclose(np.tensordot(Jp, P, axes=1), images, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(Jp @ Jp, -np.eye(12), rtol=0, atol=1e-14)
+        assert sphere_decomp(3).J_p is None
 
 
 # ---------------------------------------------------------------------------
@@ -1656,7 +1706,7 @@ def direct_triple_tensor(decomp):
 
 
 def assert_check_is_the_reference(V):
-    """``V``'s p-coordinate residual and tensor ``K`` are the full-coordinate ones within 1e-13."""
+    """``V``'s residual and tensor ``K`` are the ones taken from matrix brackets within 1e-13."""
     residual, K = reference_triple_check(V)
     assert abs(V._triple_check.residual - residual) <= 1e-13
     np.testing.assert_allclose(V._triple_check.K, K, rtol=0, atol=1e-13)
@@ -1689,13 +1739,13 @@ class TestBracketTensor:
         for forged, message in refusals:
             model = ProductModel.single(forged)
             with pytest.raises(ValueError, match=message):
-                is_lie_triple_system(SubspaceBasis(model, model.p_coords))
+                is_lie_triple_system(SubspaceBasis(model, p_rows(model)))
             with pytest.raises(ValueError, match=message):
                 forged.triple_tensor  # refused on every use, not only the first
 
     @settings(max_examples=40, deadline=None)
     @given(random_wide_subspaces())
-    def test_the_check_is_the_full_coordinate_reference(self, case):
+    def test_the_check_is_the_matrix_bracket_reference(self, case):
         assert_check_is_the_reference(case[0])
 
     @pytest.mark.parametrize(
@@ -1711,7 +1761,7 @@ class TestBracketTensor:
         model = ProductModel(blocks, weights)
         rng = np.random.default_rng(23)
         for dim in (2, 3, 5):
-            raw = rng.standard_normal((dim, len(model.p_coords))) @ model.p_coords
+            raw = rng.standard_normal((dim, model.p_dim))
             V = SubspaceBasis.orthonormalized(model, raw)
             assert assert_check_is_the_reference(V) > 1e-3
 
