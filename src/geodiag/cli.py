@@ -68,16 +68,16 @@ _SEPARATOR_RE = re.compile(r"\s*x\s*")
 def parse_product(text: str) -> ProductSpace:
     """Parse a product specification into a normalized ProductSpace.
 
-    Syntax errors carry the offending position.  Semantic errors (a zero
-    denominator, or a factor that :class:`RankOneSpace` refuses: zero
-    curvature, octonionic dimension other than 2, real dimension 1) are
-    reported separately, at the position of their factor.  A product
-    mixing compact duals with non-compact factors is rejected by
-    :class:`ProductSpace`.
+    Blanks around the product are skipped.  Syntax errors carry the
+    offending position in ``text``.  Semantic errors (a zero denominator, or
+    a factor that :class:`RankOneSpace` refuses: zero curvature, octonionic
+    dimension other than 2, real dimension 1) are reported separately, at
+    the position of their factor.  A product mixing compact duals with
+    non-compact factors is rejected by :class:`ProductSpace`.
     """
     factors: list[RankOneSpace] = []
-    pos = 0
     stripped = text.rstrip()
+    pos = len(text) - len(text.lstrip())
     while True:
         m = _FACTOR_RE.match(text, pos)
         if m is None:

@@ -39,7 +39,8 @@ rather than approximated.
 
 Triple brackets are contractions of these coordinates with each block's
 bracket tensor ``<[[P_a, P_b], P_c], P_d>``, built once: no ``N x N``
-matrix product is taken per basis.
+matrix product is taken per basis.  A model is its ``p`` basis and ``J``:
+the tensor needs only ``[[p, p], p]`` in ``p``, so no ``k`` basis is built.
 """
 
 from __future__ import annotations
@@ -114,32 +115,25 @@ def _generators(N: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CartanDecomp:
-    """A compact matrix model ``g = k + p`` with orthonormal bases.
+    """A compact matrix model ``g = k + p``, given by an orthonormal basis of ``p``.
 
-    ``kind`` is ``"grassmannian"`` (``su(n+k)`` with ``block_shape=(k, n)``)
-    or ``"sphere"`` (``so(m+1)`` with ``block_shape=(1, m)``).  ``k_basis``
-    and ``p_basis`` are read-only ``(dim, N, N)`` stacks.  For Hermitian
-    models ``J_generator`` is the central element of ``k`` whose adjoint
-    action squares to minus the identity on ``p``.  Models compare and hash
-    by identity.
+    ``p_basis`` is a read-only ``(dim, N, N)`` stack; :attr:`triple_tensor`
+    derives ``span [p, p]`` in place of ``k``.  For Hermitian models
+    ``J_generator`` is the central element of ``k`` whose adjoint action
+    squares to minus the identity on ``p``.  Models compare and hash by identity.
     """
 
-    N: int
-    kind: str
-    block_shape: tuple[int, int]
-    k_basis: np.ndarray
     p_basis: np.ndarray
     J_generator: Matrix | None
 
     def __post_init__(self) -> None:
-        for name in ("k_basis", "p_basis", "J_generator"):
+        for name in ("p_basis", "J_generator"):
             value = getattr(self, name)
             if value is not None:
                 value = np.array(value, dtype=complex)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
         P = self.p_basis
-        check_element(self.k_basis)
         check_element(P)
         F = _flat(P)
         if np.max(np.abs(F @ F.T - np.eye(len(F)))) > TOL_ARITHMETIC:
@@ -149,6 +143,10 @@ class CartanDecomp:
             jv = g @ P - P @ g
             if np.any(np.linalg.norm(g @ jv - jv @ g + P, axis=(1, 2)) > TOL_STRUCTURAL):
                 raise ValueError("ad(J)^2 is not -identity on p")
+
+    @property
+    def N(self) -> int:
+        return self.p_basis.shape[-1]
 
     @property
     def p_dim(self) -> int:
@@ -185,19 +183,28 @@ class CartanDecomp:
         """The read-only ``(q^2, q^2)`` tensor ``R[(a, b), (c, d)] = <[[P_a, P_b], P_c], P_d>``, q = p_dim.
 
         The Gram matrix ``<[P_a, P_b], [P_c, P_d]>`` of the pair brackets, by ad-invariance.  Built
-        on first use, after checking ``[p, p]`` inside ``k`` and ``[k, p]`` inside ``p``, so that
-        triple brackets of ``p`` stay in ``p``; a model failing either raises ValueError.
+        on first use, after checking ``[[p, p], p]`` inside ``p``: one ``eigh`` of the ``a < b`` block
+        gives an orthonormal basis of ``k' = span [p, p]`` (rank cut at ``TOL_STRUCTURAL`` relative),
+        and no bracket ``[k'_r, P_c]`` may be further than ``TOL_STRUCTURAL`` from ``p``; absolutely,
+        as ``eigh`` mixes ``k'`` freely and a bracket may nearly cancel.  A model failing this raises
+        ValueError on every use.
         """
-        P, K = self.p_basis, self.k_basis
+        P, F = self.p_basis, _flat(self.p_basis)
+        S = np.flatnonzero(F.any(axis=0))  # the coordinates p reaches (68 of 648 on CH^17); projections need no others
+        F = F[:, S]
         i, j = _pairs(len(P))
         G = _flat(P[:, None] @ P - P @ P[:, None])  # row a q + b: [P_a, P_b]
-        if _worst_residual(G[i * len(P) + j], _orthonormal_rows(_flat(K)))[0] > TOL_STRUCTURAL:
-            raise ValueError("[p, p] does not lie in k")
+        R = G @ G.T
+        ij = i * len(P) + j
+        w, U = np.linalg.eigh(R[np.ix_(ij, ij)])
+        keep = w > TOL_STRUCTURAL * w.max(initial=0.0)
+        K = ((U[:, keep] / np.sqrt(w[keep])).T @ G[ij]).view(complex).reshape(-1, self.N, self.N)
         for lo in range(0, len(K), 16):  # in chunks: CH^17 has 289 x 34 of these brackets
             k = K[lo : lo + 16, None]
-            if _worst_residual(_flat(k @ P - P @ k), _flat(P))[0] > TOL_STRUCTURAL:
-                raise ValueError("[k, p] does not lie in p")
-        R = G @ G.T
+            T = _flat(k @ P - P @ k)
+            T[:, S] -= (T[:, S] @ F.T) @ F  # T's part off p
+            if np.max(_row_norms(T)) > TOL_STRUCTURAL:
+                raise ValueError("[[p, p], p] does not lie in p")
         R.setflags(write=False)
         return R
 
@@ -272,41 +279,28 @@ def _pairs(dim: int) -> np.ndarray:
 def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
     """The ``su(n+k)`` model of the Grassmannian of complex k-planes.
 
-    ``k`` is the block-diagonal ``s(u(k) + u(n))``: the off-diagonal
-    generators inside each diagonal block, then the Cartan generators
-    ``i(sum_{a<j} E_aa - j E_jj)/sqrt(j(j+1))`` for ``j = 1..N-1``.  ``p`` is
-    the off-diagonal blocks identified with k x n complex matrices.  The
-    complex structure generator is ``J = i diag(n 1_k, -k 1_n)/(n+k)``,
-    whose adjoint action is ``i`` on ``p``.
+    ``p`` is the off-diagonal blocks identified with k x n complex matrices;
+    ``k`` is the block-diagonal ``s(u(k) + u(n))``.  The complex structure
+    generator is ``J = i diag(n 1_k, -k 1_n)/(n+k)``, whose adjoint action
+    is ``i`` on ``p``.
     """
     if k < 1 or n < 1:
         raise ValueError("block sizes must be positive")
     N = k + n
-    inner = [(a, b) for lo, hi in ((0, k), (k, N)) for a in range(lo, hi) for b in range(a + 1, hi)]
-    cartan = np.zeros((N - 1, N, N), dtype=complex)
-    for j in range(1, N):
-        c = 1j / math.sqrt(j * (j + 1))
-        cartan[j - 1, range(j), range(j)] = c
-        cartan[j - 1, j, j] = -j * c
-    k_basis = np.concatenate([_generators(N, inner), cartan])
     p_basis = _generators(N, [(a, k + b) for a in range(k) for b in range(n)])
-    j_generator = 1j * np.diag([n / N] * k + [-k / N] * n)
-    return CartanDecomp(N, "grassmannian", (k, n), k_basis, p_basis, j_generator)
+    return CartanDecomp(p_basis, 1j * np.diag([n / N] * k + [-k / N] * n))
 
 
 @functools.lru_cache(maxsize=None)
 def sphere_decomp(m: int) -> CartanDecomp:
     """The ``so(m+1)`` model of the sphere ``S^m``.
 
-    ``k = so(m)`` acts on the first m coordinates; ``p`` is the last
-    column of antisymmetric real matrices.  No complex structure.
+    ``p`` is the last column of antisymmetric real matrices; ``k = so(m)``
+    acts on the first m coordinates.  No complex structure.
     """
     if m < 2:
         raise ValueError("sphere dimension must be at least 2")
-    N = m + 1
-    k_basis = _generators(N, [(a, b) for a in range(m) for b in range(a + 1, m)])[::2]
-    p_basis = _generators(N, [(a, m) for a in range(m)])[::2]
-    return CartanDecomp(N, "sphere", (1, m), k_basis, p_basis, None)
+    return CartanDecomp(_generators(m + 1, [(a, m) for a in range(m)])[::2], None)
 
 
 @functools.lru_cache(maxsize=1)
@@ -549,7 +543,7 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     if np.any(areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)):
         raise ValueError("sectional curvature of linearly dependent vectors")
     out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas
-    return out if x.ndim == 2 else float(out[0])
+    return out if np.ndim(x) == 2 else float(out[0])
 
 
 def kahler_angle_of(V: SubspaceBasis, v: np.ndarray) -> float:
@@ -645,7 +639,7 @@ def _box_images(
 
 def _label_mismatch(label: RankOneSpace, diagonal: RankOneSpace) -> str | None:
     """Why an entry's label is not the row's diagonal, or None when it is."""
-    if (label.field, label.n, label.curvature) == (diagonal.field, diagonal.n, diagonal.curvature):
+    if label == diagonal:
         return None
     return f"label {label} differs from the row's diagonal {diagonal}"
 

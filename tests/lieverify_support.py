@@ -1,6 +1,7 @@
-"""Test-only helpers for the verifier: random unitaries, model relations,
-conjugated models, blockwise commutators taken on matrices, a matrix
-triple check and the Grassmannian product construction.
+"""Test-only helpers for the verifier: random unitaries, an SVD basis of
+``span [p, p]`` and the model relations, conjugated models, blockwise
+commutators taken on matrices, a matrix triple check and the Grassmannian
+product construction.
 
 The package does not run these; the tests use them to check the models
 and the invariance of the measurements under isometries.  Coordinates are
@@ -21,6 +22,7 @@ from geodiag.lieverify import (
     _pairs,
     _worst_residual,
     bracket,
+    grassmannian_decomp,
 )
 
 
@@ -33,15 +35,34 @@ def random_special_unitary(dim, rng):
     return q * det ** (-1.0 / dim)
 
 
+def bracket_span(decomp):
+    """An orthonormal ``(dim, N, N)`` basis of ``k = span [p, p]``, by one SVD of the pair brackets."""
+    P, N = decomp.p_basis, decomp.N
+    i, j = _pairs(len(P))
+    _, s, Vt = np.linalg.svd(_flat(bracket(P[i], P[j])), full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return np.ascontiguousarray(Vt[:rank]).view(complex).reshape(rank, N, N)
+
+
 def bracket_relation_residuals(decomp):
-    """Relative residuals of [k,k] in k, [k,p] in p and [p,p] in k."""
-    K, P = decomp.k_basis, decomp.p_basis
-    (ki, kj), (pi, pj) = _pairs(len(K)), _pairs(len(P))
-    kp = K[:, None] @ P - P @ K[:, None]
+    """Distances of [k,k] from k and [k,p] from p, and the largest |<k, p>|, with k = span [p,p].
+
+    Both bases are orthonormal, so every bracket is one of unit vectors and
+    its distance is taken absolutely: the SVD mixes ``k`` within repeated
+    singular values, and a bracket that nearly cancels would make a distance
+    relative to its own norm measure rounding.
+    """
+    K, P = bracket_span(decomp), decomp.p_basis
+    ki, kj = _pairs(len(K))
+
+    def distance(T, Q):
+        T, Q = _flat(T), _flat(Q)
+        return float(np.linalg.norm(T - (T @ Q.T) @ Q, axis=1).max(initial=0.0))
+
     return {
-        "kk_in_k": _worst_residual(_flat(bracket(K[ki], K[kj])), _flat(K))[0],
-        "kp_in_p": _worst_residual(_flat(kp), _flat(P))[0],
-        "pp_in_k": _worst_residual(_flat(bracket(P[pi], P[pj])), _flat(K))[0],
+        "kk_in_k": distance(bracket(K[ki], K[kj]), K),
+        "kp_in_p": distance(K[:, None] @ P - P @ K[:, None], P),
+        "k_perp_p": float(np.abs(_flat(K) @ _flat(P).T).max()),
     }
 
 
@@ -49,14 +70,7 @@ def conjugated_decomp(decomp, g):
     """The same decomposition transported by a unitary ``g``."""
     conj = lambda m: g @ m @ g.conj().T
     J = decomp.J_generator
-    return CartanDecomp(
-        decomp.N,
-        decomp.kind,
-        decomp.block_shape,
-        conj(decomp.k_basis),
-        conj(decomp.p_basis),
-        None if J is None else conj(J),
-    )
+    return CartanDecomp(conj(decomp.p_basis), None if J is None else conj(J))
 
 
 def conjugated_basis(V, gs):
@@ -112,23 +126,21 @@ def reference_triple_check(V):
     return worst, TC.reshape(-1, d, d)[:, l, m]
 
 
-def construct_grassmannian_product(partition: Sequence[int], ambient: CartanDecomp) -> SubspaceBasis:
-    """Product of projective spaces along the row blocks of a Grassmannian.
+def construct_grassmannian_product(partition: Sequence[int], shape: tuple[int, int]) -> SubspaceBasis:
+    """Product of projective spaces along the row blocks of the Grassmannian of shape ``(k, n)``.
 
     Part ``n_i`` of the partition occupies the i-th row of the off-diagonal
-    block with ``n_i`` consecutive columns; the span is J-invariant and a
-    Lie triple system, one ``CP^{n_i}`` per row, with pairwise commuting
-    rows.
+    block of ``grassmannian_decomp(k, n)`` with ``n_i`` consecutive columns;
+    the span is J-invariant and a Lie triple system, one ``CP^{n_i}`` per
+    row, with pairwise commuting rows.
     """
-    if ambient.kind != "grassmannian":
-        raise ValueError("ambient must be a Grassmannian model")
-    k, n = ambient.block_shape
+    k, n = shape
     parts = tuple(int(p) for p in partition)
     if len(parts) != k or sum(parts) != n or any(p < 1 for p in parts):
         raise ValueError(f"partition {parts} does not fit block shape ({k}, {n})")
     if list(parts) != sorted(parts, reverse=True):
         raise ValueError("partition parts must be weakly decreasing")
-    model = ProductModel.single(ambient)
+    model = ProductModel.single(grassmannian_decomp(k, n))
     picks: list[int] = []
     offset = 0
     for row, part in enumerate(parts):

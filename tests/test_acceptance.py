@@ -143,8 +143,7 @@ def test_criterion_6_grassmannian_embedding_lemma():
         for n in range(1, 7):
             for k in range(1, min(3, n) + 1):
                 for parts in partitions_at_most(n, k, n):
-                    ambient = grassmannian_decomp(k, n)
-                    V = construct_grassmannian_product(parts, ambient)
+                    V = construct_grassmannian_product(parts, (k, n))
                     ok, residual = is_lie_triple_system(V, 1e-10)
                     assert ok, (parts, residual)
                     worst_triple = max(worst_triple, residual)

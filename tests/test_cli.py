@@ -104,6 +104,22 @@ class TestParser:
         with pytest.raises(SpecSyntaxError):
             parse_product("")
 
+    def test_blanks_around_the_product_are_skipped(self):
+        expected = parse_product("RH3(1) x CH2(1)")
+        for spec in (" RH3(1) x CH2(1)", "RH3(1) x CH2(1) ", "\t RH3(1) x CH2(1)\n"):
+            assert parse_product(spec) == expected
+        assert invoke(["count", "-m", " RH3(1)"]) == invoke(["count", "-m", "RH3(1) "]) == (0, "4\n")
+        # positions still index the text as given
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_product("  RH3(1) y CH3(2)")
+        assert err.value.position == 8
+        with pytest.raises(SpecSemanticError) as err:
+            parse_product("  RH2(1) x OH3(1)")
+        assert err.value.position == 11
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_product("  XH3(1)")
+        assert err.value.position == 2
+
     def test_semantic_and_syntax_errors_are_distinct(self):
         assert issubclass(SpecSemanticError, ValueError)
         assert issubclass(SpecSyntaxError, ValueError)
@@ -336,7 +352,16 @@ class TestCommands:
         assert "fail: curvature off by 1.0e-02" in out
         assert out.splitlines()[-1] == "# verified: 2 pass, 1 fail, 0 unsupported"
 
-    def test_verify_exits_1_on_a_relabelled_entry(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "product, diagonal, label, summary",
+        [
+            ("RH2(1) x RH2(1)", None, space("R", 2, 7), "8 pass, 1 fail"),
+            # the same class and curvature, the wrong duality
+            ("CH2(1) x CH2(1)", space("R", 2, "1/2"), space("R", 2, "1/2", compact_dual=True), "28 pass, 1 fail"),
+        ],
+        ids=["wrong curvature", "wrong duality"],
+    )
+    def test_verify_exits_1_on_a_relabelled_entry(self, monkeypatch, product, diagonal, label, summary):
         import dataclasses
 
         import geodiag.cli as cli_mod
@@ -345,15 +370,16 @@ class TestCommands:
 
         def relabelled(M):
             for e in real(M):
-                if len(e.tableau.rows) == 1 and len(e.tableau.rows[0]) == 2:
-                    e = dataclasses.replace(e, semisimple_factors=(space("R", 2, 7),))
+                rows = e.tableau.rows
+                if len(rows) == 1 and len(rows[0]) == 2 and diagonal in (None, e.semisimple_factors[0]):
+                    e = dataclasses.replace(e, semisimple_factors=(label,))
                 yield e
 
         monkeypatch.setattr(cli_mod, "classify", relabelled)
-        code, out = invoke(["verify", "-m", "RH2(1) x RH2(1)"])
+        code, out = invoke(["verify", "-m", product])
         assert code == 1
-        assert "fail: label RH2(7) differs from the row's diagonal RH2(1/2)" in out
-        assert out.splitlines()[-1] == "# verified: 8 pass, 1 fail, 0 unsupported"
+        assert f"fail: label {label} differs from the row's diagonal RH2(1/2)\n" in out
+        assert out.splitlines()[-1] == f"# verified: {summary}, 0 unsupported"
 
     def test_verify_text_names_rows_that_failed_unmeasured(self, monkeypatch):
         import dataclasses

@@ -43,6 +43,7 @@ from geodiag.lieverify import (
 
 from lieverify_support import (
     bracket_relation_residuals,
+    bracket_span,
     conjugated_basis,
     conjugated_decomp,
     construct_grassmannian_product,
@@ -117,11 +118,15 @@ class TestCartanDecompositions:
         res = bracket_relation_residuals(sphere_decomp(m))
         assert max(res.values()) <= 1e-10
 
-    @pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 2), (3, 3)])
-    def test_dimensions(self, k, n):
-        d = grassmannian_decomp(k, n)
-        assert d.p_dim == 2 * k * n
-        assert len(d.k_basis) == k * k + n * n - 1
+    @pytest.mark.parametrize(
+        "decomp, N, p_dim, k_dim",
+        # span [p, p] is s(u(k) + u(n)) for G(k, n) and so(m) for S^m
+        [(grassmannian_decomp(k, n), k + n, 2 * k * n, k * k + n * n - 1) for k, n in [(1, 1), (1, 3), (2, 2), (3, 3)]]
+        + [(sphere_decomp(m), m + 1, m, m * (m - 1) // 2) for m in [2, 3, 5, 11]],
+        ids=["1-1", "1-3", "2-2", "3-3", "S2", "S3", "S5", "S11"],
+    )
+    def test_dimensions(self, decomp, N, p_dim, k_dim):
+        assert (decomp.N, decomp.p_dim, len(bracket_span(decomp))) == (N, p_dim, k_dim)
 
     def test_complex_structure_squares_to_minus_one(self):
         d = grassmannian_decomp(3, 3)
@@ -140,25 +145,6 @@ def classical_gram_schmidt(raw):
 
 
 class TestClosedFormModels:
-    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 3), (14, 14)])
-    def test_k_basis_is_an_orthonormal_basis_of_s_u_k_plus_u_n(self, k, n):
-        K = grassmannian_decomp(k, n).k_basis
-        assert len(K) == k * k + n * n - 1
-        F = K.reshape(len(K), -1)
-        np.testing.assert_allclose((F.conj() @ F.T).real, np.eye(len(K)), rtol=0, atol=1e-12)
-        assert not K[:, :k, k:].any() and not K[:, k:, :k].any()
-        check_element(K)
-
-    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 3)])
-    def test_cartan_generators_are_gram_schmidt_of_consecutive_differences(self, k, n):
-        N = k + n
-        raw = np.zeros((N - 1, N, N), dtype=complex)
-        for a in range(N - 1):
-            raw[a, a, a], raw[a, a + 1, a + 1] = 1j, -1j
-        expected = classical_gram_schmidt(raw.view(float).reshape(N - 1, -1))
-        cartan = np.ascontiguousarray(grassmannian_decomp(k, n).k_basis[-(N - 1) :])
-        np.testing.assert_allclose(cartan.view(float).reshape(N - 1, -1), expected, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (2, 3), (14, 14)])
     def test_complex_structure_is_the_closed_form(self, k, n):
         expected = 1j * np.diag([n] * k + [-k] * n) / (n + k)
@@ -226,12 +212,14 @@ class TestModelIdentity:
 class TestWhereMatricesEnter:
     def test_coefficients_refuse_a_matrix_off_p(self):
         G = grassmannian_decomp(1, 2)
-        off = G.p_basis[0] + 1e-9 * G.k_basis[0]
+        P = G.p_basis
+        in_k = bracket(P[0], P[1])
+        off = P[0] + 1e-9 * in_k
         with pytest.raises(ValueError, match="^matrix does not lie in p$"):
-            G.coefficients(np.stack([G.p_basis[1], off]))
+            G.coefficients(np.stack([P[1], off]))
         with pytest.raises(ValueError, match="^matrix does not lie in p$"):
-            G.coefficients(G.k_basis[0])
-        nearly = G.p_basis[1] + 1e-14 * G.k_basis[0]
+            G.coefficients(in_k)
+        nearly = P[1] + 1e-14 * in_k
         np.testing.assert_allclose(G.coefficients(nearly), np.eye(4)[1], rtol=0, atol=1e-13)
 
     def test_a_basis_of_the_wrong_width_raises(self):
@@ -307,6 +295,15 @@ class TestSectionalCurvature:
         V = construct_diagonal_cp(2, 2, 1)
         sec = sectional_curvature(V, V.coords[0], V.coords[1])
         assert abs(sec - 2.0) <= 1e-8  # half the projective-line anchor 4
+
+    def test_lists_read_as_arrays(self):
+        V = construct_diagonal_cp(2, 1, 2)
+        x, y = V.coords[0], V.coords[3]
+        expected = sectional_curvature(V, x, y)
+        assert isinstance(expected, float)
+        assert sectional_curvature(V, list(x), list(y)) == expected
+        stacked = sectional_curvature(V, [list(x), list(y)], [list(y), list(x)])
+        np.testing.assert_array_equal(stacked, sectional_curvature(V, np.stack([x, y]), np.stack([y, x])))
 
     def test_dependent_plane_rejected(self):
         V = full_p_basis(grassmannian_decomp(1, 1))
@@ -416,8 +413,7 @@ class TestRealizationsAgreeNumerically:
 class TestGrassmannianProducts:
     def test_disjoint_lines_commute(self):
         for k in (2, 3):
-            ambient = grassmannian_decomp(k, k)
-            V = construct_grassmannian_product((1,) * k, ambient)
+            V = construct_grassmannian_product((1,) * k, (k, k))
             ok, residual = is_lie_triple_system(V, 1e-10)
             assert ok, residual
             model = V.ambient
@@ -429,13 +425,11 @@ class TestGrassmannianProducts:
                             assert np.linalg.norm(br) <= 1e-12
 
     def test_single_part_is_full_p(self):
-        ambient = grassmannian_decomp(1, 4)
-        V = construct_grassmannian_product((4,), ambient)
-        assert V.dim == ambient.p_dim
+        V = construct_grassmannian_product((4,), (1, 4))
+        assert V.dim == V.ambient.p_dim == grassmannian_decomp(1, 4).p_dim
 
     def test_two_one_partition_in_g2c5(self):
-        ambient = grassmannian_decomp(2, 3)
-        V = construct_grassmannian_product((2, 1), ambient)
+        V = construct_grassmannian_product((2, 1), (2, 3))
         assert V.dim == 6
         ok, residual = is_lie_triple_system(V, 1e-10)
         assert ok, residual
@@ -443,13 +437,12 @@ class TestGrassmannianProducts:
             assert V.span_residual(V.ambient.J(v)) <= 1e-10
 
     def test_shape_mismatch_rejected(self):
-        ambient = grassmannian_decomp(2, 3)
         with pytest.raises(ValueError):
-            construct_grassmannian_product((3,), ambient)
+            construct_grassmannian_product((3,), (2, 3))
         with pytest.raises(ValueError):
-            construct_grassmannian_product((2, 2), ambient)
+            construct_grassmannian_product((2, 2), (2, 3))
         with pytest.raises(ValueError):
-            construct_grassmannian_product((1, 2), ambient)
+            construct_grassmannian_product((1, 2), (2, 3))
 
 
 class TestIsometryInvariance:
@@ -468,8 +461,7 @@ class TestIsometryInvariance:
 
     def test_conjugated_grassmannian_product(self):
         rng = np.random.default_rng(22)
-        ambient = grassmannian_decomp(2, 3)
-        V = construct_grassmannian_product((2, 1), ambient)
+        V = construct_grassmannian_product((2, 1), (2, 3))
         g = random_special_unitary(5, rng)
         W = conjugated_basis(V, [g])
         ok, residual = is_lie_triple_system(W, 1e-9)
@@ -782,7 +774,7 @@ class TestNegativeControls:
 
     def test_a_box_image_off_p_fails_its_row_instead_of_raising(self, monkeypatch):
         # every box maps onto an element of k: each row is refused where its matrices enter
-        monkeypatch.setattr(lieverify_mod, "_box_images", lambda sub, factor, block: block.k_basis[:1])
+        monkeypatch.setattr(lieverify_mod, "_box_images", lambda sub, factor, block: bracket(*block.p_basis[:2])[None])
         _, reports = verify_all(ProductSpace((space("C", 2, 1), space("R", 3, 1))))
         rows = [row for report in reports for row in report.rows]
         assert rows
@@ -1720,9 +1712,13 @@ class TestBracketTensor:
         + [grassmannian_decomp(1, n) for n in range(1, 6)]
         + [
             grassmannian_decomp(2, 2),
+            # conjugated copies: span [p, p] is found mixed anew, and no bracket of it is refused for rounding
             conjugated_decomp(grassmannian_decomp(2, 2), random_special_unitary(4, np.random.default_rng(5))),
+            conjugated_decomp(grassmannian_decomp(1, 7), random_special_unitary(8, np.random.default_rng(6))),
+            conjugated_decomp(sphere_decomp(6), random_special_unitary(7, np.random.default_rng(7))),
         ],
-        ids=[f"S{m}" for m in range(2, 6)] + [f"G1,{n}" for n in range(1, 6)] + ["G2,2", "conjugated G2,2"],
+        ids=[f"S{m}" for m in range(2, 6)] + [f"G1,{n}" for n in range(1, 6)]
+        + ["G2,2", "conjugated G2,2", "conjugated G1,7", "conjugated S6"],
     )
     def test_the_tensor_is_the_direct_triple_bracket(self, decomp):
         R = decomp.triple_tensor
@@ -1732,16 +1728,13 @@ class TestBracketTensor:
     def test_a_model_whose_triple_brackets_leave_p_is_refused(self):
         G = grassmannian_decomp(1, 2)
         # p spanned by e_0, J e_0, e_1 of CP^2: [[e_0, J e_0], e_1] lies along J e_1
-        three = CartanDecomp(G.N, G.kind, G.block_shape, G.k_basis, G.p_basis[:3], None)
-        # k missing all but one generator: [p, p] leaves it
-        thin = CartanDecomp(G.N, G.kind, G.block_shape, G.k_basis[:1], G.p_basis, G.J_generator)
-        refusals = [(three, r"^\[k, p\] does not lie in p$"), (thin, r"^\[p, p\] does not lie in k$")]
-        for forged, message in refusals:
-            model = ProductModel.single(forged)
-            with pytest.raises(ValueError, match=message):
-                is_lie_triple_system(SubspaceBasis(model, p_rows(model)))
-            with pytest.raises(ValueError, match=message):
-                forged.triple_tensor  # refused on every use, not only the first
+        three = CartanDecomp(G.p_basis[:3], None)
+        message = r"^\[\[p, p\], p\] does not lie in p$"
+        model = ProductModel.single(three)
+        with pytest.raises(ValueError, match=message):
+            is_lie_triple_system(SubspaceBasis(model, p_rows(model)))
+        with pytest.raises(ValueError, match=message):
+            three.triple_tensor  # refused on every use, not only the first
 
     @settings(max_examples=40, deadline=None)
     @given(random_wide_subspaces())
