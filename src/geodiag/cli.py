@@ -15,6 +15,8 @@ is frozen in ``schema/classified.json`` (tag v1).  ``classify --json``
 splices each line from JSON fragments rendered once per row and once per
 tableau; every line reads as ``classified_record`` renders its entry.  It
 and ``tableaux --json`` render rows with one helper, ``_row_record``.
+``verify --json`` splices each line from row verdicts rendered once per
+product; every line reads as ``_dump(report.to_dict())``.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
 """
@@ -33,7 +35,7 @@ from typing import Iterable, NoReturn, Sequence
 
 from .catalog import Field, RankOneSpace, TotGeodInclusion
 from .kahler import AngleApproximationError, angles_in_product, approximate_angle, realize_angle
-from .lieverify import verify_classification_entry
+from .lieverify import EntryVerification, verify_classification_entry
 from .tableaux import (
     AdaptedTableau,
     Box,
@@ -208,6 +210,31 @@ def _write_classified(entries: Iterable[ClassifiedSubmanifold], out) -> None:
         out.write(f"{head}{e.flat_dim}{tail}")
 
 
+def _verification_line(report: EntryVerification, row_texts: dict[int, tuple[object, str]]) -> str:
+    """``_dump(report.to_dict())`` and a newline, spliced from JSON fragments.
+
+    Each row verdict is rendered once and kept in ``row_texts`` by ``id``,
+    with the verdict itself so that its identity stays valid: the product's
+    verify memo hands out one verdict per row, index and tolerances, so a
+    stream renders each row of the product once.
+    """
+    rows = []
+    for r in report.rows:
+        hit = row_texts.get(id(r))
+        if hit is None or hit[0] is not r:
+            hit = row_texts[id(r)] = (r, _dump(r.to_dict()))
+        rows.append(hit[1])
+    status, total, entry = report.status, report.total_lie_residual, report.entry
+    # numbers and strings by the default encoder, which renders them as _dump does
+    total = "null" if total is None or not math.isfinite(total) else json.dumps(total)
+    reason = f',"reason":{json.dumps(report.reason)}' if status == "fail" else ""
+    return (
+        f'{{"status":"{status}","isometry_type":{json.dumps(entry.isometry_type())},"rows":[{",".join(rows)}],'
+        f'"flat_dim":{entry.flat_dim},"flat_supported":true,"total_lie_residual":{total},'
+        f'"unsupported":[{",".join(map(json.dumps, report.unsupported))}]{reason}}}\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -305,11 +332,12 @@ def _cmd_verify(args, out) -> int:
         raise ValueError(f"--tol must keep the curvature tolerance 10 * tol finite, got {args.tol}")
     M = parse_product(args.product)
     counts = {"pass": 0, "fail": 0, "unsupported": 0}
+    row_texts: dict[int, tuple[object, str]] = {}
     for e in classify(M):
         report = verify_classification_entry(e, M, lie_tol=args.tol, curvature_tol=10 * args.tol)
         counts[report.status] += 1
         if args.json:
-            print(_dump(report.to_dict()), file=out)
+            out.write(_verification_line(report, row_texts))
         else:
             print(f"{report.status:<11}  {e.isometry_type()}", file=out)
             for r in report.rows:

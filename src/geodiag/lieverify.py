@@ -32,7 +32,8 @@ of a direct sum with metric weight ``w_b`` contributes ``sqrt(w_b)`` times
 the coefficients of its matrix on its orthonormal ``p`` basis, so the
 weighted inner product is the plain dot product and a :class:`SubspaceBasis`
 is one ``(dim, sum q_b)`` array of orthonormal rows (``q_b`` = dim ``p`` of
-block b).  Matrices enter only through :meth:`CartanDecomp.coefficients`,
+block b), or a ``(k, dim, sum q_b)`` stack of k such families checked at
+once.  Matrices enter only through :meth:`CartanDecomp.coefficients`,
 which refuses a matrix outside ``p``.  Quaternionic and octonionic factors
 have no matrix model here; rows meeting one are reported as unsupported
 rather than approximated.
@@ -41,6 +42,10 @@ Triple brackets are contractions of these coordinates with each block's
 bracket tensor ``<[[P_a, P_b], P_c], P_d>``, built once: no ``N x N``
 matrix product is taken per basis.  A model is its ``p`` basis and ``J``:
 the tensor needs only ``[[p, p], p]`` in ``p``, so no ``k`` basis is built.
+
+Entry verification builds one model per product, of all its real and
+complex factors, and builds the diagonal rows of one class ``(field, n)``
+together, as one stack in that model (:class:`_VerifyMemo`).
 """
 
 from __future__ import annotations
@@ -62,9 +67,10 @@ TOL_STRUCTURAL = 1e-10
 TOL_CONSTRUCTIVE = 1e-9
 
 # Largest sum of the factors' matrix sizes ``N`` (``n + 1`` for RH^n and CH^n)
-# that entry verification builds models for.  A row's triple check holds
-# about dim^3 * q / 2 floats (q = dim p of a block), a few times that while
-# it contracts: a full CH^17 row (dim = q = 34) traces about 25 MiB.
+# that entry verification builds models for.  A stack of k rows of one class holds
+# their triples, about k dim^3 q / 2 floats per block (q = dim p of a block), a few
+# times that while it contracts: a full CH^17 row (dim = q = 34), alone in its class,
+# traces about 25 MiB.
 MAX_MODEL_SIZE = 18
 
 Matrix = np.ndarray
@@ -216,55 +222,66 @@ def _flat(matrices: Sequence[Matrix] | np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``raw``, in order, by one QR.
+    """Orthonormal rows spanning the rows of ``raw``, in order, by one QR per family.
 
+    ``raw`` is one family ``(dim, width)`` or a stack ``(k, dim, width)``.
     Row i is the unit part of raw row i orthogonal to the rows before it
     (R's diagonal made positive).  Rank-deficient families are rejected:
-    more rows than coordinates, or a remainder ``|R_ii|`` at or below
-    ``1e-10 * max(1, |raw_i|)``.  The rows come back C-contiguous.
+    more rows than coordinates, or in any family a remainder ``|R_ii|`` at or
+    below ``1e-10 * max(1, |raw_i|)``.  The rows come back C-contiguous.
     """
     raw = np.asarray(raw, dtype=float)
-    if len(raw) > raw.shape[1]:
+    if raw.shape[-2] > raw.shape[-1]:
         raise ValueError("rank-deficient basis rejected")
-    Q, R = np.linalg.qr(raw.T)
-    d = R.diagonal()
+    Q, R = np.linalg.qr(_T(raw))
+    d = R.diagonal(0, -2, -1)
     if np.any(np.abs(d) <= 1e-10 * np.maximum(1.0, _row_norms(raw))):
         raise ValueError("rank-deficient basis rejected")
-    return np.multiply(Q.T, np.sign(d)[:, None], order="C")
+    return np.multiply(_T(Q), np.sign(d)[..., None], order="C")
+
+
+def _T(A: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack ``(..., m, n)``."""
+    return A.swapaxes(-1, -2)
 
 
 def _residuals(T: np.ndarray, Q: np.ndarray, TQ: np.ndarray | None = None) -> np.ndarray:
     """Relative distance of each row of ``T`` from the span of orthonormal rows ``Q``; 0 if zero.
 
-    ``TQ`` is ``T @ Q.T`` when the caller has it already.
+    ``T`` and ``Q`` may carry the same leading stack axes.  ``TQ`` is
+    ``T @ Q^T`` when the caller has it already.
     """
     T = np.atleast_2d(T)
     if TQ is None:
-        TQ = T @ Q.T
+        TQ = T @ _T(Q)
     norms = _row_norms(T)
     rem = _row_norms(T - TQ @ Q)
     return np.divide(rem, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
-def _worst_residual(T: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest residual of the rows of ``T`` off span(Q), and the coefficients ``T @ Q.T``.
+def _worst_residual(T: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest residual of the rows of ``T`` off span(Q), and the coefficients ``T @ Q^T``.
 
-    Structural zeros, the rows at most ``TOL_ARITHMETIC`` times the largest
-    row norm (or 1), are skipped: only the other rows are projected, and
-    the coefficients of the structural zeros are left 0.
+    One residual per family of stacks ``T (..., rows, width)``, ``Q (..., dim, width)``.  A family's structural
+    zeros, rows at most ``TOL_ARITHMETIC`` times its largest row norm (or 1), are skipped: their coefficients are
+    left 0, and only rows live in some family are projected.
     """
     norms = _row_norms(T)
-    live = norms > TOL_ARITHMETIC * max(float(norms.max(initial=0.0)), 1.0)
-    coeffs = np.zeros((len(T), len(Q)))
-    if not live.any():
-        return 0.0, coeffs
-    T = T[live]
-    coeffs[live] = TQ = T @ Q.T
-    return float(_residuals(T, Q, TQ).max()), coeffs
+    floor = TOL_ARITHMETIC * norms.max(axis=-1, initial=1.0, keepdims=True)
+    some = (norms > floor).any(axis=0) if norms.ndim > 1 else norms > floor  # live in some family
+    coeffs = np.zeros((*T.shape[:-1], Q.shape[-2]))
+    T, norms = T[..., some, :], norms[..., some]
+    live = norms > floor
+    TQ = T @ _T(Q)
+    TQ[~live] = 0.0  # a family's structural zeros among the rows live in another
+    coeffs[..., some, :] = TQ
+    rem = _row_norms(T - TQ @ Q)
+    worst = np.divide(rem, norms, out=np.zeros_like(norms), where=live).max(axis=-1, initial=0.0)
+    return worst, coeffs
 
 
 def _row_norms(T: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", T, T))
+    return np.sqrt(np.einsum("...ij,...ij->...i", T, T))
 
 
 @functools.lru_cache(maxsize=128)
@@ -381,35 +398,30 @@ class ProductModel:
         """The coordinate dimension, the sum of the blocks' ``p`` dimensions."""
         return self._runs[-1].span.stop
 
-    def coordinates(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Coordinates ``(..., p_dim)`` of one matrix stack ``(..., N, N)`` per block.
-
-        Raises ValueError when a matrix does not lie in its block's ``p``.
-        """
-        return np.concatenate(
-            [math.sqrt(w) * b.coefficients(X) for b, w, X in zip(self.blocks, self.weights, parts)], axis=-1
-        )
-
     def triples(self, C: np.ndarray) -> np.ndarray:
-        """Coordinates of all ``[[e_i, e_j], e_l]`` of rows ``e`` = ``C``.
+        """Coordinates of all ``[[e_i, e_j], e_l]`` of rows ``e`` = ``C``, per family of a stack.
 
-        Row ``p dim + l`` holds the pair ``p = (i < j)``.  Per run, batched over its blocks, the block's
+        ``C`` is one family ``(dim, p_dim)`` or a stack ``(k, dim, p_dim)``; row
+        ``p dim + l`` of a family's triples holds the pair ``p = (i < j)``.  Per
+        run, batched over its blocks and the stack, the block's
         :attr:`CartanDecomp.triple_tensor` is contracted one index at a time;
         ``1/w`` leaves one root of three.
         """
-        dim = len(C)
+        *stack, dim, width = C.shape
         i, j = _pairs(dim)
-        out = np.empty((len(i), dim, C.shape[1]))
+        out = np.empty((*stack, len(i), dim, width))
+        order = (*range(len(stack)), -3, -2, -4, -1)  # (..., count, pairs, dim, q) to (..., pairs, dim, count, q)
         for r in self._runs:
             q = r.block.p_dim
-            A = C[:, r.span].reshape(dim, r.count, q).swapaxes(0, 1)  # (count, dim, q)
-            AR = (A.reshape(-1, q) @ r.block.triple_tensor.reshape(q, -1)).reshape(r.count, dim, q, q * q)
+            # one (dim, q) slab per block of each family
+            A = C[..., r.span].reshape(*stack, dim, r.count, q).swapaxes(-2, -3).reshape(-1, dim, q)
+            AR = (A.reshape(-1, q) @ r.block.triple_tensor.reshape(q, -1)).reshape(len(A), dim, q, q * q)
             B = A[:, None] @ AR  # B[:, i, j, c q + d] = <[[x_i, x_j], P_c], P_d>
-            del AR  # dim q^3 floats, as many as B: on a full CH^17 row 10 MiB each
-            T = A[:, None] @ B[:, i, j].reshape(r.count, len(i), q, q)  # (count, pairs, dim, q)
+            del AR  # dim q^3 floats a slab, as many as B: on a full CH^17 row 10 MiB each
+            T = (A[:, None] @ B[:, i, j].reshape(len(A), len(i), q, q)).reshape(*stack, r.count, len(i), dim, q)
             T *= r.inv_w[:, None, None, None]
-            out[..., r.span] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, r.count * q)
-        return out.reshape(-1, C.shape[1])
+            out[..., r.span] = T.transpose(order).reshape(*stack, len(i), dim, r.count * q)
+        return out.reshape(*stack, -1, width)
 
     def J(self, C: np.ndarray) -> np.ndarray:
         """Blockwise complex structure on coordinates ``(..., p_dim)``.
@@ -434,23 +446,25 @@ class ProductModel:
 
 
 class _TripleCheck(NamedTuple):
-    """A basis's worst triple-bracket residual and its curvature tensor ``K``."""
+    """A basis's worst triple-bracket residual and its curvature tensor ``K``, one per family of a stack."""
 
-    residual: float
+    residual: np.ndarray
     K: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """An orthonormal family spanning a candidate Lie triple system.
+    """An orthonormal family spanning a candidate Lie triple system, or a stack of such families.
 
     ``coords`` is a read-only ``(dim, ambient.p_dim)`` array holding one
-    coordinate row of ``ambient`` per basis vector.  ``_triple_check``, made on first use
-    from one pass over the triple brackets, holds their worst residual and
-    the read-only tensor ``K[p, q] = <[[e_i, e_j], e_l], e_m>`` over the
-    pairs ``p = (i < j)``, ``q = (l < m)``: the coefficients are
-    antisymmetric in ``(l, m)``, because ``ad [e_i, e_j]`` is skew for the
-    trace form.  Compared and hashed by identity.
+    coordinate row of ``ambient`` per basis vector, or a ``(k, dim, p_dim)``
+    stack of k such families of one dimension, each checked on its own.
+    ``_triple_check``, made on first use from one pass over the triple
+    brackets, holds their worst residual per family and the read-only tensors
+    ``K[..., p, q] = <[[e_i, e_j], e_l], e_m>`` over the pairs ``p = (i < j)``,
+    ``q = (l < m)``: the coefficients are antisymmetric in ``(l, m)``, because
+    ``ad [e_i, e_j]`` is skew for the trace form.  Spans, random vectors and
+    Kahler angles take one family.  Compared and hashed by identity.
     """
 
     ambient: ProductModel
@@ -460,31 +474,31 @@ class SubspaceBasis:
         C = np.array(self.coords, dtype=float)
         C.setflags(write=False)
         object.__setattr__(self, "coords", C)
-        if not len(C):
+        if not C.size:
             raise ValueError("empty subspace basis")
-        if C.ndim != 2 or C.shape[1] != self.ambient.p_dim:
+        if C.ndim not in (2, 3) or C.shape[-1] != self.ambient.p_dim:
             raise ValueError(f"subspace basis rows must have width {self.ambient.p_dim}, got shape {C.shape}")
-        if np.max(np.abs(C @ C.T - np.eye(len(C)))) > TOL_ARITHMETIC:
+        if np.max(np.abs(C @ _T(C) - np.eye(self.dim))) > TOL_ARITHMETIC:
             raise ValueError("subspace basis is not orthonormal")
 
     @classmethod
     def orthonormalized(cls, ambient: ProductModel, raw_vectors: np.ndarray) -> "SubspaceBasis":
-        """Orthonormalize coordinate rows in order, by one QR.
+        """Orthonormalize coordinate rows in order, by one QR per family.
 
-        Rejects rank-deficient families (relative threshold 1e-10).
+        Rejects rank-deficient families (relative threshold 1e-10); one rejects its whole stack.
         """
         return cls(ambient, _orthonormal_rows(raw_vectors))
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return self.coords.shape[-2]  # of each family
 
     @functools.cached_property
     def _triple_check(self) -> _TripleCheck:
-        C = self.coords
+        C, dim = self.coords, self.dim
         worst, TC = _worst_residual(self.ambient.triples(C), C)
-        l, m = _pairs(self.dim)
-        K = TC.reshape(-1, self.dim, self.dim)[:, l, m]
+        l, m = _pairs(dim)
+        K = TC.reshape(-1, dim, dim)[:, l, m].reshape(*C.shape[:-2], len(l), len(l))
         K.setflags(write=False)
         return _TripleCheck(worst, K)
 
@@ -505,14 +519,16 @@ class SubspaceBasis:
 
 
 def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
-    """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual).
+    """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual) as a ``bool`` and a ``float``.
 
     The residual of a triple bracket is the norm of its component
     orthogonal to ``V`` relative to the bracket's own norm; brackets that
     vanish to arithmetic precision are structural zeros and are skipped.
-    The check is made once per basis and kept on it with its curvature tensor.
+    On a stack the residual is the worst of its families.  The check is
+    made once per basis and kept on it with its curvature tensor.
     """
     worst = V._triple_check.residual
+    worst = float(worst.max() if worst.ndim else worst)
     return worst <= tol, worst
 
 
@@ -521,6 +537,8 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
 
     Stacked rows ``(n, p_dim)`` measure n planes at once and return an array of n
     curvatures, positive on these compact models (scale: :func:`calibration_constant`).
+    On a stack ``V`` of k families the rows are ``(k, n, p_dim)``, n planes
+    in each family, and the curvatures ``(k, n)``.
     The planes are projected onto the basis once, to coefficient rows ``a, b``,
     and contract ``V``'s curvature tensor: ``<[[x, y], y], x> = -sum w_p K[p, q] w_q``
     with ``w_p = a_i b_j - a_j b_i``.  The area ``sum w_p^2`` equals
@@ -530,20 +548,20 @@ def sectional_curvature(V: SubspaceBasis, x: np.ndarray, y: np.ndarray):
     """
     C = V.coords
     X = np.atleast_2d(x)
-    n = len(X)
-    P = np.concatenate([X, np.atleast_2d(y)])
-    coeffs = P @ C.T
+    n = X.shape[-2]
+    P = np.concatenate([X, np.atleast_2d(y)], axis=-2)
+    coeffs = P @ _T(C)
     if np.max(_residuals(P, C, coeffs)) > TOL_CONSTRUCTIVE:
         raise ValueError("plane vectors must lie in the subspace")
-    A, B = coeffs[:n], coeffs[n:]
+    A, B = coeffs[..., :n, :], coeffs[..., n:, :]
     i, j = _pairs(V.dim)
-    O = A[:, :, None] * B[:, None, :]
-    W = (O - O.transpose(0, 2, 1))[:, i, j]
-    areas = np.einsum("np,np->n", W, W)
-    if np.any(areas <= 1e-12 * np.einsum("ni,ni->n", A, A) * np.einsum("ni,ni->n", B, B)):
+    O = A[..., :, None] * B[..., None, :]
+    W = (O - _T(O))[..., i, j]
+    areas = np.einsum("...np,...np->...n", W, W)
+    if np.any(areas <= 1e-12 * np.einsum("...ni,...ni->...n", A, A) * np.einsum("...ni,...ni->...n", B, B)):
         raise ValueError("sectional curvature of linearly dependent vectors")
-    out = 4.0 / calibration_constant() * np.einsum("np,np->n", W @ V._triple_check.K, W) / areas
-    return out if np.ndim(x) == 2 else float(out[0])
+    out = 4.0 / calibration_constant() * np.einsum("...np,...np->...n", W @ V._triple_check.K, W) / areas
+    return out if np.ndim(x) >= 2 else float(out[0])
 
 
 def kahler_angle_of(V: SubspaceBasis, v: np.ndarray) -> float:
@@ -645,71 +663,79 @@ def _label_mismatch(label: RankOneSpace, diagonal: RankOneSpace) -> str | None:
 
 
 class _BuiltRow(NamedTuple):
-    """A row's diagonal in the model of its own factors' blocks, and its curvature numbers.
+    """A row's diagonal, family ``index`` of its class stack ``stack``, and its measurements.
 
     Of the ``planes`` basis planes (``(e_a, J e_a)`` for complex rows, all
     pairs for real ones), ``curvature_measured`` is the one with the largest
     error; ``curvature_error`` is the larger of that error and ``curvature_bound``,
-    which bounds every plane's (:func:`_build_row`).  Either is NaN when not finite.
+    which bounds every plane's (:func:`_build_stack`).  Either is NaN when not finite.
     """
 
-    basis: SubspaceBasis
+    stack: SubspaceBasis
+    index: int
+    lie_residual: float
     curvature_measured: float
     curvature_error: float
     curvature_bound: float
     planes: int
 
 
-def _build_row(model: ProductModel, row) -> _BuiltRow:
-    """Assemble a row's diagonal from its box images, block k holding the row's k-th box.
+def _build_stack(model: ProductModel, rows: Sequence, raw: np.ndarray) -> list[_BuiltRow]:
+    """Build rows of one class ``(field, n)`` as one stack, from their coordinates ``(k, dim, p_dim)``.
 
-    The row's calibrated curvature tensor on pairs is compared once with the
+    Each row's calibrated curvature tensor on pairs is compared once with the
     tensor of its diagonal ``row.space`` at its curvature ``kappa``: ``kappa I`` for ``RH^m``, and
     for ``CH^m`` ``kappa/4 (d_il d_jm - d_im d_jl + J_il J_jm - J_im J_jl + 2 J_ij J_lm)``
     with ``J[i, k] = <J e_i, e_k>`` the complex structure on the row's own
     basis.  A plane with unit bivector ``w`` has curvature error ``w E w``,
     so the spectral norm of the symmetric part of the difference ``E``
-    bounds every plane's error.
-    Raises ValueError when a box has no matrix model, an image is not in
-    ``p``, the images are rank-deficient or a complex row's diagonal is not
-    J-invariant.
+    bounds every plane's error; one batched ``eigvalsh`` takes every row's.
+    Raises ValueError when any row's coordinates are rank-deficient or a
+    complex row's diagonal is not J-invariant.
     """
-    parts = [
-        _box_images(b.inclusion.sub, b.inclusion.ambient, block) for b, block in zip(row, model.blocks)
-    ]
-    V = SubspaceBasis.orthonormalized(model, model.coordinates(parts))
-    is_lie_triple_system(V)  # checked once here; V keeps the residual and its curvature tensor
-    row_class, kappa = row.space, float(row.space.curvature)
+    V = SubspaceBasis.orthonormalized(model, raw)
+    is_lie_triple_system(V)  # checked once here; V keeps the residuals and the curvature tensors
+    row_class = rows[0].space
+    kappa = np.array([float(row.space.curvature) for row in rows])
     C = V.coords
     i, j = _pairs(V.dim)
     if row_class.field is Field.C:
         # the diagonal must be J-invariant; holomorphic planes carry the label
         JC = model.J(C)
-        J = JC @ C.T
+        J = JC @ _T(C)
         if np.max(_residuals(JC, C, J)) > TOL_CONSTRUCTIVE:
             raise ValueError("plane vectors must lie in the subspace")
-        X, Y = C[0 : 2 * row_class.n : 2], JC[0 : 2 * row_class.n : 2]
-        wedge = J[np.ix_(i, i)] * J[np.ix_(j, j)] - J[np.ix_(i, j)] * J[np.ix_(j, i)]
-        K_model = 0.25 * (np.eye(len(i)) + wedge + 2.0 * np.outer(J[i, j], J[i, j]))
+        X, Y = C[:, 0 : 2 * row_class.n : 2], JC[:, 0 : 2 * row_class.n : 2]
+        Ji, Jj, Jij = J[:, i], J[:, j], J[:, i, j]  # rows i_p and j_p of J, and its pair entries
+        wedge = Ji[..., i] * Jj[..., j] - Ji[..., j] * Jj[..., i]
+        K_model = 0.25 * (np.eye(len(i)) + wedge + 2.0 * Jij[:, :, None] * Jij[:, None, :])
     else:
-        X, Y = C[i], C[j]
+        X, Y = C[:, i], C[:, j]
         K_model = np.eye(len(i))
-    curvatures = sectional_curvature(V, X, Y)
-    worst = int(np.argmax(np.abs(curvatures - kappa)))
-    E = 4.0 / calibration_constant() * V._triple_check.K - kappa * K_model
-    bound = float(np.abs(np.linalg.eigvalsh((E + E.T) / 2)).max()) if np.isfinite(E).all() else math.nan
-    error = float(np.maximum(abs(curvatures[worst] - kappa), bound))  # NaN stays NaN
-    return _BuiltRow(V, float(curvatures[worst]), error, bound, len(curvatures))
+    curvatures = sectional_curvature(V, X, Y)  # (rows, planes)
+    at = np.arange(len(rows)), np.argmax(np.abs(curvatures - kappa[:, None]), axis=1)
+    E = 4.0 / calibration_constant() * V._triple_check.K - kappa[:, None, None] * K_model
+    finite = np.isfinite(E).all(axis=(1, 2))  # eigvalsh would raise on the others
+    S = np.where(finite[:, None, None], E + _T(E), 0.0) / 2
+    bound = np.where(finite, np.abs(np.linalg.eigvalsh(S)).max(axis=1), math.nan)
+    error = np.maximum(np.abs(curvatures[at] - kappa), bound)  # NaN stays NaN
+    columns = zip(V._triple_check.residual.tolist(), curvatures[at].tolist(), error.tolist(), bound.tolist())
+    return [_BuiltRow(V, r, *floats, curvatures.shape[1]) for r, floats in enumerate(columns)]
 
 
 class _VerifyMemo:
-    """Factor models, product models and built rows of one product, each made once.
+    """The model, box coordinates, built rows and row verdicts of one product, each made once.
 
-    Rows are found again by identity: the product's row memo hands out each
-    row as one object, and this memo holds each row so that its identity
-    stays valid.  Rows that cannot be built are not kept: they fail again on
-    every call.  Products above ``MAX_MODEL_SIZE`` are refused before any
-    model is built.
+    One :class:`ProductModel` holds every modelled factor, in factor order; a row's
+    coordinates are its boxes' on their factors' blocks and 0 elsewhere.  The rows
+    of one class ``(field, n)`` of the product's row memo are built together, as one
+    stack, the first time any of them is needed.  A row whose boxes have no
+    coordinates stays out of the stack; a stack that raises keeps nothing, and its
+    rows are then built one at a time when asked for, as is a row that is not the
+    row memo's (forged or copied).  A row that cannot be built is not kept: each new
+    verdict on it builds it again.  Rows and boxes are found again by identity, and
+    held so that their identity stays valid.  Products above ``MAX_MODEL_SIZE`` are
+    refused before any model is built.
     """
 
     @classmethod
@@ -731,25 +757,107 @@ class _VerifyMemo:
                 f"{M} needs matrix models of total size {size}; verify builds at most {MAX_MODEL_SIZE}"
             )
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
-        self._models: dict[tuple[int, ...], ProductModel] = {}
+        self._factors, self._row_memo = M.factors, M._memo
+        self._classes: dict[tuple, list] | None = None
+        self._boxes: dict[int, tuple[object, np.ndarray]] = {}
         self._built: dict[int, tuple[tuple, _BuiltRow]] = {}
+        self._reports: dict[tuple, tuple[tuple, RowVerification]] = {}
 
-    def model(self, factors: tuple[int, ...]) -> ProductModel:
-        """The direct sum of the given factors' models, in the given order."""
-        model = self._models.get(factors)
-        if model is None:
-            model = ProductModel(*zip(*(self.factor_models[i] for i in factors)))
-            self._models[factors] = model
-        return model
+    @functools.cached_property
+    def model(self) -> ProductModel:
+        """The direct sum of the modelled factors' models, in factor order; made with the first row."""
+        return ProductModel(*zip(*self.factor_models.values()))
+
+    def _box(self, box) -> np.ndarray:
+        """The box's weighted ``(dim, q)`` coordinates on its factor's block.
+
+        Raises ValueError when the box has no matrix model or an image is not in ``p``.
+        """
+        hit = self._boxes.get(id(box))
+        if hit is not None and hit[0] is box:
+            return hit[1]
+        block, w = self.factor_models[box.factor]
+        coords = math.sqrt(w) * block.coefficients(_box_images(box.inclusion.sub, box.inclusion.ambient, block))
+        self._boxes[id(box)] = (box, coords)
+        return coords
+
+    def _coordinates(self, row) -> np.ndarray:
+        """The ``(dim, p_dim)`` coordinates of the row's box images in :attr:`model`, before orthonormalization."""
+        parts = {box.factor: self._box(box) for box in row}
+        dim = len(parts[row[0].factor])
+        blocks = self.factor_models.items()
+        return np.hstack([parts[i] if i in parts else np.zeros((dim, b.p_dim)) for i, (b, _) in blocks])
+
+    def _build_class(self, field: Field, n: int) -> None:
+        """Build the row memo's rows of class ``(field, n)`` as one stack, once per product."""
+        if self._classes is None:
+            self._classes = {}
+            for row in self._row_memo.rows:
+                if all(box.factor in self.factor_models for box in row):
+                    self._classes.setdefault((row.space.field, row.space.n), []).append(row)
+        rows, raw = [], []
+        for row in self._classes.pop((field, n), ()):
+            try:
+                raw.append(self._coordinates(row))
+            except ValueError:
+                continue  # fails alone, when asked for
+            rows.append(row)
+        if not rows:
+            return
+        try:
+            built = _build_stack(self.model, rows, np.stack(raw))
+        except ValueError:
+            return  # each row is built alone when asked for
+        self._built.update((id(row), (row, b)) for row, b in zip(rows, built))
 
     def row(self, row) -> _BuiltRow:
         """The built diagonal of ``row``; raises ValueError when it cannot be built."""
         hit = self._built.get(id(row))
+        if hit is None or hit[0] is not row:
+            self._build_class(row.space.field, row.space.n)
+            hit = self._built.get(id(row))
         if hit is not None and hit[0] is row:
             return hit[1]
-        built = _build_row(self.model(tuple(b.factor for b in row)), row)
+        (built,) = _build_stack(self.model, [row], self._coordinates(row)[None])
         self._built[id(row)] = (row, built)
         return built
+
+    def report(self, row, idx: int, lie_tol: float, curvature_tol: float, mislabel: str | None) -> "RowVerification":
+        """The verdict on ``row`` as row ``idx`` of an entry; see :func:`verify_classification_entry`.
+
+        Kept per ``(row, idx, lie_tol, curvature_tol)`` when the entry's label
+        is the row's own diagonal (``mislabel`` None), as in every entry
+        ``classify`` makes.
+        """
+        key = (id(row), idx, lie_tol, curvature_tol)
+        hit = self._reports.get(key) if mislabel is None else None
+        if hit is not None and hit[0] is row:
+            return hit[1]
+        description = str(row)
+        bad = [b for b in row if b.factor not in self.factor_models]
+        if bad:
+            missing = "no matrix model for factors " + ", ".join(str(self._factors[b.factor - 1]) for b in bad)
+            report = RowVerification(idx, description, "fail" if mislabel else "unsupported", mislabel or missing)
+        else:
+            try:
+                built = self.row(row)
+            except ValueError as exc:
+                report = RowVerification(idx, description, "fail", f"not measurable: {exc}")
+            else:
+                residual = built.lie_residual
+                if not residual <= lie_tol:
+                    reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
+                elif not built.curvature_error <= curvature_tol:
+                    reason = f"curvature off by {built.curvature_error:.3e}"
+                else:
+                    reason = mislabel
+                report = RowVerification(
+                    idx, description, "ok" if reason is None else "fail", reason, residual,
+                    float(row.space.curvature), built.curvature_measured, built.curvature_error, built.planes,
+                )
+        if mislabel is None:
+            self._reports[key] = (row, report)
+        return report
 
 
 @dataclass(frozen=True)
@@ -841,9 +949,11 @@ def verify_classification_entry(
     """Rebuild one classification entry in compact duals and measure it.
 
     Every supported row's diagonal Lie triple system is built and measured
-    once per ``M`` (:func:`_build_row`, :class:`_BuiltRow`); its residual
-    and ``curvature_error`` are compared with ``lie_tol`` and
-    ``curvature_tol`` on every call.  No plane is drawn at random, so a
+    once per ``M``, with every row of its class (:class:`_VerifyMemo`,
+    :func:`_build_stack`); its residual and ``curvature_error`` are compared
+    with ``lie_tol`` and ``curvature_tol``, and the verdict on a row labelled
+    with its own diagonal is kept per row, index and tolerances.  No plane
+    is drawn at random, so a
     report depends on its arguments alone.  Every row's label in
     ``semisimple_factors`` must be the row's class with its exact harmonic
     curvature.  A row meeting a quaternionic or octonionic factor is
@@ -866,36 +976,10 @@ def verify_classification_entry(
     rows = entry.tableau.rows
     flat_factors = entry.complement_factors[: entry.flat_dim]
 
-    row_reports: list[RowVerification] = []
-    for idx, row in enumerate(rows):
-        description = str(row)
-        mislabel = _label_mismatch(entry.semisimple_factors[idx], row.space)
-        bad = [b for b in row if b.factor not in memo.factor_models]
-        if bad:
-            missing = "no matrix model for factors " + ", ".join(str(M.factor(b.factor)) for b in bad)
-            row_reports.append(
-                RowVerification(idx, description, "fail" if mislabel else "unsupported", mislabel or missing)
-            )
-            continue
-
-        try:
-            built = memo.row(row)
-        except ValueError as exc:
-            row_reports.append(RowVerification(idx, description, "fail", f"not measurable: {exc}"))
-            continue
-        residual = built.basis._triple_check.residual
-        if not residual <= lie_tol:
-            reason = f"Lie triple residual {residual:.3e} exceeds {lie_tol:.1e}"
-        elif not built.curvature_error <= curvature_tol:
-            reason = f"curvature off by {built.curvature_error:.3e}"
-        else:
-            reason = mislabel
-        row_reports.append(
-            RowVerification(
-                idx, description, "ok" if reason is None else "fail", reason, residual,
-                float(row.space.curvature), built.curvature_measured, built.curvature_error, built.planes,
-            )
-        )
+    row_reports = [
+        memo.report(row, idx, lie_tol, curvature_tol, _label_mismatch(entry.semisimple_factors[idx], row.space))
+        for idx, row in enumerate(rows)
+    ]
 
     # disjoint factor blocks: cross brackets vanish and the stacked rows stay orthonormal
     carried = [*(b.factor for row in rows for b in row), *flat_factors]

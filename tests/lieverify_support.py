@@ -83,11 +83,21 @@ def conjugated_basis(V, gs):
     model = V.ambient
     ambient = ProductModel(tuple(conjugated_decomp(b, g) for b, g in zip(model.blocks, gs)), model.weights)
     parts = [g @ A @ g.conj().T for g, A in zip(gs, split(model, V.coords))]
-    return SubspaceBasis(ambient, ambient.coordinates(parts))
+    return SubspaceBasis(ambient, coordinates(ambient, parts))
+
+
+def coordinates(model, parts):
+    """Coordinates ``(..., p_dim)`` of one matrix stack ``(..., N, N)`` per block; inverts ``split``.
+
+    Raises ValueError when a matrix does not lie in its block's ``p``.
+    """
+    return np.concatenate(
+        [math.sqrt(w) * b.coefficients(X) for b, w, X in zip(model.blocks, model.weights, parts)], axis=-1
+    )
 
 
 def split(model, C):
-    """One matrix stack ``(..., N, N)`` per block of coordinates ``(..., p_dim)``; inverts ``coordinates``.
+    """One matrix stack ``(..., N, N)`` per block of coordinates ``(..., p_dim)``; inverts :func:`coordinates`.
 
     Block b's coordinates ``C_b`` are ``sqrt(w_b)`` times its coefficients
     on its ``p`` basis ``P_b``, so its matrices are ``(C_b / sqrt(w_b)) @ P_b``.
@@ -108,7 +118,7 @@ def model_bracket(model, X, Y):
 
 def model_triple(model, X, Y, Z):
     """Coordinates of ``[[X, Y], Z]``, bracketed as matrices and projected back onto ``p``."""
-    return model.coordinates([bracket(b, c) for b, c in zip(model_bracket(model, X, Y), split(model, Z))])
+    return coordinates(model, [bracket(b, c) for b, c in zip(model_bracket(model, X, Y), split(model, Z))])
 
 
 def reference_triple_check(V):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+import geodiag.cli as cli_mod
 import geodiag.lieverify as lieverify
 from geodiag.catalog import space
 from geodiag.cli import (
@@ -608,6 +610,57 @@ class TestSplicedRecords:
         tableaux = list(enumerate_tableaux(M, [int(i) for i in subset.split(",")]))
         assert len(tableaux) > 1
         assert out.splitlines() == [_dump({"rows": tableau_record(t)}) for t in tableaux]
+
+    def test_verify_json_lines_are_the_dumped_reports(self, monkeypatch):
+        # unsupported rows beside measured ones, and entries whose totals are null
+        spec = "RH3(1) x CH3(2) x HH3(1)"
+        rendered = []
+        real = lieverify.RowVerification.to_dict
+
+        def counting(row):
+            rendered.append(row)
+            return real(row)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lieverify.RowVerification, "to_dict", counting)
+            code, out = invoke(["verify", "--json", "-m", spec])
+        assert code == 0
+        M = parse_product(spec)
+        entries = list(classify(M))
+        assert out.splitlines() == [_dump(lieverify.verify_classification_entry(e, M).to_dict()) for e in entries]
+        assert '"status":"unsupported"' in out and '"total_lie_residual":null' in out
+        # each row verdict of the product is rendered once
+        verdicts = {(id(row), idx) for e in entries for idx, row in enumerate(e.tableau.rows)}
+        assert len(rendered) == len(verdicts) < sum(len(e.tableau.rows) for e in entries)
+
+    @staticmethod
+    def failing_stream(real):
+        """``classify`` with its two-box rows relabelled and one-row entries' flat directions on the row's factor."""
+
+        def stream(M):
+            for e in real(M):
+                rows = e.tableau.rows
+                if len(rows) == 1 and len(rows[0]) == 2:
+                    e = dataclasses.replace(e, semisimple_factors=(space("R", 2, 7),))
+                elif e.tableau.shape == (1,) and e.flat_dim == 1:
+                    e = copy.copy(e)
+                    # bypasses ClassifiedSubmanifold validation
+                    object.__setattr__(e, "complement_factors", (rows[0][0].factor,))
+                yield e
+
+        return stream
+
+    def test_verify_json_lines_of_failing_entries_are_the_dumped_reports(self, monkeypatch):
+        spec = "RH2(1) x CH2(1)"
+        monkeypatch.setattr(cli_mod, "classify", self.failing_stream(classify))
+        code, out = invoke(["verify", "--json", "-m", spec])
+        assert code == 1
+        M = parse_product(spec)
+        expected = [_dump(lieverify.verify_classification_entry(e, M).to_dict()) for e in cli_mod.classify(M)]
+        assert out.splitlines() == expected
+        # failing records carry a reason: null when only rows failed, the entry's own otherwise
+        assert '"reason":null' in out and '"reason":"factor 1 carries row 0 and a flat direction"' in out
+        assert '"reason":"label RH2(7) differs from the row' in out
 
     def test_classify_text_is_pinned_and_names_each_entry_once(self, monkeypatch):
         calls = []

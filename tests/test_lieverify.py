@@ -47,6 +47,7 @@ from lieverify_support import (
     conjugated_basis,
     conjugated_decomp,
     construct_grassmannian_product,
+    coordinates,
     model_bracket,
     model_triple,
     random_special_unitary,
@@ -618,9 +619,18 @@ def assert_reports_worst_plane(row, real):
         assert abs(off - row.curvature_error) <= 1e-15
 
 
+def family(built):
+    """A built row's family of its class stack as a basis of its own, holding the stack's triple check."""
+    stack, index = built.stack, built.index
+    V = SubspaceBasis(stack.ambient, stack.coords[index])
+    check = stack._triple_check
+    vars(V)["_triple_check"] = check._replace(residual=check.residual[index], K=check.K[index])
+    return V
+
+
 def row_tensor(M, row):
     """The calibrated curvature tensor on pairs of ``row``'s built basis."""
-    return 4 / calibration_constant() * lieverify_mod._VerifyMemo.of(M).row(row).basis._triple_check.K
+    return 4 / calibration_constant() * family(lieverify_mod._VerifyMemo.of(M).row(row))._triple_check.K
 
 
 LABELS_OFF_BY_FOUR = [
@@ -794,8 +804,9 @@ class TestNegativeControls:
 
         def leaky(model, C):
             out = J(model, C)
-            off = p_rows(model) - (p_rows(model) @ C.T) @ C
-            out[1::2] += 1e-3 * off[np.argmax(np.linalg.norm(off, axis=1))]
+            for n in np.ndindex(C.shape[:-2]):  # each family of a stack
+                off = p_rows(model) - (p_rows(model) @ C[n].T) @ C[n]
+                out[n][1::2] += 1e-3 * off[np.argmax(np.linalg.norm(off, axis=1))]
             return out
 
         monkeypatch.setattr(ProductModel, "J", leaky)
@@ -834,7 +845,7 @@ class TestNegativeControls:
         for e, report in zip(entries, reports):
             for row, r in zip(e.tableau.rows, report.rows):
                 assert abs(r.curvature_measured - r.curvature_expected) <= 1e-14
-                pairs = len(memo.row(row).basis._triple_check.K)
+                pairs = len(family(memo.row(row))._triple_check.K)
                 seen[pairs >= 2] += 1
                 if pairs >= 2:
                     assert r.status == "fail" and r.reason.startswith("curvature off by"), r.reason
@@ -847,7 +858,7 @@ class TestNegativeControls:
         # one NaN entry makes E not finite, on which eigvalsh would raise
         def with_nan(K):
             K = K.copy()
-            K[-1, -1] = math.nan
+            K[..., -1, -1] = math.nan  # in each family
             return K
 
         M = ProductSpace((space("R", 3, 1), space("C", 2, 1)))
@@ -872,7 +883,7 @@ class TestNegativeControls:
         bounds = []
         for row in {id(row): row for e in classify(M) for row in e.tableau.rows}.values():
             built, kappa = memo.row(row), float(row.space.curvature)
-            V = built.basis
+            V = family(built)
             xs = np.array([V.random_unit_vector(rng) for _ in range(8)])
             ys = np.array([V.random_unit_vector(rng) for _ in range(8)])
             ys -= np.einsum("ni,ni->n", xs, ys)[:, None] * xs
@@ -922,7 +933,7 @@ class TestNegativeControls:
 
 
 def patch_tensor(monkeypatch, change):
-    """Make every basis triple-checked from now on hold ``change(K)`` as its curvature tensor."""
+    """Make every basis triple-checked from now on hold ``change(K)`` as its curvature tensors."""
     check = SubspaceBasis._triple_check.func
 
     def changed(V):
@@ -935,12 +946,12 @@ def patch_tensor(monkeypatch, change):
 
 
 def off_diagonal_changed(K, delta):
-    """``K`` with ``delta`` added to the calibrated entries ``K[0, 1]`` and ``K[1, 0]``."""
-    if len(K) < 2:
+    """``K`` with ``delta`` added to the calibrated entries ``K[0, 1]`` and ``K[1, 0]`` of each family."""
+    if K.shape[-1] < 2:
         return K
     K = K.copy()
-    K[0, 1] += delta * calibration_constant() / 4
-    K[1, 0] += delta * calibration_constant() / 4
+    K[..., 0, 1] += delta * calibration_constant() / 4
+    K[..., 1, 0] += delta * calibration_constant() / 4
     return K
 
 
@@ -972,16 +983,18 @@ def assert_same_report(a, b):
 class TestRowMemo:
     @staticmethod
     def counted_verify(monkeypatch, M):
-        calls = {"orthonormalized": 0, "lie_triple": 0}
+        """Verify every entry of ``M``, counting the families orthonormalized and triple-checked, and the stacks."""
+        calls = {"orthonormalized": 0, "lie_triple": 0, "stacks": 0}
         orthonormalized = SubspaceBasis.__dict__["orthonormalized"].__func__
         lie_triple = lieverify_mod.is_lie_triple_system
 
         def counting_orthonormalized(cls, ambient, raw):
-            calls["orthonormalized"] += 1
+            calls["orthonormalized"] += len(raw) if np.ndim(raw) == 3 else 1
+            calls["stacks"] += 1
             return orthonormalized(cls, ambient, raw)
 
         def counting_lie_triple(V, tol=1e-9):
-            calls["lie_triple"] += 1
+            calls["lie_triple"] += len(V.coords) if V.coords.ndim == 3 else 1
             return lie_triple(V, tol)
 
         with monkeypatch.context() as patch:
@@ -1004,7 +1017,12 @@ class TestRowMemo:
         assert all(r.status == "pass" for r in reports)
         distinct_rows = {row for e in entries for row in e.tableau.rows}
         expected = len(distinct_rows)
-        assert calls == {"orthonormalized": expected, "lie_triple": expected}
+        # each row is one family of one stack: as many families as rows, and fewer stacks
+        assert calls["orthonormalized"] == calls["lie_triple"] == expected
+        assert calls["stacks"] < expected
+        built = lieverify_mod._VerifyMemo.of(M)._built.values()
+        assert {id(row) for row, _ in built} == {id(row) for e in entries for row in e.tableau.rows}
+        assert len({(id(b.stack), b.index) for _, b in built}) == expected
         assert sum(len(e.tableau.rows) for e in entries) > len(distinct_rows)
         # an equal but fresh product builds its own memo and repeats the counts
         _, again, calls_again = self.counted_verify(monkeypatch, make())
@@ -1079,6 +1097,193 @@ class TestRowMemo:
 
 
 # ---------------------------------------------------------------------------
+# class stacks: the rows of one class (field, n) are built together
+# ---------------------------------------------------------------------------
+
+
+def distinct_rows(M):
+    """Every distinct row of ``M``'s classification stream, in stream order."""
+    return list({id(row): row for e in classify(M) for row in e.tableau.rows}.values())
+
+
+def built_alone(M, row):
+    """``row`` built as a stack of one in the product's model, as a row that is not the memo's is."""
+    memo = lieverify_mod._VerifyMemo.of(M)
+    (built,) = lieverify_mod._build_stack(memo.model, [row], memo._coordinates(row)[None])
+    return built
+
+
+MEASURED = ("lie_residual", "curvature_measured", "curvature_error", "curvature_bound")
+
+
+class TestClassStacks:
+    @pytest.mark.parametrize(
+        "spec",
+        ["CH2(1) x CH2(1)", "CH2(1) x RH3(1) x RH2(1/2)", "CH3(1) x CH3(2) x RH3(1)", "CH5(1) x CH5(1) x RH5(2)"],
+    )
+    def test_a_stack_measures_what_a_lone_build_measures(self, spec):
+        M = parse_product(spec)
+        memo = lieverify_mod._VerifyMemo.of(M)
+        sizes = Counter()
+        for row in distinct_rows(M):
+            stacked, alone = memo.row(row), built_alone(M, row)
+            sizes[id(stacked.stack)] += 1
+            assert len(alone.stack.coords) == 1 and alone.planes == stacked.planes
+            for name in MEASURED:
+                assert abs(getattr(stacked, name) - getattr(alone, name)) <= 1e-15, (str(row), name)
+            for built in (stacked, alone):
+                assert built.lie_residual <= 1e-9 and built.curvature_error <= 1e-8, str(row)
+        assert max(sizes.values()) >= 3  # stacks of several rows were measured
+
+    def test_a_row_without_box_images_fails_alone(self, monkeypatch):
+        M = ProductSpace((space("C", 2, 1), space("C", 2, 2)))
+        bad = (space("R", 2, Fraction(1, 4)), M.factor(1))  # the totally real planes of factor 1
+        real = lieverify_mod._box_images
+
+        def images(sub, factor, block):
+            if (sub, factor) == bad:
+                raise ValueError("no images for this box")
+            return real(sub, factor, block)
+
+        monkeypatch.setattr(lieverify_mod, "_box_images", images)
+        holds = lambda row: any((b.inclusion.sub, b.inclusion.ambient) == bad for b in row)
+        for _ in range(2):  # a second call fails the rows again
+            entries, reports = verify_all(M)
+            seen = Counter()
+            for e, report in zip(entries, reports):
+                for row, r in zip(e.tableau.rows, report.rows):
+                    seen[holds(row), row.space.field.value] += 1
+                    if holds(row):
+                        assert r.status == "fail" and r.reason == "not measurable: no images for this box"
+                    else:
+                        assert r.status == "ok", (str(row), r.reason)
+            # rows of the bad row's class (R, 2) pass beside it, and those of the other class
+            assert seen[True, "R"] and seen[False, "R"] and seen[False, "C"]
+        memo = lieverify_mod._VerifyMemo.of(M)
+        assert not any(holds(row) for row, _ in memo._built.values())
+        # the rest of the class still forms one stack
+        stacks = {id(b.stack): b.stack for row, b in memo._built.values() if row.space.field.value == "R"}
+        assert len(stacks) == 1 and len(next(iter(stacks.values())).coords) > 1
+
+    def test_structural_zeros_are_skipped_per_family(self):
+        # row 1 is a structural zero of family 0 (1e-13 of its largest row) and live in family 1
+        Q = np.zeros((2, 1, 3))
+        Q[:, 0, 0] = 1.0
+        T = np.array([[[2.0, 1.0, 0.0], [1e-13, 1e-13, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]])
+        worst, coeffs = lieverify_mod._worst_residual(T, Q)
+        np.testing.assert_array_equal(coeffs[:, :, 0], [[2.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_allclose(worst, [1 / math.sqrt(5), 1 / math.sqrt(2)], rtol=1e-15)
+
+    def test_a_rank_deficient_row_fails_alone(self, monkeypatch):
+        M = ProductSpace((space("C", 2, 1), space("C", 2, 2)))
+        rows = distinct_rows(M)
+        bad = next(row for row in rows if len(row) == 2 and row.space.field.value == "R")
+        same_class = lambda row: (row.space.field, row.space.n) == (bad.space.field, bad.space.n)
+        siblings = [row for row in rows if row is not bad and same_class(row)]
+        real = lieverify_mod._VerifyMemo._coordinates
+
+        def deficient(memo, row):
+            raw = real(memo, row)
+            if row is bad:
+                raw[1] = raw[0]
+            return raw
+
+        monkeypatch.setattr(lieverify_mod._VerifyMemo, "_coordinates", deficient)
+        memo = lieverify_mod._VerifyMemo.of(M)
+        for _ in range(2):  # a second call fails the row again
+            entries, reports = verify_all(M)
+            for e, report in zip(entries, reports):
+                for row, r in zip(e.tableau.rows, report.rows):
+                    if row is bad:
+                        assert r.status == "fail" and r.reason == "not measurable: rank-deficient basis rejected"
+                    else:
+                        assert r.status == "ok", (str(row), r.reason)
+            with pytest.raises(ValueError, match="^rank-deficient basis rejected$"):
+                memo.row(bad)
+        # the stack raised, so the rest of the class was built one row at a time
+        assert len(siblings) >= 3
+        for row in siblings:
+            assert len(memo.row(row).stack.coords) == 1
+        assert id(bad) not in memo._built
+
+
+def lone_family_reference(model, raw):
+    """The one-family path as it was before stacks: orthonormal rows, worst residual and ``K``.
+
+    The same numpy operations in the same order, restated for 2-d arrays
+    only, so that the stacked code's one-family path can be pinned bit for bit.
+    """
+    Q, R = np.linalg.qr(raw.T)
+    C = np.multiply(Q.T, np.sign(R.diagonal())[:, None], order="C")
+    dim, width = C.shape
+    i, j = lieverify_mod._pairs(dim)
+    out = np.empty((len(i), dim, width))
+    for r in model._runs:
+        q = r.block.p_dim
+        A = C[:, r.span].reshape(dim, r.count, q).swapaxes(0, 1)
+        AR = (A.reshape(-1, q) @ r.block.triple_tensor.reshape(q, -1)).reshape(r.count, dim, q, q * q)
+        B = A[:, None] @ AR
+        T = A[:, None] @ B[:, i, j].reshape(r.count, len(i), q, q)
+        T *= r.inv_w[:, None, None, None]
+        out[..., r.span] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, r.count * q)
+    T = out.reshape(-1, width)
+    norms = np.sqrt(np.einsum("ij,ij->i", T, T))
+    live = norms > TOL_ARITHMETIC * max(float(norms.max(initial=0.0)), 1.0)
+    coeffs = np.zeros((len(T), dim))
+    worst = 0.0
+    if live.any():
+        T = T[live]
+        coeffs[live] = TQ = T @ C.T
+        norms = np.sqrt(np.einsum("ij,ij->i", T, T))
+        rem = T - TQ @ C
+        worst = float((np.sqrt(np.einsum("ij,ij->i", rem, rem)) / norms).max())
+    return C, worst, coeffs.reshape(-1, dim, dim)[:, i, j]
+
+
+def lone_curvature_reference(C, K, X, Y):
+    """Calibrated curvatures of planes ``X[n], Y[n]`` of one family, as computed before stacks."""
+    n = len(X)
+    coeffs = np.concatenate([X, Y]) @ C.T
+    A, B = coeffs[:n], coeffs[n:]
+    i, j = lieverify_mod._pairs(len(C))
+    O = A[:, :, None] * B[:, None, :]
+    W = (O - O.transpose(0, 2, 1))[:, i, j]
+    return 4.0 / calibration_constant() * np.einsum("np,np->n", W @ K, W) / np.einsum("np,np->n", W, W)
+
+
+class TestTracerContract:
+    """What the benchmark's tracer reads from the verifier: types, and the one-family results."""
+
+    def test_a_stack_returns_a_bool_and_its_worst_residual_as_a_float(self):
+        model = ProductModel.single(grassmannian_decomp(1, 3))
+        rng = np.random.default_rng(29)
+        raw = np.stack([p_rows(model)[:3], rng.standard_normal((3, model.p_dim)), p_rows(model)[[0, 1, 4]]])
+        V = SubspaceBasis.orthonormalized(model, raw)
+        ok, worst = is_lie_triple_system(V)
+        assert type(ok) is bool and type(worst) is float
+        assert type(V.dim) is int and V.dim == 3
+        lone = [is_lie_triple_system(SubspaceBasis.orthonormalized(model, r))[1] for r in raw]
+        assert worst == float(np.max(V._triple_check.residual)) and worst > 1e-3
+        np.testing.assert_allclose(V._triple_check.residual, lone, rtol=1e-14, atol=1e-15)
+        assert ok is False and is_lie_triple_system(V, 2 * worst) == (True, worst)
+        one = SubspaceBasis.orthonormalized(model, raw[0])
+        assert type(is_lie_triple_system(one)[1]) is float and type(one.dim) is int
+
+    @pytest.mark.parametrize("k, s, n", [(1, 1, 1), (2, 1, 2), (3, 1, 3), (5, 2, 2), (24, 8, 3)])
+    def test_one_diagonal_cp_is_bit_identical_to_the_one_family_path(self, k, s, n):
+        V = construct_diagonal_cp(k, s, n)
+        block = grassmannian_decomp(1, n)
+        raw = np.hstack([np.eye(block.p_dim)] * s + [block.coefficients(block.p_basis.conj())] * (k - s))
+        C, worst, K = lone_family_reference(V.ambient, raw)
+        np.testing.assert_array_equal(V.coords, C)
+        assert is_lie_triple_system(V) == (worst <= 1e-9, worst)
+        np.testing.assert_array_equal(V._triple_check.K, K)
+        rng = np.random.default_rng(k)
+        X, Y = (np.array([V.random_unit_vector(rng) for _ in range(4)]) for _ in range(2))
+        np.testing.assert_array_equal(sectional_curvature(V, X, Y), lone_curvature_reference(C, K, X, Y))
+
+
+# ---------------------------------------------------------------------------
 # the entry total, derived from its rows, against the whole-subspace check
 # ---------------------------------------------------------------------------
 
@@ -1086,24 +1291,17 @@ class TestRowMemo:
 def whole_subspace_residual(M, entry):
     """Triple residual of the entry's rows and flat directions checked as one subspace.
 
-    Each row's basis goes onto its factors' blocks of the model of the whole
-    product, with one ``p`` vector per flat factor; the stack is
-    orthonormalized and triple-checked as a whole.  None for the point.
-    Factor ``i`` is block ``i - 1`` of that model, and a block's
-    coordinates carry its weight, so rows are copied block by block.
+    Each row's basis already lies in the model of the whole product (every
+    factor is modelled here), on its factors' blocks; one ``p`` vector is
+    added per flat factor, and the family is orthonormalized and
+    triple-checked as a whole.  None for the point.  Factor ``i`` is block
+    ``i - 1`` of that model.
     """
     memo = lieverify_mod._VerifyMemo.of(M)
-    model = memo.model(tuple(range(1, M.r + 1)))
+    model = memo.model
+    assert len(model.blocks) == M.r
     starts = np.cumsum([0] + [b.p_dim for b in model.blocks])
-    vectors = []
-    for row in entry.tableau.rows:
-        basis = memo.row(row).basis
-        own = np.cumsum([0] + [b.p_dim for b in basis.ambient.blocks])
-        for c in basis.coords:
-            u = np.zeros(model.p_dim)
-            for k, box in enumerate(row):
-                u[starts[box.factor - 1] : starts[box.factor]] = c[own[k] : own[k + 1]]
-            vectors.append(u)
+    vectors = [c for row in entry.tableau.rows for c in family(memo.row(row)).coords]
     vectors += [p_rows(model)[starts[i - 1]] for i in entry.complement_factors[: entry.flat_dim]]
     if not vectors:
         return None
@@ -1256,6 +1454,11 @@ def built_rows(M):
     return [memo.row(row) for row in rows.values()]
 
 
+def built_families(M):
+    """The family of every distinct row of ``M``'s classification with at least two vectors."""
+    return [V for V in map(family, built_rows(M)) if V.dim >= 2]
+
+
 def direct_curvature(V, X, Y):
     """The calibrated curvature of planes X[n], Y[n] by the per-matrix bracket formula."""
     blocks, weights = V.ambient.blocks, V.ambient.weights
@@ -1284,7 +1487,7 @@ class TestCurvatureTensor:
     @pytest.mark.parametrize("spec", ["CH3(1) x CH3(2)", "RH2(1) x RH4(7)", "CH4(1) x CH4(1) x RH4(1)"])
     def test_contraction_is_the_direct_formula_on_every_built_row(self, spec):
         rng = np.random.default_rng(17)
-        bases = [built.basis for built in built_rows(parse_product(spec)) if built.basis.dim >= 2]
+        bases = built_families(parse_product(spec))
         assert bases
         for V in bases:
             assert_contraction_is_direct(V, rng)
@@ -1302,7 +1505,7 @@ class TestCurvatureTensor:
     def test_nearly_dependent_planes_keep_their_digits(self):
         # x and cos(t) x + sin(t) z span the plane of the orthonormal pair x, z
         rng = np.random.default_rng(19)
-        bases = [b.basis for b in built_rows(parse_product("CH4(1) x CH4(1) x RH4(1)")) if b.basis.dim >= 2]
+        bases = built_families(parse_product("CH4(1) x CH4(1) x RH4(1)"))
         assert bases
         t = 1e-4
         for V in bases:
@@ -1328,23 +1531,29 @@ class TestCurvatureTensor:
         M = ProductSpace((space("C", 3, 1), space("C", 3, 2), space("R", 3, 1)))
         calls = Counter()
 
-        def counting(key, fn):
+        def families(stack):
+            # the families a call works on: the first array argument's leading axis when it is a stack
+            return len(stack) if np.ndim(stack) == 3 else 1
+
+        def counting(key, fn, stack=lambda args: None):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                calls[key + " families"] += families(stack(args))
                 return fn(*args, **kwargs)
             return wrapper
 
         with monkeypatch.context() as patch:
-            for owner, attr in [
-                (lieverify_mod, "bracket"),
-                (ProductModel, "triples"),
-                (ProductModel, "J"),
-                (lieverify_mod, "is_lie_triple_system"),
-                (lieverify_mod, "sectional_curvature"),
+            for owner, attr, stack in [
+                (lieverify_mod, "bracket", lambda args: None),
+                (ProductModel, "triples", lambda args: args[1]),
+                (ProductModel, "J", lambda args: args[1]),
+                (lieverify_mod, "is_lie_triple_system", lambda args: args[0].coords),
+                (lieverify_mod, "sectional_curvature", lambda args: args[0].coords),
             ]:
-                patch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+                patch.setattr(owner, attr, counting(attr, getattr(owner, attr), stack))
             orthonormalized = SubspaceBasis.__dict__["orthonormalized"].__func__
-            patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counting("orthonormalized", orthonormalized)))
+            counted = counting("orthonormalized", orthonormalized, lambda args: args[2])
+            patch.setattr(SubspaceBasis, "orthonormalized", classmethod(counted))
             entries, first = verify_all(M)
             cold = dict(calls)
             calls.clear()
@@ -1352,20 +1561,23 @@ class TestCurvatureTensor:
             hot = dict(calls)
         distinct = {id(row) for e in entries for row in e.tableau.rows}
         measured = sum(len(e.tableau.rows) for e in entries)
-        assert cold["orthonormalized"] == cold["is_lie_triple_system"] == len(distinct)
-        assert cold["sectional_curvature"] == len(distinct) < measured
+        # every row is built once, as a family of its class stack: one call per stack
+        assert cold["orthonormalized families"] == cold["is_lie_triple_system families"] == len(distinct)
+        assert cold["sectional_curvature families"] == len(distinct) < measured
+        stacks = cold["orthonormalized"]
+        assert cold["is_lie_triple_system"] == cold["sectional_curvature"] == cold["triples"] == stacks < len(distinct)
+        assert "bracket" not in cold
         assert hot == {}
         for a, b in zip(first, again):
             assert a.status == b.status == "pass"
-        # each built row keeps its tensor, not its (pairs * dim, D) brackets
+        # each built stack keeps its tensors, not its (pairs * dim, D) brackets
         checked = 0
-        for _, built in lieverify_mod._VerifyMemo.of(M)._built.values():
-            V = built.basis
+        for V in {id(b.stack): b.stack for _, b in lieverify_mod._VerifyMemo.of(M)._built.values()}.values():
             pairs = V.dim * (V.dim - 1) // 2
-            assert V._triple_check.K.shape == (pairs, pairs)
+            assert V._triple_check.K.shape == (len(V.coords), pairs, pairs)
             if V.dim >= 3:
-                held = [a for a in (*built, *vars(V).values()) if isinstance(a, np.ndarray)]
-                assert all(len(a) != pairs * V.dim for a in held)
+                held = [a for a in vars(V).values() if isinstance(a, np.ndarray)] + list(V._triple_check)
+                assert all(np.shape(a)[1:2] != (pairs * V.dim,) for a in held)
                 checked += 1
         assert checked
 
@@ -1569,7 +1781,7 @@ class TestRuns:
         for n, _ in np.ndenumerate(C[..., 0]):
             for mine, ref in zip(stacks, ref_matrices(blocks, weights, C[n])):
                 np.testing.assert_allclose(mine[n], ref, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(model.coordinates(stacks), C, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(coordinates(model, stacks), C, rtol=0, atol=1e-14)
 
     def test_per_block_loops_stay_out_of_the_diagonal_check(self, monkeypatch):
         """Checking a k-diagonal and sampling its angle takes as many block passes for k = 24 as for k = 1.
@@ -1764,4 +1976,4 @@ class TestBracketTensor:
     def test_forged_rows_match_the_reference(self, factors, rows):
         M = ProductSpace(tuple(factors))
         row = forged_entry(M, rows).tableau.rows[0]
-        assert_check_is_the_reference(lieverify_mod._VerifyMemo.of(M).row(row).basis)
+        assert_check_is_the_reference(family(lieverify_mod._VerifyMemo.of(M).row(row)))
