@@ -420,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numerically verify the classification in compact duals")
     p.add_argument("-m", "--product", required=True)
     p.add_argument("--seed", type=int, help="ignored: verify draws no random numbers; kept for old scripts")
-    p.add_argument("--tol", type=float, default=1e-9, help="Lie triple residual tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="relative Lie triple residual tolerance; curvature errors, relative too, are held to 10 * tol",
+    )
     p.add_argument("--strict", action="store_true", help="treat unsupported factors as failure")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -25,7 +25,9 @@ Conventions, fixed here once:
   ``CP^n`` basis it fixes the real directions ``e_i`` and negates ``J e_i``.
 * Tolerances: arithmetic identities 1e-12, structural residuals 1e-10,
   constructive checks 1e-9; residuals are relative to the norm of the
-  quantity tested.
+  quantity tested.  A basis's Lie triple residual is relative to the norm of
+  all its triple brackets, and a row's curvature error to its curvature, so
+  neither changes with the metric scale.
 
 Vectors are weighted p-coordinate rows, the only vector type: block ``b``
 of a direct sum with metric weight ``w_b`` contributes ``sqrt(w_b)`` times
@@ -228,14 +230,14 @@ def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:
     Row i is the unit part of raw row i orthogonal to the rows before it
     (R's diagonal made positive).  Rank-deficient families are rejected:
     more rows than coordinates, or in any family a remainder ``|R_ii|`` at or
-    below ``1e-10 * max(1, |raw_i|)``.  The rows come back C-contiguous.
+    below ``1e-10 * |raw_i|``, whatever the scale.  The rows come back C-contiguous.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.shape[-2] > raw.shape[-1]:
         raise ValueError("rank-deficient basis rejected")
     Q, R = np.linalg.qr(_T(raw))
     d = R.diagonal(0, -2, -1)
-    if np.any(np.abs(d) <= 1e-10 * np.maximum(1.0, _row_norms(raw))):
+    if np.any(np.abs(d) <= 1e-10 * _row_norms(raw)):
         raise ValueError("rank-deficient basis rejected")
     return np.multiply(_T(Q), np.sign(d)[..., None], order="C")
 
@@ -259,25 +261,14 @@ def _residuals(T: np.ndarray, Q: np.ndarray, TQ: np.ndarray | None = None) -> np
     return np.divide(rem, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
-def _worst_residual(T: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest residual of the rows of ``T`` off span(Q), and the coefficients ``T @ Q^T``.
+def _frobenius_residual(T: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|N|_F / |T|_F`` per family, ``N`` the part of ``T`` off span(Q), and the coefficients ``T @ Q^T``.
 
-    One residual per family of stacks ``T (..., rows, width)``, ``Q (..., dim, width)``.  A family's structural
-    zeros, rows at most ``TOL_ARITHMETIC`` times its largest row norm (or 1), are skipped: their coefficients are
-    left 0, and only rows live in some family are projected.
+    Stacks ``T (..., rows, width)`` and ``Q (..., dim, width)``; a family with ``T = 0`` reads 0.
     """
-    norms = _row_norms(T)
-    floor = TOL_ARITHMETIC * norms.max(axis=-1, initial=1.0, keepdims=True)
-    some = (norms > floor).any(axis=0) if norms.ndim > 1 else norms > floor  # live in some family
-    coeffs = np.zeros((*T.shape[:-1], Q.shape[-2]))
-    T, norms = T[..., some, :], norms[..., some]
-    live = norms > floor
     TQ = T @ _T(Q)
-    TQ[~live] = 0.0  # a family's structural zeros among the rows live in another
-    coeffs[..., some, :] = TQ
-    rem = _row_norms(T - TQ @ Q)
-    worst = np.divide(rem, norms, out=np.zeros_like(norms), where=live).max(axis=-1, initial=0.0)
-    return worst, coeffs
+    norm, rem = (np.sqrt(np.einsum("...ij,...ij->...", X, X)) for X in (T, T - TQ @ Q))
+    return np.divide(rem, norm, out=np.zeros_like(norm), where=norm > 0), TQ
 
 
 def _row_norms(T: np.ndarray) -> np.ndarray:
@@ -446,7 +437,7 @@ class ProductModel:
 
 
 class _TripleCheck(NamedTuple):
-    """A basis's worst triple-bracket residual and its curvature tensor ``K``, one per family of a stack."""
+    """A basis's triple-bracket residual and its curvature tensor ``K``, one per family of a stack."""
 
     residual: np.ndarray
     K: np.ndarray
@@ -460,7 +451,7 @@ class SubspaceBasis:
     coordinate row of ``ambient`` per basis vector, or a ``(k, dim, p_dim)``
     stack of k such families of one dimension, each checked on its own.
     ``_triple_check``, made on first use from one pass over the triple
-    brackets, holds their worst residual per family and the read-only tensors
+    brackets, holds their residual per family and the read-only tensors
     ``K[..., p, q] = <[[e_i, e_j], e_l], e_m>`` over the pairs ``p = (i < j)``,
     ``q = (l < m)``: the coefficients are antisymmetric in ``(l, m)``, because
     ``ad [e_i, e_j]`` is skew for the trace form.  Spans, random vectors and
@@ -496,11 +487,11 @@ class SubspaceBasis:
     @functools.cached_property
     def _triple_check(self) -> _TripleCheck:
         C, dim = self.coords, self.dim
-        worst, TC = _worst_residual(self.ambient.triples(C), C)
+        residual, TC = _frobenius_residual(self.ambient.triples(C), C)
         l, m = _pairs(dim)
         K = TC.reshape(-1, dim, dim)[:, l, m].reshape(*C.shape[:-2], len(l), len(l))
         K.setflags(write=False)
-        return _TripleCheck(worst, K)
+        return _TripleCheck(residual, K)
 
     def span_residual(self, u: np.ndarray) -> float:
         """Relative distance of a coordinate row from the span."""
@@ -519,13 +510,14 @@ class SubspaceBasis:
 
 
 def is_lie_triple_system(V: SubspaceBasis, tol: float = TOL_CONSTRUCTIVE) -> tuple[bool, float]:
-    """Check ``[[V, V], V]`` inside ``V``; return (verdict, max residual) as a ``bool`` and a ``float``.
+    """Check ``[[V, V], V]`` inside ``V``; return (verdict, residual) as a ``bool`` and a ``float``.
 
-    The residual of a triple bracket is the norm of its component
-    orthogonal to ``V`` relative to the bracket's own norm; brackets that
-    vanish to arithmetic precision are structural zeros and are skipped.
-    On a stack the residual is the worst of its families.  The check is
-    made once per basis and kept on it with its curvature tensor.
+    The residual is relative: the Frobenius norm of the triple brackets
+    ``[[e_i, e_j], e_l]`` (``i < j``) of the basis, ``T``, taken orthogonally
+    to ``V``, over the Frobenius norm of ``T`` itself (0 when ``T`` vanishes).
+    It does not change with the metric scale or under an orthonormal change
+    of basis of ``V``.  On a stack the residual is the worst of its families.
+    The check is made once per basis and kept on it with its curvature tensor.
     """
     worst = V._triple_check.residual
     worst = float(worst.max() if worst.ndim else worst)
@@ -668,7 +660,8 @@ class _BuiltRow(NamedTuple):
     Of the ``planes`` basis planes (``(e_a, J e_a)`` for complex rows, all
     pairs for real ones), ``curvature_measured`` is the one with the largest
     error; ``curvature_error`` is the larger of that error and ``curvature_bound``,
-    which bounds every plane's (:func:`_build_stack`).  Either is NaN when not finite.
+    which bounds every plane's (:func:`_build_stack`), both relative to the row's
+    curvature.  Either is NaN when not finite.
     """
 
     stack: SubspaceBasis
@@ -690,6 +683,7 @@ def _build_stack(model: ProductModel, rows: Sequence, raw: np.ndarray) -> list[_
     basis.  A plane with unit bivector ``w`` has curvature error ``w E w``,
     so the spectral norm of the symmetric part of the difference ``E``
     bounds every plane's error; one batched ``eigvalsh`` takes every row's.
+    The bound and the basis planes' errors are relative, divided by ``kappa``.
     Raises ValueError when any row's coordinates are rank-deficient or a
     complex row's diagonal is not J-invariant.
     """
@@ -717,8 +711,8 @@ def _build_stack(model: ProductModel, rows: Sequence, raw: np.ndarray) -> list[_
     E = 4.0 / calibration_constant() * V._triple_check.K - kappa[:, None, None] * K_model
     finite = np.isfinite(E).all(axis=(1, 2))  # eigvalsh would raise on the others
     S = np.where(finite[:, None, None], E + _T(E), 0.0) / 2
-    bound = np.where(finite, np.abs(np.linalg.eigvalsh(S)).max(axis=1), math.nan)
-    error = np.maximum(np.abs(curvatures[at] - kappa), bound)  # NaN stays NaN
+    bound = np.where(finite, np.abs(np.linalg.eigvalsh(S)).max(axis=1), math.nan) / kappa
+    error = np.maximum(np.abs(curvatures[at] - kappa) / kappa, bound)  # NaN stays NaN
     columns = zip(V._triple_check.residual.tolist(), curvatures[at].tolist(), error.tolist(), bound.tolist())
     return [_BuiltRow(V, r, *floats, curvatures.shape[1]) for r, floats in enumerate(columns)]
 
@@ -871,7 +865,7 @@ class RowVerification:
     lie_residual: float | None = None
     curvature_expected: float | None = None
     curvature_measured: float | None = None  # the basis plane with the largest error
-    # the larger of the tensor bound over all planes and that basis plane's error
+    # the larger of the tensor bound over all planes and that basis plane's error, over curvature_expected
     curvature_error: float | None = None
     planes: int | None = None  # the number of basis planes
 
@@ -950,8 +944,8 @@ def verify_classification_entry(
 
     Every supported row's diagonal Lie triple system is built and measured
     once per ``M``, with every row of its class (:class:`_VerifyMemo`,
-    :func:`_build_stack`); its residual and ``curvature_error`` are compared
-    with ``lie_tol`` and ``curvature_tol``, and the verdict on a row labelled
+    :func:`_build_stack`); its residual and ``curvature_error``, both relative,
+    are compared with ``lie_tol`` and ``curvature_tol``, and the verdict on a row labelled
     with its own diagonal is kept per row, index and tolerances.  No plane
     is drawn at random, so a
     report depends on its arguments alone.  Every row's label in

@@ -20,7 +20,6 @@ from geodiag.lieverify import (
     SubspaceBasis,
     _flat,
     _pairs,
-    _worst_residual,
     bracket,
     grassmannian_decomp,
 )
@@ -122,18 +121,21 @@ def model_triple(model, X, Y, Z):
 
 
 def reference_triple_check(V):
-    """The worst triple residual of ``V`` and its tensor ``K``, from matrix brackets.
+    """The triple residual of ``V`` and its tensor ``K``, from matrix brackets.
 
     Every ``[[e_i, e_j], e_l]`` is two commutators per block of the basis's
-    matrices, row ``p dim + l`` for the pair ``p = (i < j)``; the residual
-    and ``K`` are then taken as ``SubspaceBasis`` takes them.
+    matrices, row ``p dim + l`` for the pair ``p = (i < j)``; the residual is
+    the Frobenius norm of these rows off the span over their own (0 when all
+    vanish), and ``K`` holds their coefficients on the basis.
     """
     E, d = V.coords, V.dim
     i, j = _pairs(d)
     T = model_triple(V.ambient, np.repeat(E[i], d, axis=0), np.repeat(E[j], d, axis=0), np.tile(E, (len(i), 1)))
-    worst, TC = _worst_residual(T, E)
+    TC = T @ E.T
+    norm = np.linalg.norm(T)
+    residual = np.linalg.norm(T - TC @ E) / norm if norm > 0 else 0.0
     l, m = _pairs(d)
-    return worst, TC.reshape(-1, d, d)[:, l, m]
+    return residual, TC.reshape(-1, d, d)[:, l, m]
 
 
 def construct_grassmannian_product(partition: Sequence[int], shape: tuple[int, int]) -> SubspaceBasis:

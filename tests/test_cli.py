@@ -744,8 +744,10 @@ class TestSchema:
         for bad in broken:
             assert not validator.is_valid(bad), bad
 
-    def test_verify_schema_is_tagged_v1(self):
-        assert VERIFIED_SCHEMA["version"] == "v1"
+    def test_verify_schema_is_tagged_v2(self):
+        # v2: lie_residual, total_lie_residual and curvature_error are relative
+        assert VERIFIED_SCHEMA["version"] == "v2"
+        assert VERIFIED_SCHEMA["$id"] == "geodiag/verified/v2"
 
     def test_verify_writes_a_nan_measurement_as_null(self, monkeypatch):
         monkeypatch.setattr(lieverify, "calibration_constant", lambda: math.nan)

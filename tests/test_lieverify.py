@@ -179,12 +179,13 @@ class TestOrthonormalization:
         np.testing.assert_allclose(V.coords, classical_gram_schmidt(raw), rtol=0, atol=1e-12)
         assert V.coords.flags.c_contiguous
 
-    def test_remainders_are_measured_against_a_relative_floor(self):
-        # the remainder of row 1 is 1e-9 * |b|; the floor is 1e-10 * max(1, |row 1|)
-        a, b = np.eye(4)[:2]
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_remainders_are_measured_against_a_relative_floor(self, scale):
+        # the remainder of row 1 is 1e-9 * |b|; the floor is 1e-10 * |row 1|, at any scale
+        a, b = scale * np.eye(4)[:2]
         rows = lieverify_mod._orthonormal_rows(np.array([a, a + 1e-9 * b]))
-        np.testing.assert_allclose(rows, np.array([a, b]), rtol=0, atol=1e-6)
-        for raw in ([a, a + 1e-11 * b], [100.0 * a, 100.0 * a + 1e-9 * b]):
+        np.testing.assert_allclose(rows, np.eye(4)[:2], rtol=0, atol=1e-6)
+        for raw in ([a, a + 1e-11 * b], [100.0 * a, 100.0 * a + 1e-9 * b], [a, 0.0 * b]):
             with pytest.raises(ValueError, match="rank-deficient"):
                 lieverify_mod._orthonormal_rows(np.array(raw))
 
@@ -607,13 +608,13 @@ def forged_entry(M, rows):
 
 
 def assert_reports_worst_plane(row, real):
-    """The row reports a basis plane, whose error its ``curvature_error`` bounds.
+    """The row reports a basis plane, whose error relative to its curvature its ``curvature_error`` bounds.
 
     On a real row the tensor differs from its class's tensor by a multiple of
     the identity, so every plane, the worst basis plane too, is off by the bound.
     """
     assert row.planes is not None and row.planes >= 1
-    off = abs(row.curvature_measured - row.curvature_expected)
+    off = abs(row.curvature_measured - row.curvature_expected) / row.curvature_expected
     assert off <= row.curvature_error + 1e-15
     if real:
         assert abs(off - row.curvature_error) <= 1e-15
@@ -680,9 +681,12 @@ class TestNegativeControls:
         assert abs(row.curvature_measured * float(ratio) - row.curvature_expected) <= 1e-9
         assert_reports_worst_plane(row, real=rows[0][0][1].field.value == "R")
         # the row's tensor K has the right shape at the true curvature, so its
-        # class's tensor at the label's curvature is ratio * K, and E = (1 - ratio) K
+        # class's tensor at the label's curvature is ratio * K, and E = (1 - ratio) K,
+        # measured relative to the label's curvature: |1 - ratio| / ratio on real rows
         E = (1 - float(ratio)) * row_tensor(M, entry.tableau.rows[0])
-        assert abs(row.curvature_error - np.linalg.norm(E, 2)) <= 1e-14
+        assert abs(row.curvature_error - np.linalg.norm(E, 2) / row.curvature_expected) <= 1e-14
+        if rows[0][0][1].field.value == "R":
+            assert abs(row.curvature_error - abs(1 - float(ratio)) / float(ratio)) <= 1e-14
 
     @pytest.mark.parametrize("factors, rows, broken", WRONG_HOMOTHETY_CLASSES)
     def test_wrong_homothety_class_fails_with_the_broken_check(self, factors, rows, broken):
@@ -849,7 +853,7 @@ class TestNegativeControls:
                 seen[pairs >= 2] += 1
                 if pairs >= 2:
                     assert r.status == "fail" and r.reason.startswith("curvature off by"), r.reason
-                    assert abs(r.curvature_error - delta) <= 1e-14
+                    assert abs(r.curvature_error - delta / r.curvature_expected) <= 1e-14
                 else:
                     assert r.status == "ok"
         assert seen[True] and seen[False]
@@ -892,9 +896,9 @@ class TestNegativeControls:
                 model = kappa / 4 * (1 + 3 * np.einsum("ni,ni->n", xs, V.ambient.J(ys)) ** 2)
             else:
                 model = np.full(len(xs), kappa)
-            off = np.abs(sectional_curvature(V, xs, ys) - model)
+            off = np.abs(sectional_curvature(V, xs, ys) - model) / kappa
             assert np.max(off) <= built.curvature_bound + 1e-14
-            bounds.append(built.curvature_bound)
+            bounds.append(built.curvature_bound * kappa)  # the change is made on the calibrated tensor
         assert bounds and max(bounds) <= delta + 1e-14
         assert max(bounds) >= delta - 1e-14
 
@@ -925,6 +929,128 @@ class TestNegativeControls:
             SubspaceBasis.orthonormalized(model, np.array([a, b, a - 2.0 * b]))
         with pytest.raises(ValueError):
             SubspaceBasis.orthonormalized(model, np.array([a, 1e-11 * a]))
+
+
+# ---------------------------------------------------------------------------
+# scale-free checks: verdicts do not depend on the curvature scale
+# ---------------------------------------------------------------------------
+
+
+# about 1e-12 to 1e12: one to ten times a power of ten
+CURVATURES = st.builds(lambda m, e: Fraction(m, 10) * Fraction(10) ** e, st.integers(1, 10), st.integers(-11, 12))
+
+
+def real_in_complex(sub, factor):
+    """Whether ``sub`` is a totally real projective subspace of the complex factor ``factor``."""
+    return sub.field.value == "R" and factor.field.value == "C" and 4 * sub.curvature == factor.curvature
+
+
+def mixed_images(real):
+    """``_box_images`` with the third image of a totally real RH^3 box replaced by ``J e_1``.
+
+    The span of ``e_1, e_2, J e_1`` is J-invariant in no direction and no Lie triple system.
+    """
+
+    def images(sub, factor, block):
+        out = real(sub, factor, block)
+        if real_in_complex(sub, factor) and sub.n == 3:
+            g = block.J_generator
+            out = out.copy()
+            out[2] = g @ out[0] - out[0] @ g
+        return out
+
+    return images
+
+
+def mixed_row_report(c):
+    """The verdict on the totally real ``RH3(c/4)`` of ``CH3(c)`` built with ``J e_1`` as its third vector."""
+    M = ProductSpace((space("C", 3, c),))
+    entry = next(e for e in classify(M) if e.semisimple_factors == (space("R", 3, c / 4),) and e.flat_dim == 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lieverify_mod, "_box_images", mixed_images(lieverify_mod._box_images))
+        report = verify_classification_entry(entry, M)
+        built = lieverify_mod._VerifyMemo.of(M).row(entry.tableau.rows[0])
+    return report.rows[0], built
+
+
+def rotated_residual(V, rng):
+    """The triple residual of ``V``'s span on a basis rotated by a random orthogonal matrix."""
+    O, _ = np.linalg.qr(rng.standard_normal((V.dim, V.dim)))
+    return is_lie_triple_system(SubspaceBasis(V.ambient, O @ V.coords))[1]
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize(
+        "spec, passed",
+        [
+            (f"CH3({10**9}) x CH3(1)", 55),
+            (f"RH3({10**12}) x CH3(1/{10**12})", 30),
+            (f"RH4({10**20}) x CH4({10**20})", 48),
+            (f"CH3({10**20}) x RH3(1)", 30),
+            (f"CH2({10**30}) x RH2(1/{10**30})", 16),
+        ],
+    )
+    def test_honest_products_pass_at_extreme_curvatures(self, spec, passed):
+        _, reports = verify_all(parse_product(spec))
+        assert [r.status for r in reports] == ["pass"] * passed
+        rows = [row for r in reports for row in r.rows]
+        assert max(row.lie_residual for row in rows) <= 1e-13
+        assert max(row.curvature_error for row in rows) <= 1e-12
+
+    def test_the_mixed_row_fails_alike_at_every_scale(self):
+        seen = []
+        for c in (Fraction(1, 10**12), Fraction(1), Fraction(10**12)):
+            row, _ = mixed_row_report(c)
+            assert row.status == "fail" and row.reason.startswith("Lie triple residual"), row.reason
+            seen.append((row.lie_residual, row.curvature_error))
+        for residual, error in seen:
+            assert abs(residual - 1 / math.sqrt(7)) <= 1e-12
+            assert abs(error - seen[0][1]) <= 1e-12 and error > 1
+
+    @settings(max_examples=8, deadline=None)
+    @given(CURVATURES, st.integers(0, 2**32 - 1))
+    def test_honest_rows_pass_and_their_residual_is_basis_free(self, c, seed):
+        rng = np.random.default_rng(seed)
+        for factors in ((space("C", 3, c), space("C", 3, 1)), (space("R", 4, c), space("C", 4, c))):
+            M = ProductSpace(factors)
+            _, reports = verify_all(M)
+            assert all(r.status == "pass" for r in reports), (str(M), [r.rows for r in reports if r.failed])
+            for V in built_families(M):
+                assert rotated_residual(V, rng) <= 1e-13
+
+    @settings(max_examples=8, deadline=None)
+    @given(CURVATURES, st.integers(0, 2**32 - 1))
+    def test_the_mixed_row_fails_on_any_basis(self, c, seed):
+        row, built = mixed_row_report(c)
+        assert row.status == "fail" and row.reason.startswith("Lie triple residual"), row.reason
+        assert abs(row.lie_residual - 1 / math.sqrt(7)) <= 1e-12
+        assert abs(rotated_residual(family(built), np.random.default_rng(seed)) - row.lie_residual) <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(CURVATURES)
+    def test_complex_weights_off_by_four_fail(self, c):
+        # every complex factor's metric weight divided by 4: its curvatures read 4 times too large
+        M = ProductSpace((space("C", 3, c), space("R", 2, c)))
+        real = lieverify_mod._factor_model
+
+        def quartered(factor):
+            block, w = real(factor)
+            return block, w / 4 if factor.field.value == "C" else w
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lieverify_mod, "_factor_model", quartered)
+            entries, reports = verify_all(M)
+        seen = Counter()
+        for e, report in zip(entries, reports):
+            for row, r in zip(e.tableau.rows, report.rows):
+                on_complex = any(b.factor == 1 for b in row)
+                seen[on_complex] += 1
+                if on_complex:
+                    assert r.status == "fail" and r.reason.startswith("curvature off by"), r.reason
+                    assert r.curvature_error > 0.1
+                else:
+                    assert r.status == "ok", r.reason
+        assert seen[True] and seen[False]
 
 
 # ---------------------------------------------------------------------------
@@ -1165,14 +1291,20 @@ class TestClassStacks:
         stacks = {id(b.stack): b.stack for row, b in memo._built.values() if row.space.field.value == "R"}
         assert len(stacks) == 1 and len(next(iter(stacks.values())).coords) > 1
 
-    def test_structural_zeros_are_skipped_per_family(self):
-        # row 1 is a structural zero of family 0 (1e-13 of its largest row) and live in family 1
-        Q = np.zeros((2, 1, 3))
+    def test_the_residual_is_the_frobenius_ratio_per_family(self):
+        # every row counts in its own family, a small one too; a family with no brackets reads 0
+        Q = np.zeros((3, 1, 3))
         Q[:, 0, 0] = 1.0
-        T = np.array([[[2.0, 1.0, 0.0], [1e-13, 1e-13, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]])
-        worst, coeffs = lieverify_mod._worst_residual(T, Q)
-        np.testing.assert_array_equal(coeffs[:, :, 0], [[2.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_allclose(worst, [1 / math.sqrt(5), 1 / math.sqrt(2)], rtol=1e-15)
+        T = np.array(
+            [[[2.0, 1.0, 0.0], [1e-13, 1e-13, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], np.zeros((2, 3))]
+        )
+        residual, coeffs = lieverify_mod._frobenius_residual(T, Q)
+        np.testing.assert_array_equal(coeffs[:, :, 0], [[2.0, 1e-13], [1.0, 1.0], [0.0, 0.0]])
+        expected = [math.sqrt((1 + 1e-26) / (5 + 2e-26)), 1 / math.sqrt(3), 0.0]
+        np.testing.assert_allclose(residual, expected, rtol=1e-15, atol=0)
+        # the same numbers at any scale of T
+        for scale in (1e-150, 1e150):
+            np.testing.assert_allclose(lieverify_mod._frobenius_residual(scale * T, Q)[0], expected, rtol=1e-15)
 
     def test_a_rank_deficient_row_fails_alone(self, monkeypatch):
         M = ProductSpace((space("C", 2, 1), space("C", 2, 2)))
@@ -1208,7 +1340,7 @@ class TestClassStacks:
 
 
 def lone_family_reference(model, raw):
-    """The one-family path as it was before stacks: orthonormal rows, worst residual and ``K``.
+    """The one-family path as it was before stacks: orthonormal rows, triple residual and ``K``.
 
     The same numpy operations in the same order, restated for 2-d arrays
     only, so that the stacked code's one-family path can be pinned bit for bit.
@@ -1227,17 +1359,11 @@ def lone_family_reference(model, raw):
         T *= r.inv_w[:, None, None, None]
         out[..., r.span] = T.transpose(1, 2, 0, 3).reshape(len(i), dim, r.count * q)
     T = out.reshape(-1, width)
-    norms = np.sqrt(np.einsum("ij,ij->i", T, T))
-    live = norms > TOL_ARITHMETIC * max(float(norms.max(initial=0.0)), 1.0)
-    coeffs = np.zeros((len(T), dim))
-    worst = 0.0
-    if live.any():
-        T = T[live]
-        coeffs[live] = TQ = T @ C.T
-        norms = np.sqrt(np.einsum("ij,ij->i", T, T))
-        rem = T - TQ @ C
-        worst = float((np.sqrt(np.einsum("ij,ij->i", rem, rem)) / norms).max())
-    return C, worst, coeffs.reshape(-1, dim, dim)[:, i, j]
+    coeffs = T @ C.T
+    N = T - coeffs @ C
+    norm = float(np.sqrt(np.einsum("ij,ij->", T, T)))
+    residual = float(np.sqrt(np.einsum("ij,ij->", N, N))) / norm if norm > 0 else 0.0
+    return C, residual, coeffs.reshape(-1, dim, dim)[:, i, j]
 
 
 def lone_curvature_reference(C, K, X, Y):
@@ -1274,9 +1400,9 @@ class TestTracerContract:
         V = construct_diagonal_cp(k, s, n)
         block = grassmannian_decomp(1, n)
         raw = np.hstack([np.eye(block.p_dim)] * s + [block.coefficients(block.p_basis.conj())] * (k - s))
-        C, worst, K = lone_family_reference(V.ambient, raw)
+        C, residual, K = lone_family_reference(V.ambient, raw)
         np.testing.assert_array_equal(V.coords, C)
-        assert is_lie_triple_system(V) == (worst <= 1e-9, worst)
+        assert is_lie_triple_system(V) == (residual <= 1e-9, residual)
         np.testing.assert_array_equal(V._triple_check.K, K)
         rng = np.random.default_rng(k)
         X, Y = (np.array([V.random_unit_vector(rng) for _ in range(4)]) for _ in range(2))
@@ -1338,7 +1464,8 @@ class TestDerivedTotal:
         assert [r.status for r in report.rows] == ["fail", "ok"]
         assert report.status == "fail" and report.reason is not None
         assert report.total_lie_residual == report.rows[0].lie_residual > 1e-9
-        assert abs(report.total_lie_residual - whole_subspace_residual(M, entry)) <= 1e-15
+        # the whole subspace's brackets are its rows' together, so its ratio lies between the rows' ratios
+        assert 1e-9 < whole_subspace_residual(M, entry) <= report.total_lie_residual + 1e-15
         assert report.reason == (
             f"total Lie triple residual {report.total_lie_residual:.3e} exceeds 1.0e-09"
         )
@@ -1495,7 +1622,8 @@ class TestCurvatureTensor:
     def test_contraction_is_the_direct_formula_off_a_triple_system(self):
         V = mixed_three_plane_of_cp2()
         ok, residual = is_lie_triple_system(V)
-        assert not ok and abs(residual - 1.0) <= 1e-12
+        # of the brackets' squared norm, 1/7 lies along J e_1
+        assert not ok and abs(residual - 1 / math.sqrt(7)) <= 1e-12
         assert_contraction_is_direct(V, np.random.default_rng(18))
         # with no check run, the basis computes the same tensor itself
         fresh = mixed_three_plane_of_cp2()
@@ -1643,22 +1771,18 @@ def ref_norm(weights, u):
 
 
 def ref_triple_residual(weights, vectors):
+    """The brackets' Frobenius norm off the span over their own, summed bracket by bracket; 0 if none."""
     triples = [
         ref_comm(ref_comm(vectors[i], vectors[j]), vectors[l])
         for i in range(len(vectors))
         for j in range(i + 1, len(vectors))
         for l in range(len(vectors))
     ]
-    norms = [ref_norm(weights, t) for t in triples]
-    floor = 1e-12 * max(max(norms, default=0.0), 1.0)
-    return max(
-        (
-            ref_norm(weights, ref_remainder(weights, vectors, t)) / n
-            for t, n in zip(triples, norms)
-            if n > floor
-        ),
-        default=0.0,
-    )
+    total = sum(ref_inner(weights, t, t) for t in triples)
+    if total == 0.0:
+        return 0.0
+    normal = sum(ref_norm(weights, ref_remainder(weights, vectors, t)) ** 2 for t in triples)
+    return math.sqrt(normal / total)
 
 
 def ref_raw_curvature(weights, x, y):
