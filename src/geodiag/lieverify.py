@@ -35,10 +35,12 @@ the coefficients of its matrix on its orthonormal ``p`` basis, so the
 weighted inner product is the plain dot product and a :class:`SubspaceBasis`
 is one ``(dim, sum q_b)`` array of orthonormal rows (``q_b`` = dim ``p`` of
 block b), or a ``(k, dim, sum q_b)`` stack of k such families checked at
-once.  Matrices enter only through :meth:`CartanDecomp.coefficients`,
-which refuses a matrix outside ``p``.  Quaternionic and octonionic factors
-have no matrix model here; rows meeting one are reported as unsupported
-rather than approximated.
+once.  Matrices enter only where a block model is first built, for its
+:attr:`CartanDecomp.J_p` and :attr:`CartanDecomp.triple_tensor`; a box's
+coordinates (:func:`_box_coordinates`) and ``Theta`` are index tables on
+the block's ``p`` basis.  Quaternionic and octonionic factors have no
+matrix model here; rows meeting one are reported as unsupported rather
+than approximated.
 
 Triple brackets are contractions of these coordinates with each block's
 bracket tensor ``<[[P_a, P_b], P_c], P_d>``, built once: no ``N x N``
@@ -290,7 +292,10 @@ def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
     ``p`` is the off-diagonal blocks identified with k x n complex matrices;
     ``k`` is the block-diagonal ``s(u(k) + u(n))``.  The complex structure
     generator is ``J = i diag(n 1_k, -k 1_n)/(n+k)``, whose adjoint action
-    is ``i`` on ``p``.
+    is ``i`` on ``p``.  Basis vectors ``2r`` and ``2r + 1``, ``r = a n + b``,
+    are ``(E - E^T)/sqrt(2)`` and ``i(E + E^T)/sqrt(2)`` for ``E = E_(a, k+b)``;
+    the second is ``J`` of the first, and entrywise conjugation fixes the first
+    and negates the second.  On ``CP^n`` (k = 1), ``e_b`` is ``2b`` and ``J e_b`` is ``2b + 1``.
     """
     if k < 1 or n < 1:
         raise ValueError("block sizes must be positive")
@@ -303,8 +308,9 @@ def grassmannian_decomp(k: int, n: int) -> CartanDecomp:
 def sphere_decomp(m: int) -> CartanDecomp:
     """The ``so(m+1)`` model of the sphere ``S^m``.
 
-    ``p`` is the last column of antisymmetric real matrices; ``k = so(m)``
-    acts on the first m coordinates.  No complex structure.
+    ``p`` is the last column of antisymmetric real matrices, basis vector
+    ``a`` being ``(E_(a, m) - E_(m, a))/sqrt(2)``; ``k = so(m)`` acts on the
+    first m coordinates.  No complex structure.
     """
     if m < 2:
         raise ValueError("sphere dimension must be at least 2")
@@ -593,7 +599,7 @@ def construct_diagonal_cp(k: int, s: int, n: int) -> SubspaceBasis:
         raise ValueError("s must lie in 0..k")
     block = grassmannian_decomp(1, n)
     model = ProductModel((block,) * k, (1.0,) * k)
-    direct, conjugated = np.eye(block.p_dim), block.coefficients(block.p_basis.conj())
+    direct, conjugated = np.eye(2 * n), np.diag(np.tile([1.0, -1.0], n))  # Theta: +e_a, -J e_a
     return SubspaceBasis.orthonormalized(model, np.hstack([direct] * s + [conjugated] * (k - s)))
 
 
@@ -617,34 +623,28 @@ def _factor_model(space: RankOneSpace) -> tuple[CartanDecomp, float] | None:
     return None
 
 
-def _box_images(
-    inclusion_sub: RankOneSpace, factor: RankOneSpace, block: CartanDecomp
-) -> np.ndarray:
-    """Images of the standard tangent basis of the box's submanifold class.
+def _box_coordinates(sub: RankOneSpace, ambient: RankOneSpace, q: int) -> np.ndarray:
+    """The box's ``(dim, q)`` coefficients on its factor's ``p`` basis, q = p_dim: unit rows times one scale.
 
-    The ``(dim, N, N)`` stack is the image of one fixed abstract basis under
-    a Lie algebra homomorphism into the factor model (up to one common
-    scale), so diagonals assembled from these stacks across boxes are Lie
-    triple systems by construction; the numerical check below re-verifies
-    that independently.
+    Each row is the image of one fixed abstract basis vector of the box's class
+    under a Lie algebra homomorphism into the factor model, up to one common
+    scale, so diagonals glued from these rows across boxes are Lie triple
+    systems by construction; the numerical check re-verifies that
+    independently.  Row indices follow the layouts of :func:`sphere_decomp`
+    and :func:`grassmannian_decomp` (``CP^n``: ``e_a`` is ``2a``, ``J e_a`` is ``2a + 1``).
     """
-    sub, amb = inclusion_sub, factor
-    N = block.N
-    if sub.field is Field.R:
-        if amb.field is Field.R:
-            # sub-sphere on the first n' coordinates, pole at the last axis
-            return _generators(N, [(a, N - 1) for a in range(sub.n)])[::2]
-        if amb.field is Field.C:
-            if 4 * sub.curvature == amb.curvature:
-                # totally real projective subspace: real antisymmetric corner
-                return -_generators(N, [(0, a + 1) for a in range(sub.n)])[::2]
-            if sub.curvature == amb.curvature and sub.n == 2:
-                # the complex line: explicit so(3) -> su(2) isomorphism
-                return -0.5 * _generators(N, [(0, 1)])
-        raise ValueError(f"no matrix model for {sub} inside {amb}")
-    if sub.field is Field.C and amb.field is Field.C:
-        return _generators(N, [(0, a + 1) for a in range(sub.n)])
-    raise ValueError(f"no matrix model for {sub} inside {amb}")
+    pair = sub.field, ambient.field
+    if pair == (Field.R, Field.R):
+        rows, scale = range(sub.n), 1.0  # sub-sphere on the first coordinates
+    elif pair == (Field.C, Field.C):
+        rows, scale = range(2 * sub.n), 1.0
+    elif pair == (Field.R, Field.C) and 4 * sub.curvature == ambient.curvature:
+        rows, scale = range(0, 2 * sub.n, 2), -1.0  # totally real projective subspace
+    elif pair == (Field.R, Field.C) and sub.curvature == ambient.curvature and sub.n == 2:
+        rows, scale = range(2), -0.5  # the complex line: the so(3) -> su(2) isomorphism
+    else:
+        raise ValueError(f"no matrix model for {sub} inside {ambient}")
+    return scale * np.eye(q)[rows]
 
 
 def _label_mismatch(label: RankOneSpace, diagonal: RankOneSpace) -> str | None:
@@ -718,7 +718,7 @@ def _build_stack(model: ProductModel, rows: Sequence, raw: np.ndarray) -> list[_
 
 
 class _VerifyMemo:
-    """The model, box coordinates, built rows and row verdicts of one product, each made once.
+    """The model, built rows and row verdicts of one product, each made once.
 
     One :class:`ProductModel` holds every modelled factor, in factor order; a row's
     coordinates are its boxes' on their factors' blocks and 0 elsewhere.  The rows
@@ -727,8 +727,8 @@ class _VerifyMemo:
     coordinates stays out of the stack; a stack that raises keeps nothing, and its
     rows are then built one at a time when asked for, as is a row that is not the
     row memo's (forged or copied).  A row that cannot be built is not kept: each new
-    verdict on it builds it again.  Rows and boxes are found again by identity, and
-    held so that their identity stays valid.  Products above ``MAX_MODEL_SIZE`` are
+    verdict on it builds it again.  Rows are found again by identity, and held so
+    that their identity stays valid.  Products above ``MAX_MODEL_SIZE`` are
     refused before any model is built.
     """
 
@@ -753,7 +753,6 @@ class _VerifyMemo:
         self.factor_models = {i: fm for i in range(1, M.r + 1) if (fm := _factor_model(M.factor(i)))}
         self._factors, self._row_memo = M.factors, M._memo
         self._classes: dict[tuple, list] | None = None
-        self._boxes: dict[int, tuple[object, np.ndarray]] = {}
         self._built: dict[int, tuple[tuple, _BuiltRow]] = {}
         self._reports: dict[tuple, tuple[tuple, RowVerification]] = {}
 
@@ -762,22 +761,16 @@ class _VerifyMemo:
         """The direct sum of the modelled factors' models, in factor order; made with the first row."""
         return ProductModel(*zip(*self.factor_models.values()))
 
-    def _box(self, box) -> np.ndarray:
-        """The box's weighted ``(dim, q)`` coordinates on its factor's block.
-
-        Raises ValueError when the box has no matrix model or an image is not in ``p``.
-        """
-        hit = self._boxes.get(id(box))
-        if hit is not None and hit[0] is box:
-            return hit[1]
-        block, w = self.factor_models[box.factor]
-        coords = math.sqrt(w) * block.coefficients(_box_images(box.inclusion.sub, box.inclusion.ambient, block))
-        self._boxes[id(box)] = (box, coords)
-        return coords
-
     def _coordinates(self, row) -> np.ndarray:
-        """The ``(dim, p_dim)`` coordinates of the row's box images in :attr:`model`, before orthonormalization."""
-        parts = {box.factor: self._box(box) for box in row}
+        """The ``(dim, p_dim)`` coordinates of the row in :attr:`model`, before orthonormalization.
+
+        Each box's weighted :func:`_box_coordinates` on its factor's block, and 0
+        elsewhere.  Raises ValueError for a box that the table cannot place.
+        """
+        parts = {}
+        for box in row:
+            block, w = self.factor_models[box.factor]
+            parts[box.factor] = math.sqrt(w) * _box_coordinates(box.inclusion.sub, box.inclusion.ambient, block.p_dim)
         dim = len(parts[row[0].factor])
         blocks = self.factor_models.items()
         return np.hstack([parts[i] if i in parts else np.zeros((dim, b.p_dim)) for i, (b, _) in blocks])

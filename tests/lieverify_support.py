@@ -1,7 +1,7 @@
 """Test-only helpers for the verifier: random unitaries, an SVD basis of
 ``span [p, p]`` and the model relations, conjugated models, blockwise
-commutators taken on matrices, a matrix triple check and the Grassmannian
-product construction.
+commutators taken on matrices, a matrix triple check, the box images as
+matrices and the Grassmannian product construction.
 
 The package does not run these; the tests use them to check the models
 and the invariance of the measurements under isometries.  Coordinates are
@@ -14,11 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from geodiag.catalog import Field
 from geodiag.lieverify import (
     CartanDecomp,
     ProductModel,
     SubspaceBasis,
     _flat,
+    _generators,
     _pairs,
     bracket,
     grassmannian_decomp,
@@ -136,6 +138,32 @@ def reference_triple_check(V):
     residual = np.linalg.norm(T - TC @ E) / norm if norm > 0 else 0.0
     l, m = _pairs(d)
     return residual, TC.reshape(-1, d, d)[:, l, m]
+
+
+def reference_box_images(sub, ambient, block):
+    """The ``(dim, N, N)`` matrix images of a box's standard tangent basis in its factor's ``block``.
+
+    The images of one fixed abstract basis under a Lie algebra homomorphism
+    into the factor model, up to one common scale; ``block.coefficients`` of
+    them is the table ``lieverify._box_coordinates`` reads.  Raises ValueError
+    for a class with no images, as the table does.
+    """
+    N = block.N
+    if sub.field is Field.R:
+        if ambient.field is Field.R:
+            # sub-sphere on the first coordinates, pole at the last axis
+            return _generators(N, [(a, N - 1) for a in range(sub.n)])[::2]
+        if ambient.field is Field.C:
+            if 4 * sub.curvature == ambient.curvature:
+                # totally real projective subspace: real antisymmetric corner
+                return -_generators(N, [(0, a + 1) for a in range(sub.n)])[::2]
+            if sub.curvature == ambient.curvature and sub.n == 2:
+                # the complex line: explicit so(3) -> su(2) isomorphism
+                return -0.5 * _generators(N, [(0, 1)])
+        raise ValueError(f"no matrix model for {sub} inside {ambient}")
+    if sub.field is Field.C and ambient.field is Field.C:
+        return _generators(N, [(0, a + 1) for a in range(sub.n)])
+    raise ValueError(f"no matrix model for {sub} inside {ambient}")
 
 
 def construct_grassmannian_product(partition: Sequence[int], shape: tuple[int, int]) -> SubspaceBasis:

@@ -389,12 +389,10 @@ class TestCommands:
         import geodiag.cli as cli_mod
         import geodiag.lieverify as lieverify_mod
 
-        real_images, real_classify = lieverify_mod._box_images, cli_mod.classify
+        real_classify = cli_mod.classify
 
-        def no_images_on_n3(sub, factor, block):
-            if factor.n == 3:
-                raise ValueError("no images here")
-            return real_images(sub, factor, block)
+        def no_images(sub, ambient, q):
+            raise ValueError("no images here")
 
         def relabelled(M):
             for e in real_classify(M):
@@ -403,7 +401,7 @@ class TestCommands:
                 yield e
 
         with monkeypatch.context() as patch:
-            patch.setattr(lieverify_mod, "_box_images", no_images_on_n3)
+            patch.setattr(lieverify_mod, "_box_coordinates", no_images)
             code, out = invoke(["verify", "-m", "CH3(1)", "--seed", "0"])
         assert code == 1
         assert "             row 0: fail: not measurable: no images here\n" in out

@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geodiag.lieverify as lieverify_mod
-from geodiag.catalog import RankOneSpace, TotGeodInclusion, space
+from geodiag.catalog import RankOneSpace, TotGeodInclusion, list_totally_geodesic, space
 from geodiag.cli import parse_product
 from geodiag.tableaux import (
     AdaptedTableau,
@@ -51,6 +52,7 @@ from lieverify_support import (
     model_bracket,
     model_triple,
     random_special_unitary,
+    reference_box_images,
     reference_triple_check,
     split,
 )
@@ -231,6 +233,66 @@ class TestWhereMatricesEnter:
             with pytest.raises(ValueError, match="^subspace basis rows must have width 7, got shape"):
                 SubspaceBasis(model, rows)
         assert SubspaceBasis(model, np.eye(7)[:2]).dim == 2
+
+
+def one_row_statuses(M):
+    """The statuses of the one-row entries of a one-factor product, by the row's box class."""
+    out = {}
+    for e, report in zip(*verify_all(M)):
+        if len(e.tableau.rows) == 1:
+            (box,) = e.tableau.rows[0]
+            out.setdefault(box.inclusion.sub, set()).add(report.rows[0].status)
+    return out
+
+
+class TestBoxTable:
+    @pytest.mark.parametrize("compact_dual", [False, True])
+    @pytest.mark.parametrize("field", ["R", "C"])
+    def test_the_table_is_the_projected_matrix_images(self, field, compact_dual):
+        for n, c in itertools.product(range(2, 6), (Fraction(1), Fraction(7, 3))):
+            amb = space(field, n, c, compact_dual)
+            block, _ = lieverify_mod._factor_model(amb)
+            classes = [inc.sub for inc in list_totally_geodesic(amb, include_improper=True)]
+            for sub in classes:
+                table = lieverify_mod._box_coordinates(sub, amb, block.p_dim)
+                reference = block.coefficients(reference_box_images(sub, amb, block))
+                assert table.shape == reference.shape, (str(sub), str(amb))
+                assert np.max(np.abs(table - reference)) <= 3e-16, (str(sub), str(amb))
+            assert one_row_statuses(ProductSpace((amb,))) == {sub: {"ok"} for sub in classes}
+
+    @pytest.mark.parametrize("amb", [space("H", n, 1) for n in range(2, 6)] + [space("O", 2, 1, True)], ids=str)
+    def test_quaternionic_and_octonionic_classes_have_no_rows(self, amb):
+        for inc in list_totally_geodesic(amb, include_improper=True):
+            message = f"^no matrix model for {re.escape(str(inc.sub))} inside {re.escape(str(amb))}$"
+            with pytest.raises(ValueError, match=message):
+                lieverify_mod._box_coordinates(inc.sub, amb, 4 * amb.n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_theta_and_j_are_the_basis_patterns(self, n):
+        # conjugation fixes e_a (basis vector 2a) and negates J e_a (2a + 1), which J maps e_a to
+        block = grassmannian_decomp(1, n)
+        theta = np.diag(np.tile([1.0, -1.0], n))
+        np.testing.assert_allclose(theta, block.coefficients(block.p_basis.conj()), rtol=0, atol=3e-16)
+        np.testing.assert_allclose(block.J_p[0::2], np.eye(2 * n)[1::2], rtol=0, atol=3e-16)
+
+    def test_a_warm_pass_and_a_diagonal_cp_project_no_matrix(self, monkeypatch):
+        specs = ["CH3(1) x RH3(2)", "CH2(1) x CH2(1/2) x RH2(1)", "CH3(1)* x RH2(2)*"]
+        for spec in specs:
+            verify_all(parse_product(spec))  # builds each block's J_p and bracket tensor
+        calls = []
+        real = CartanDecomp.coefficients
+
+        def counted(self, X):
+            calls.append(X.shape)
+            return real(self, X)
+
+        monkeypatch.setattr(CartanDecomp, "coefficients", counted)
+        for spec in specs:
+            _, reports = verify_all(parse_product(spec))  # a fresh product and memo on warm blocks
+            assert {r.status for r in reports} == {"pass"}
+        for k, s, n in ((3, 1, 2), (4, 2, 3), (2, 0, 4)):
+            construct_diagonal_cp(k, s, n)
+        assert calls == []
 
 
 class TestLieTripleSystem:
@@ -786,15 +848,20 @@ class TestNegativeControls:
         assert report.reason == f"factor {shared} carries {carried}"
         assert report.to_dict()["reason"] == report.reason
 
-    def test_a_box_image_off_p_fails_its_row_instead_of_raising(self, monkeypatch):
-        # every box maps onto an element of k: each row is refused where its matrices enter
-        monkeypatch.setattr(lieverify_mod, "_box_images", lambda sub, factor, block: bracket(*block.p_basis[:2])[None])
-        _, reports = verify_all(ProductSpace((space("C", 2, 1), space("R", 3, 1))))
-        rows = [row for report in reports for row in report.rows]
+    def test_a_box_the_table_cannot_place_fails_its_rows_instead_of_raising(self, monkeypatch):
+        # the table is asked for every box as if its class were quaternionic, which it has no rows for
+        real = lieverify_mod._box_coordinates
+        as_quaternionic = lambda sub, ambient, q: real(space("H", sub.n, sub.curvature), ambient, q)
+        monkeypatch.setattr(lieverify_mod, "_box_coordinates", as_quaternionic)
+        entries, reports = verify_all(ProductSpace((space("C", 2, 1), space("R", 3, 1))))
+        rows = [(row, r) for e, report in zip(entries, reports) for row, r in zip(e.tableau.rows, report.rows)]
         assert rows
-        for row in rows:
-            assert row.status == "fail" and row.reason == "not measurable: matrix does not lie in p"
-            assert row.lie_residual is None and row.planes is None
+        for row, r in rows:
+            box = row[0]
+            quaternionic = space("H", box.inclusion.sub.n, box.inclusion.sub.curvature)
+            assert r.status == "fail"
+            assert r.reason == f"not measurable: no matrix model for {quaternionic} inside {box.inclusion.ambient}"
+            assert r.lie_residual is None and r.planes is None
 
     def test_j_must_keep_every_vector_of_a_complex_row_inside(self, monkeypatch):
         # J moves only the odd basis vectors off the row, so every basis plane (e_a, J e_a) stays inside
@@ -946,17 +1013,16 @@ def real_in_complex(sub, factor):
 
 
 def mixed_images(real):
-    """``_box_images`` with the third image of a totally real RH^3 box replaced by ``J e_1``.
+    """``_box_coordinates`` with the third vector of a totally real RH^3 box replaced by ``J e_1``.
 
-    The span of ``e_1, e_2, J e_1`` is J-invariant in no direction and no Lie triple system.
+    ``J e_1`` is basis vector 1 of ``CP^n``'s ``p``.  The span of ``e_1, e_2, J e_1``
+    is J-invariant in no direction and no Lie triple system.
     """
 
-    def images(sub, factor, block):
-        out = real(sub, factor, block)
-        if real_in_complex(sub, factor) and sub.n == 3:
-            g = block.J_generator
-            out = out.copy()
-            out[2] = g @ out[0] - out[0] @ g
+    def images(sub, ambient, q):
+        out = real(sub, ambient, q)
+        if real_in_complex(sub, ambient) and sub.n == 3:
+            out[2] = np.eye(q)[1]
         return out
 
     return images
@@ -967,7 +1033,7 @@ def mixed_row_report(c):
     M = ProductSpace((space("C", 3, c),))
     entry = next(e for e in classify(M) if e.semisimple_factors == (space("R", 3, c / 4),) and e.flat_dim == 0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lieverify_mod, "_box_images", mixed_images(lieverify_mod._box_images))
+        patch.setattr(lieverify_mod, "_box_coordinates", mixed_images(lieverify_mod._box_coordinates))
         report = verify_classification_entry(entry, M)
         built = lieverify_mod._VerifyMemo.of(M).row(entry.tableau.rows[0])
     return report.rows[0], built
@@ -984,6 +1050,7 @@ class TestScaleFree:
         "spec, passed",
         [
             (f"CH3({10**9}) x CH3(1)", 55),
+            (f"RH3({10**30}) x CH3(1)", 30),
             (f"RH3({10**12}) x CH3(1/{10**12})", 30),
             (f"RH4({10**20}) x CH4({10**20})", 48),
             (f"CH3({10**20}) x RH3(1)", 30),
@@ -996,6 +1063,19 @@ class TestScaleFree:
         rows = [row for r in reports for row in r.rows]
         assert max(row.lie_residual for row in rows) <= 1e-13
         assert max(row.curvature_error for row in rows) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [f"RH3({10**30}) x CH3(1)", f"CH3(1) x RH3({10**30})"])
+    def test_complex_rows_have_no_mass_on_a_sphere_block_of_tiny_weight(self, spec):
+        # J's mass check is absolute and scales a sphere block's coordinates by 1/sqrt(w) = 1e15
+        M = parse_product(spec)
+        _, reports = verify_all(M)
+        assert [r.status for r in reports] == ["pass"] * 30
+        memo = lieverify_mod._VerifyMemo.of(M)
+        (sphere,) = [r for r in memo.model._runs if r.block.J_p is None]
+        stacks = [b.stack for row, b in memo._built.values() if row.space.field.value == "C"]
+        assert stacks
+        for V in stacks:
+            assert not np.any(V.coords[..., sphere.span])
 
     def test_the_mixed_row_fails_alike_at_every_scale(self):
         seen = []
@@ -1264,14 +1344,14 @@ class TestClassStacks:
     def test_a_row_without_box_images_fails_alone(self, monkeypatch):
         M = ProductSpace((space("C", 2, 1), space("C", 2, 2)))
         bad = (space("R", 2, Fraction(1, 4)), M.factor(1))  # the totally real planes of factor 1
-        real = lieverify_mod._box_images
+        real = lieverify_mod._box_coordinates
 
-        def images(sub, factor, block):
-            if (sub, factor) == bad:
+        def images(sub, ambient, q):
+            if (sub, ambient) == bad:
                 raise ValueError("no images for this box")
-            return real(sub, factor, block)
+            return real(sub, ambient, q)
 
-        monkeypatch.setattr(lieverify_mod, "_box_images", images)
+        monkeypatch.setattr(lieverify_mod, "_box_coordinates", images)
         holds = lambda row: any((b.inclusion.sub, b.inclusion.ambient) == bad for b in row)
         for _ in range(2):  # a second call fails the rows again
             entries, reports = verify_all(M)
@@ -1399,7 +1479,7 @@ class TestTracerContract:
     def test_one_diagonal_cp_is_bit_identical_to_the_one_family_path(self, k, s, n):
         V = construct_diagonal_cp(k, s, n)
         block = grassmannian_decomp(1, n)
-        raw = np.hstack([np.eye(block.p_dim)] * s + [block.coefficients(block.p_basis.conj())] * (k - s))
+        raw = np.hstack([np.eye(block.p_dim)] * s + [np.diag(np.tile([1.0, -1.0], n))] * (k - s))
         C, residual, K = lone_family_reference(V.ambient, raw)
         np.testing.assert_array_equal(V.coords, C)
         assert is_lie_triple_system(V) == (residual <= 1e-9, residual)
