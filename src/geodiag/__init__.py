@@ -1,6 +1,6 @@
 """Totally geodesic submanifolds of products of rank-one symmetric spaces.
 
-The package has four layers:
+The package has five layers:
 
 * :mod:`geodiag.catalog` -- exact database of rank-one spaces and their
   totally geodesic submanifolds, with rational curvature parameters.
@@ -9,8 +9,10 @@ The package has four layers:
   curvatures.
 * :mod:`geodiag.kahler` -- constant Kahler angles of diagonal projective
   subspaces, exact rational realizations, density by continued fractions.
-* :mod:`geodiag.lieverify` -- independent numerical verification in
-  compact skew-Hermitian matrix models.
+* :mod:`geodiag.models` -- compact skew-Hermitian matrix models and their
+  weighted direct sums, the only place matrices are built.
+* :mod:`geodiag.lieverify` -- independent numerical verification of
+  classification entries in those models, on p-coordinate rows.
 
 :mod:`geodiag.cli` wires these into the ``geodiag`` command.
 """

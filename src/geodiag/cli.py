@@ -334,7 +334,7 @@ def _cmd_verify(args, out) -> int:
     counts = {"pass": 0, "fail": 0, "unsupported": 0}
     row_texts: dict[int, tuple[object, str]] = {}
     for e in classify(M):
-        report = verify_classification_entry(e, M, lie_tol=args.tol, curvature_tol=10 * args.tol)
+        report = verify_classification_entry(e, M, lie_tol=args.tol)
         counts[report.status] += 1
         if args.json:
             out.write(_verification_line(report, row_texts))

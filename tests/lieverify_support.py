@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from geodiag.catalog import Field
-from geodiag.lieverify import (
+from geodiag.lieverify import SubspaceBasis
+from geodiag.models import (
     CartanDecomp,
     ProductModel,
-    SubspaceBasis,
     _flat,
     _generators,
     _pairs,

@@ -15,14 +15,13 @@ import numpy as np
 from geodiag.catalog import are_homothetic, is_totally_geodesic, space
 from geodiag.kahler import angles_in_product, approximate_angle, realize_angle
 from geodiag.lieverify import (
-    ProductModel,
     SubspaceBasis,
     construct_diagonal_cp,
-    grassmannian_decomp,
     is_lie_triple_system,
     kahler_angle_of,
     sectional_curvature,
 )
+from geodiag.models import ProductModel, grassmannian_decomp
 from geodiag.tableaux import ProductSpace, classify, diagonal_curvature
 
 from lieverify_support import construct_grassmannian_product, model_bracket

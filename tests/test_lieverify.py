@@ -3,8 +3,13 @@ import dataclasses
 import functools
 import gc
 import itertools
+import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geodiag.lieverify as lieverify_mod
+import geodiag.models as models_mod
 from geodiag.catalog import RankOneSpace, TotGeodInclusion, list_totally_geodesic, space
 from geodiag.cli import parse_product
 from geodiag.tableaux import (
@@ -26,20 +32,22 @@ from geodiag.tableaux import (
     diagonal_curvature,
 )
 from geodiag.lieverify import (
-    TOL_ARITHMETIC,
-    CartanDecomp,
-    ProductModel,
     SubspaceBasis,
-    bracket,
-    calibration_constant,
-    check_element,
     construct_diagonal_cp,
-    grassmannian_decomp,
     is_lie_triple_system,
     kahler_angle_of,
     sectional_curvature,
-    sphere_decomp,
     verify_classification_entry,
+)
+from geodiag.models import (
+    TOL_ARITHMETIC,
+    CartanDecomp,
+    ProductModel,
+    bracket,
+    calibration_constant,
+    check_element,
+    grassmannian_decomp,
+    sphere_decomp,
 )
 
 from lieverify_support import (
@@ -233,6 +241,69 @@ class TestWhereMatricesEnter:
             with pytest.raises(ValueError, match="^subspace basis rows must have width 7, got shape"):
                 SubspaceBasis(model, rows)
         assert SubspaceBasis(model, np.eye(7)[:2]).dim == 2
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# every name that builds or holds a matrix, and the row helpers the models share with the measurement
+MOVED = (
+    "bracket", "check_element", "_generators", "_flat", "CartanDecomp", "grassmannian_decomp", "sphere_decomp",
+    "calibration_constant", "_Run", "ProductModel", "_pairs", "_T", "_row_norms", "_residuals",
+)
+
+
+def fresh_process_json(script):
+    """What ``script`` prints as JSON, run in a fresh interpreter on the package source."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestModelsSeam:
+    def test_the_models_load_without_the_package(self):
+        # loaded by path, outside the package: a relative import would raise, an absolute one would show
+        script = (
+            "import importlib.util, json, sys\n"
+            f"spec = importlib.util.spec_from_file_location('alone', {str(SRC / 'geodiag' / 'models.py')!r})\n"
+            "alone = sys.modules['alone'] = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(alone)\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('geodiag')]))\n"
+        )
+        assert fresh_process_json(script) == []
+        script = (
+            "import json, sys, geodiag\n"
+            "before = set(sys.modules)\n"
+            "import geodiag.models\n"
+            "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith('geodiag'))))\n"
+        )
+        assert fresh_process_json(script) == ["geodiag.models"]
+
+    def test_every_moved_name_has_its_home_in_models(self):
+        script = (
+            "import json, geodiag.lieverify as lv, geodiag.models as m\n"
+            f"names = {MOVED!r}\n"
+            "print(json.dumps([[getattr(m, n).__module__, vars(lv).get(n, getattr(m, n)) is getattr(m, n)]"
+            " for n in names]))\n"
+        )
+        assert fresh_process_json(script) == [["geodiag.models", True]] * len(MOVED)
+
+    def test_a_warm_verify_builds_no_model(self):
+        script = (
+            "import io, json\n"
+            "from geodiag.cli import run\n"
+            "from geodiag.models import CartanDecomp\n"
+            "built, real = [], CartanDecomp.__post_init__\n"
+            "CartanDecomp.__post_init__ = lambda self: (built.append(self.N), real(self))\n"
+            "argv = ['verify', '-m', 'CH3(1) x CH3(1) x RH3(1)']\n"
+            "codes = [run(argv, io.StringIO())]\n"
+            "cold = list(built)\n"
+            "codes.append(run(argv, io.StringIO()))\n"
+            "print(json.dumps([codes, sorted(cold), built[len(cold):]]))\n"
+        )
+        codes, cold, warm = fresh_process_json(script)
+        # the first run builds CH^3's and RH^3's blocks and the calibration's su(2); the second none
+        assert codes == [0, 0] and cold == [2, 4, 4] and warm == []
 
 
 def one_row_statuses(M):
@@ -1284,7 +1355,8 @@ class TestRowMemo:
         assert row.reason == "label CH2(1) differs from the row's diagonal CH2(1/2)"
 
     def test_tolerance_is_compared_on_every_call(self):
-        # unequal curvatures leave rounding in some rows' residuals and none in others
+        # unequal curvatures leave rounding in some rows' residuals and none in others;
+        # the curvature error is compared with 10 * lie_tol
         M = ProductSpace((space("C", 3, 1), space("C", 3, 2)))
         _, first = verify_all(M)
         assert all(r.status == "pass" for r in first)
@@ -1292,11 +1364,14 @@ class TestRowMemo:
         flipped = 0
         for a, b in zip(first, strict):
             for ra, rb in zip(a.rows, b.rows):
-                assert ra.lie_residual == rb.lie_residual
+                assert (ra.lie_residual, ra.curvature_error) == (rb.lie_residual, rb.curvature_error)
                 if ra.lie_residual > 1e-30:
                     flipped += 1
                     assert rb.status == "fail"
                     assert rb.reason == f"Lie triple residual {rb.lie_residual:.3e} exceeds 1.0e-30"
+                elif ra.curvature_error > 1e-29:
+                    assert rb.status == "fail"
+                    assert rb.reason == f"curvature off by {rb.curvature_error:.3e}"
                 else:
                     assert rb.status == "ok"
         assert flipped > 0
@@ -1428,7 +1503,7 @@ def lone_family_reference(model, raw):
     Q, R = np.linalg.qr(raw.T)
     C = np.multiply(Q.T, np.sign(R.diagonal())[:, None], order="C")
     dim, width = C.shape
-    i, j = lieverify_mod._pairs(dim)
+    i, j = models_mod._pairs(dim)
     out = np.empty((len(i), dim, width))
     for r in model._runs:
         q = r.block.p_dim
@@ -1451,7 +1526,7 @@ def lone_curvature_reference(C, K, X, Y):
     n = len(X)
     coeffs = np.concatenate([X, Y]) @ C.T
     A, B = coeffs[:n], coeffs[n:]
-    i, j = lieverify_mod._pairs(len(C))
+    i, j = models_mod._pairs(len(C))
     O = A[:, :, None] * B[:, None, :]
     W = (O - O.transpose(0, 2, 1))[:, i, j]
     return 4.0 / calibration_constant() * np.einsum("np,np->n", W @ K, W) / np.einsum("np,np->n", W, W)
@@ -1752,7 +1827,7 @@ class TestCurvatureTensor:
 
         with monkeypatch.context() as patch:
             for owner, attr, stack in [
-                (lieverify_mod, "bracket", lambda args: None),
+                (models_mod, "bracket", lambda args: None),
                 (ProductModel, "triples", lambda args: args[1]),
                 (ProductModel, "J", lambda args: args[1]),
                 (lieverify_mod, "is_lie_triple_system", lambda args: args[0].coords),
